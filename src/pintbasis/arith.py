@@ -81,15 +81,6 @@ def vp_frac(q, p):
     return vp(q.numerator, p) - vp(q.denominator, p)
 
 
-def p_free_part(n, p):
-    """n / p^vp(n); 0 maps to 0."""
-    if n == 0:
-        return 0
-    while n % p == 0:
-        n //= p
-    return n
-
-
 def is_prime(n):
     """Deterministic Miller-Rabin, valid for all 64-bit inputs and far beyond."""
     if n < 2:

@@ -9,20 +9,18 @@ entries above it, and minimal denominators; two modules are equal iff their
 triangularized forms are identical.
 """
 
-from dataclasses import dataclass, field
-
 from .arith import vp
 from .errors import InconsistentError, NotRegularError, RankDeficientError
 from .factor import DEFAULT_SEED, factor_mod_p, sanity_check_irreducible
 from .fq import factor_fqpoly
 from .intpoly import IntPoly
 from .newton import is_p_regular, ordinates, phi_index, phi_polygon_data
+from .record import Record
 
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(Record):
     """numerator(theta) / p^denom_exp with deg numerator < deg f."""
 
     numerator: IntPoly
@@ -41,13 +39,17 @@ class BasisElement:
         return {"numerator": self.numerator.render("x"), "denom_exp": self.denom_exp}
 
 
-@dataclass(frozen=True)
-class PIntegralBasis:
+class PIntegralBasis(Record):
     p: int
     elements: tuple  # one BasisElement per degree 0..n-1, triangular
     index_valuation: int
     generators: tuple = ()  # pre-triangularization family, for display
-    meta: dict = field(default_factory=dict, compare=False)
+    meta: dict = None  # route and table rows; not compared
+    _compare = ("p", "elements", "index_valuation", "generators")
+
+    def __post_init__(self):
+        if self.meta is None:
+            self.__dict__["meta"] = {}
 
     @property
     def n(self):
@@ -58,9 +60,6 @@ class PIntegralBasis:
 
     def render_generators(self, var="θ"):
         return ", ".join(e.render(self.p, var) for e in self.generators)
-
-    def same_module(self, other):
-        return self.p == other.p and self.elements == other.elements
 
     def to_json(self, decomposition=None):
         out = {
@@ -193,8 +192,7 @@ def triangularize(elements, p, n=None, generators=None, meta=None):
 # -- decomposition data ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeEntry:
+class PrimeEntry(Record):
     """One p-adic prime (or unresolved cluster) attached to an irreducible
     residual factor: e and f are None when the factor is multiple."""
 
@@ -206,8 +204,7 @@ class PrimeEntry:
     f: int | None
 
 
-@dataclass(frozen=True)
-class DecompositionType:
+class DecompositionType(Record):
     entries: tuple
     complete: bool
 
@@ -222,6 +219,12 @@ def decomposition_type(f, p, lifts=None, seed=DEFAULT_SEED):
     sanity_check_irreducible(f)
     if lifts is None:
         lifts = [phi for phi, _ in factor_mod_p(f, p, seed)]
+    return _decomposition(f, p, lifts, seed)
+
+
+def _decomposition(f, p, lifts, seed=DEFAULT_SEED):
+    """decomposition_type for an f already checked by the irreducibility
+    guard, with its lifts in hand."""
     entries = []
     complete = True
     for phi in lifts:
@@ -303,6 +306,12 @@ def p_integral_basis_regular(f, p, lifts=None, seed=DEFAULT_SEED, meta=None):
     sanity_check_irreducible(f)
     if lifts is None:
         lifts = [phi for phi, _ in factor_mod_p(f, p, seed)]
+    return _regular_basis(f, p, lifts, seed, meta)
+
+
+def _regular_basis(f, p, lifts, seed=DEFAULT_SEED, meta=None):
+    """p_integral_basis_regular for an f already checked by the
+    irreducibility guard, with its lifts in hand."""
     gens = regular_basis_generators(f, p, lifts, seed)
     expected = sum(phi_index(f, phi, p) for phi in lifts)
     basis = triangularize(gens, p, f.degree, generators=gens, meta=meta)

@@ -13,12 +13,19 @@ Exit codes: 0 ok, 1 verification mismatch, 2 bad input or precondition.
 """
 
 import argparse
+import functools
 import json
 import sys
 
 from .arith import check_prime
 from .errors import NotRegularError, PintbasisError
-from .factor import DEFAULT_SEED, is_irreducible, is_irreducible_quartic
+from .factor import (
+    DEFAULT_SEED,
+    factor_mod_p,
+    is_irreducible,
+    is_irreducible_quartic,
+    sanity_check_irreducible,
+)
 from .intpoly import IntPoly, parse_poly
 from .newton import (
     newton_polygon,
@@ -28,7 +35,7 @@ from .newton import (
     principal_part,
 )
 from .oracle import disc_identity_check, is_ring_closed, saturate
-from .basis import decomposition_type, p_integral_basis_regular
+from .basis import _decomposition, _regular_basis, decomposition_type
 from .quartic import classify, quartic_p_integral_basis
 
 
@@ -60,8 +67,6 @@ def cmd_polygon(args, out):
     if args.phi:
         phis = [parse_poly(args.phi)]
     else:
-        from .factor import factor_mod_p
-
         phis = [phi for phi, _ in factor_mod_p(f, args.p, args.seed)]
     payload = []
     for i, phi in enumerate(phis):
@@ -89,6 +94,10 @@ def cmd_polygon(args, out):
 
 
 def _compute_basis(f, p, method, seed):
+    """(basis, path, lifts); lifts is None when the method did not need
+    the factorization of f mod p.  The irreducibility guard and the
+    factorization run once per command: the generic route and the
+    decomposition type share the lifts."""
     abc = _quartic_coeffs(f)
     if method == "quartic" or method == "order2":
         if abc is None:
@@ -96,28 +105,32 @@ def _compute_basis(f, p, method, seed):
         basis = quartic_p_integral_basis(*abc, p, seed)
         if method == "order2" and not basis.meta.get("order2"):
             raise PintbasisError("input does not route through a second-order polygon")
-        return basis, basis.meta.get("case", "quartic")
+        return basis, basis.meta.get("case", "quartic"), None
+    sanity_check_irreducible(f)
+    lifts = [phi for phi, _ in factor_mod_p(f, p, seed)]
     if method == "generic":
-        return p_integral_basis_regular(f, p, seed=seed), "generic"
+        return _regular_basis(f, p, lifts, seed), "generic", lifts
     # auto: prefer the generic p-regular path, fall back to the quartic
     # pipeline (which covers the order-2 cases internally)
     try:
-        basis = p_integral_basis_regular(f, p, seed=seed)
-        return basis, "generic"
+        return _regular_basis(f, p, lifts, seed), "generic", lifts
     except NotRegularError:
         if abc is None:
             raise
         basis = quartic_p_integral_basis(*abc, p, seed)
         path = "quartic+order2" if basis.meta.get("order2") else "quartic"
-        return basis, path
+        return basis, path, lifts
 
 
 def cmd_basis(args, out):
     f = _parse_f(args)
-    basis, path = _compute_basis(f, args.p, args.method, args.seed)
+    basis, path, lifts = _compute_basis(f, args.p, args.method, args.seed)
     if args.json:
         try:
-            dec = decomposition_type(f, args.p, seed=args.seed)
+            if lifts is None:
+                dec = decomposition_type(f, args.p, seed=args.seed)
+            else:
+                dec = _decomposition(f, args.p, lifts, args.seed)
         except PintbasisError:
             dec = None
         payload = basis.to_json(dec)
@@ -153,7 +166,7 @@ def cmd_factor(args, out):
 
 
 def _verify_one(f, p, seed, out, label=""):
-    basis, path = _compute_basis(f, p, "auto", seed)
+    basis, path, lifts = _compute_basis(f, p, "auto", seed)
     oracle = saturate(f, p)
     ok = basis.elements == oracle.elements
     checks = {
@@ -162,7 +175,7 @@ def _verify_one(f, p, seed, out, label=""):
         "ring closed": is_ring_closed(f, basis, p),
         "oracle disc identity": disc_identity_check(f, p, oracle),
     }
-    dec = decomposition_type(f, p, seed=seed)
+    dec = _decomposition(f, p, lifts, seed)
     if dec.complete:
         checks["sum e*f = deg f"] = sum(e.e * e.f for e in dec.entries) == f.degree
     good = all(checks.values())
@@ -218,7 +231,10 @@ def cmd_oracle(args, out):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser; it does not depend on the input, so it is built
+    once per process."""
     parser = argparse.ArgumentParser(
         prog="pintbasis",
         description="p-integral bases of number fields via Newton polygons",
@@ -275,9 +291,8 @@ def main(argv=None, stdout=None):
     def out(line):
         print(line, file=stdout)
 
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     if args.command == "verify" and not args.corpus and not args.f:

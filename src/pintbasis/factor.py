@@ -9,19 +9,10 @@ from math import isqrt
 
 from .arith import check_prime, symmetric_rep
 from .errors import NotIrreducibleError
-from .fq import DEFAULT_SEED, FqField, FqPoly, factor_fqpoly
+from .fq import DEFAULT_SEED, FpArith
 from .intpoly import IntPoly
 
 _X = IntPoly([0, 1])
-
-
-def _to_fp_poly(f, p):
-    field = FqField(p, (0, 1))  # F_p as F_p[t]/(t)
-    return FqPoly(field, [c % p for c in f.coeffs])
-
-
-def _lift_symmetric(g, p):
-    return IntPoly([symmetric_rep(c.scalar(), p) for c in g.coeffs])
 
 
 def factor_mod_p(f, p, seed=DEFAULT_SEED):
@@ -31,29 +22,32 @@ def factor_mod_p(f, p, seed=DEFAULT_SEED):
     IntPoly with symmetric coefficients reducing to an irreducible factor of
     f mod p.  The list is deterministically ordered."""
     check_prime(p)
-    fbar = _to_fp_poly(f, p)
-    if fbar.is_zero():
+    fp = FpArith(p)
+    fbar = fp.reduce(f.coeffs)
+    if not fbar:
         raise ValueError("f vanishes mod p")
-    _, factors = factor_fqpoly(fbar, seed)
-    return [(_lift_symmetric(g, p), m) for g, m in factors]
+    _, factors = fp.factor(fbar, seed)
+    return [(IntPoly([symmetric_rep(c, p) for c in g]), m) for g, m in factors]
 
 
 def is_irreducible_mod_p(phi, p, seed=DEFAULT_SEED):
-    gbar = _to_fp_poly(phi, p)
-    if gbar.degree < 1:
-        return False
-    _, factors = factor_fqpoly(gbar, seed)
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree == gbar.degree
+    """True iff phi mod p is irreducible of degree >= 1 over F_p.  The test
+    is deterministic; seed is accepted for signature compatibility."""
+    check_prime(p)
+    fp = FpArith(p)
+    return fp.is_irreducible(fp.reduce(phi.coeffs))
 
 
 def ord_mod_p(f, phi, p):
     """Largest a with phi^a | f mod p (0 when phi does not divide f mod p)."""
-    fbar = _to_fp_poly(f, p)
-    pbar = _to_fp_poly(phi, p)
+    check_prime(p)
+    fp = FpArith(p)
+    fbar = fp.reduce(f.coeffs)
+    pbar = fp.reduce(phi.coeffs)
     a = 0
     while True:
-        q, r = divmod(fbar, pbar)
-        if not r.is_zero():
+        q, r = fp.divmod(fbar, pbar)
+        if r:
             return a
         a += 1
         fbar = q
@@ -129,13 +123,14 @@ def is_irreducible(f, tries=10):
     possible = set(range(1, n))
     used = 0
     for q in _WITNESS_PRIMES:
-        fq = _to_fp_poly(f, q)
-        if fq.degree != n:
+        fq = FpArith(q)
+        fbar = fq.reduce(f.coeffs)
+        if len(fbar) - 1 != n:
             continue
-        _, factors = factor_fqpoly(fq, seed=DEFAULT_SEED)
+        _, factors = fq.factor(fbar, DEFAULT_SEED)
         degs = []
         for g, m in factors:
-            degs.extend([g.degree] * m)
+            degs.extend([len(g) - 1] * m)
         sums = {0}
         for d in degs:
             sums |= {s + d for s in sums}

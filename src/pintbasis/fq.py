@@ -1,74 +1,385 @@
-"""Finite fields F_p[x]/(m(x)) and univariate polynomials over them.
+"""Finite fields F_p[t]/(m(t)) and univariate polynomials over them.
 
 Residual polynomials of Newton polygon sides live over F_phi = F_p[x]/(p, phi),
 so we need field arithmetic, gcds, separability tests and full factorization
 (squarefree split + distinct-degree + Cantor-Zassenhaus equal-degree) over
 these small fields.  Equal-degree splitting is randomized; the generator is
 seeded so every run is reproducible (see DEFAULT_SEED).
+
+All arithmetic runs on one kernel over plain lists (FpArith, FqArith).  A
+coefficient of F_p is an int in [0, p); a coefficient of F_q = F_p[t]/(m)
+with deg m >= 2 is a tuple of ints, reduced mod m, with no trailing zero.
+A polynomial over either is a list of coefficients, lowest degree first,
+with no trailing zero coefficient; [] is the zero polynomial.  FqField,
+FqElem and FqPoly are thin boundary types whose methods call the kernel.
 """
 
 import random
 
-from .arith import check_prime, inv_mod
+from .arith import check_prime
 from .intpoly import IntPoly
 
 DEFAULT_SEED = 20259
 
-# -- arithmetic on coefficient tuples over F_p --------------------------------
-
 
 def _trim(t):
-    t = list(t)
-    while t and t[-1] == 0:
+    """Drop trailing zero coefficients (0 or ()) from a list, in place."""
+    while t and not t[-1]:
         t.pop()
-    return tuple(t)
+    return t
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
+def _sort_key(item):
+    """Deterministic factor order: by degree, then by coefficients."""
+    poly = item[0] if isinstance(item, tuple) else item
+    return len(poly), poly
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
+class _Arith:
+    """The algorithms shared by both coefficient kinds.
+
+    Subclasses supply p, q, k (q = p^k), the constants zero and one, the
+    coefficient operations cadd, csub, cmul, cmul_int, cinv and random_coeff,
+    and the polynomial operations mul and divmod.  No method mutates its
+    arguments."""
+
+    # -- coefficients ------------------------------------------------------
+
+    def cpow(self, a, n):
+        result = self.one
+        while n:
+            if n & 1:
+                result = self.cmul(result, a)
+            n >>= 1
+            if n:
+                a = self.cmul(a, a)
+        return result
+
+    # -- polynomials -------------------------------------------------------
+
+    def add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] = self.cadd(out[i], y)
+        return _trim(out)
+
+    def sub(self, a, b):
+        out = list(a) + [self.zero] * (len(b) - len(a))
+        for i, y in enumerate(b):
+            out[i] = self.csub(out[i], y)
+        return _trim(out)
+
+    def scale(self, a, c):
+        """c * a for a nonzero coefficient c."""
+        cmul = self.cmul
+        return [cmul(x, c) for x in a]
+
+    def deriv(self, a):
+        return _trim([self.cmul_int(c, i) for i, c in enumerate(a)][1:])
+
+    def rem(self, a, b):
+        return self.divmod(a, b)[1]
+
+    def monic(self, a):
+        if not a or a[-1] == self.one:
+            return a
+        return self.scale(a, self.cinv(a[-1]))
+
+    def gcd(self, a, b):
+        while b:
+            a, b = b, self.rem(a, b)
+        return self.monic(a)
+
+    def powmod(self, a, n, g):
+        result = [self.one]
+        base = self.rem(a, g)
+        while n:
+            if n & 1:
+                result = self.rem(self.mul(result, base), g)
+            n >>= 1
+            if n:
+                base = self.rem(self.mul(base, base), g)
+        return result
+
+    def is_irreducible(self, r):
+        """Rabin-style test: a nonconstant r is irreducible iff it has no
+        irreducible factor of degree d <= deg(r)/2, i.e. gcd(r, y^(q^d) - y)
+        is 1 for each such d."""
+        n = len(r) - 1
+        if n < 1:
+            return False
+        r = self.monic(r)
+        y = [self.zero, self.one]
+        h = y
+        for _ in range(n // 2):
+            h = self.powmod(h, self.q, r)
+            if len(self.gcd(r, self.sub(h, y))) > 1:
+                return False
+        return True
+
+    # -- factorization -----------------------------------------------------
+
+    def factor(self, r, seed=DEFAULT_SEED):
+        """(unit, [(monic irreducible, multiplicity)]) for a nonzero r, the
+        factors sorted by degree and then coefficients."""
+        if not r:
+            raise ValueError("cannot factor the zero polynomial")
+        return r[-1], self._squarefree(r, random.Random(seed))
+
+    def _squarefree(self, r, rng):
+        """[(irreducible monic, multiplicity)]; recursion on gcd with derivative."""
+        r = self.monic(r)
+        if len(r) < 2:
+            return []
+        d = self.deriv(r)
+        if not d:
+            # r = t(y^p) with t built from p-th roots of the coefficients
+            p, e = self.p, self.q // self.p
+            t = [self.cpow(r[i], e) for i in range(0, len(r), p)]
+            return [(g, p * m) for g, m in self._squarefree(t, rng)]
+        g = self.gcd(r, d)
+        if len(g) == 1:
+            return [(h, 1) for h in self._split(r, rng)]
+        out = []
+        rest = r
+        for h in self._split(self.divmod(r, g)[0], rng):
+            m = 0
+            while True:
+                q, rem = self.divmod(rest, h)
+                if rem:
+                    break
+                m += 1
+                rest = q
+            out.append((h, m))
+        # what is left has every multiplicity divisible by p
+        if len(rest) > 1:
+            out.extend(self._squarefree(rest, rng))
+        return sorted(out, key=_sort_key)
+
+    def _split(self, r, rng):
+        """Factor a squarefree monic polynomial: DDF then CZ splitting."""
+        out = []
+        y = [self.zero, self.one]
+        h = y
+        rest = r
+        d = 0
+        while len(rest) > 1:
+            d += 1
+            if 2 * d > len(rest) - 1:
+                out.append(rest)
+                break
+            h = self.powmod(h, self.q, rest)
+            g = self.gcd(rest, self.sub(h, y))
+            if len(g) > 1:
+                out.extend(self._equal_degree_split(g, d, rng))
+                rest = self.divmod(rest, g)[0]
+                h = self.rem(h, rest)
+        return sorted(out, key=_sort_key)
+
+    def _equal_degree_split(self, g, d, rng):
+        """Cantor-Zassenhaus: g is a monic squarefree product of irreducibles
+        of degree d."""
+        if len(g) - 1 == d:
+            return [g]
+        q = self.q
+        while True:
+            rand = _trim([self.random_coeff(rng) for _ in range(len(g) - 1)])
+            if len(rand) < 2:
+                continue
+            if q % 2 == 1:
+                s = self.powmod(rand, (q**d - 1) // 2, g)
+                cand = self.gcd(g, self.sub(s, [self.one]))
+            else:
+                # trace map sum_{i<d*k} rand^(2^i)
+                tr = self.rem(rand, g)
+                acc = tr
+                for _ in range(d * self.k - 1):
+                    tr = self.rem(self.mul(tr, tr), g)
+                    acc = self.add(acc, tr)
+                cand = self.gcd(g, acc)
+            if 1 < len(cand) < len(g):
+                return sorted(
+                    self._equal_degree_split(cand, d, rng)
+                    + self._equal_degree_split(self.divmod(g, cand)[0], d, rng),
+                    key=_sort_key,
+                )
 
 
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)])
+class FpArith(_Arith):
+    """F_p on plain ints: coefficients are ints in [0, p)."""
+
+    zero = 0
+    one = 1
+    k = 1
+
+    def __init__(self, p):
+        self.p = self.q = p
+
+    def reduce(self, coeffs):
+        """The polynomial with the given integer coefficients, mod p."""
+        p = self.p
+        return _trim([c % p for c in coeffs])
+
+    def from_rep(self, rep):
+        return rep[0] if rep else 0
+
+    def to_rep(self, c):
+        return (c,) if c else ()
+
+    def cadd(self, a, b):
+        return (a + b) % self.p
+
+    def csub(self, a, b):
+        return (a - b) % self.p
+
+    def cmul(self, a, b):
+        return a * b % self.p
+
+    def cmul_int(self, a, n):
+        return a * n % self.p
+
+    def cinv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        return pow(a, -1, self.p)
+
+    def cpow(self, a, n):
+        return pow(a, n, self.p)
+
+    def random_coeff(self, rng):
+        return rng.randrange(self.p)
+
+    def scale(self, a, c):
+        p = self.p
+        return [x * c % p for x in a]
+
+    def mul(self, a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        p = self.p
+        return _trim([c % p for c in out])
+
+    def divmod(self, a, b):
+        # the remainder is reduced mod p only once, at the end
+        p = self.p
+        db = len(b) - 1
+        if db < 0:
+            raise ZeroDivisionError
+        if len(a) <= db:
+            return [], _trim(list(a))
+        inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
+        low = b[:db]
+        rem = list(a)
+        quot = [0] * (len(a) - db)
+        for i in range(len(quot) - 1, -1, -1):
+            c = rem[i + db] * inv % p
+            if c:
+                quot[i] = c
+                for j, y in enumerate(low, i):
+                    rem[j] -= c * y
+        return _trim(quot), _trim([c % p for c in rem[:db]])
 
 
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError
-    inv = inv_mod(b[-1], p)
-    rem = list(a)
-    if len(a) < len(b):
-        return (), _trim(rem)
-    quot = [0] * (len(a) - len(b) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        q = rem[k + len(b) - 1] * inv % p
-        quot[k] = q
-        if q:
-            for j, c in enumerate(b):
-                rem[k + j] = (rem[k + j] - q * c) % p
-    return _trim(quot), _trim(rem)
+class FqArith(_Arith):
+    """F_q = F_p[t]/(m) for a monic irreducible m of degree k >= 2:
+    coefficients are tuples of ints reduced mod m."""
+
+    zero = ()
+    one = (1,)
+
+    def __init__(self, p, modulus):
+        self.p = p
+        self.m = tuple(modulus)
+        self.k = len(self.m) - 1
+        self.q = p**self.k
+        self.fp = FpArith(p)
+
+    def from_rep(self, rep):
+        return rep
+
+    def to_rep(self, c):
+        return c
+
+    def cadd(self, a, b):
+        return tuple(self.fp.add(a, b))
+
+    def csub(self, a, b):
+        return tuple(self.fp.sub(a, b))
+
+    def cmul(self, a, b):
+        fp = self.fp
+        return tuple(fp.rem(fp.mul(a, b), self.m))
+
+    def cmul_int(self, a, n):
+        return tuple(self.fp.reduce([x * n for x in a]))
+
+    def cinv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        # extended euclid in F_p[t]
+        fp = self.fp
+        r0, r1 = list(a), list(self.m)
+        s0, s1 = [1], []
+        while r1:
+            q, r = fp.divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, fp.sub(s0, fp.mul(q, s1))
+        return tuple(fp.scale(s0, pow(r0[0], -1, self.p)))
+
+    def random_coeff(self, rng):
+        return tuple(_trim([rng.randrange(self.p) for _ in range(self.k)]))
+
+    def mul(self, a, b):
+        # Kronecker substitution: pack with stride 2k-1 so that products of
+        # coefficients cannot overlap, multiply once over F_p, then reduce
+        # each chunk mod m
+        if not a or not b:
+            return []
+        s = 2 * self.k - 1
+        fp = self.fp
+
+        def pack(poly):
+            flat = [0] * (len(poly) * s)
+            for i, c in enumerate(poly):
+                flat[i * s:i * s + len(c)] = c
+            return flat
+
+        flat = fp.mul(pack(a), pack(b))
+        m = self.m
+        return _trim([tuple(fp.rem(flat[i:i + s], m))
+                      for i in range(0, (len(a) + len(b) - 1) * s, s)])
+
+    def divmod(self, a, b):
+        db = len(b) - 1
+        if db < 0:
+            raise ZeroDivisionError
+        if len(a) <= db:
+            return [], _trim(list(a))
+        inv = None if b[-1] == (1,) else self.cinv(b[-1])
+        cmul, csub = self.cmul, self.csub
+        low = b[:db]
+        rem = list(a)
+        quot = [()] * (len(a) - db)
+        for i in range(len(quot) - 1, -1, -1):
+            c = rem[i + db]
+            if c:
+                if inv is not None:
+                    c = cmul(c, inv)
+                quot[i] = c
+                for j, y in enumerate(low, i):
+                    if y:
+                        rem[j] = csub(rem[j], cmul(c, y))
+        return _trim(quot), _trim(rem[:db])
 
 
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    if a:
-        inv = inv_mod(a[-1], p)
-        a = _trim([c * inv % p for c in a])
-    return a
+# -- boundary types --------------------------------------------------------------
 
 
 class FqField:
@@ -78,15 +389,17 @@ class FqField:
     def __init__(self, p, modulus):
         check_prime(p)
         if isinstance(modulus, IntPoly):
-            modulus = _trim(c % p for c in modulus.coeffs)
+            modulus = modulus.coeffs
         self.p = p
-        self.modulus = _trim(modulus)
+        self.modulus = tuple(_trim([c % p for c in modulus]))
         if len(self.modulus) < 2:
             raise ValueError("modulus must have degree >= 1")
         if self.modulus[-1] != 1:
             raise ValueError("modulus must be monic")
         self.degree = len(self.modulus) - 1
         self.order = p**self.degree
+        self._fp = FpArith(p)
+        self.arith = self._fp if self.degree == 1 else FqArith(p, self.modulus)
 
     def __eq__(self, other):
         return (
@@ -110,14 +423,10 @@ class FqField:
                 raise ValueError("element of a different field")
             return rep
         if isinstance(rep, int):
-            rep = (rep % self.p,)
+            rep = (rep,)
         elif isinstance(rep, IntPoly):
-            rep = tuple(c % self.p for c in rep.coeffs)
-        else:
-            rep = tuple(c % self.p for c in rep)
-        if len(rep) >= len(self.modulus):
-            rep = _pdivmod(rep, self.modulus, self.p)[1]
-        return FqElem(self, _trim(rep))
+            rep = rep.coeffs
+        return FqElem(self, tuple(self._fp.rem([c % self.p for c in rep], self.modulus)))
 
     def zero(self):
         return FqElem(self, ())
@@ -125,23 +434,29 @@ class FqField:
     def one(self):
         return FqElem(self, (1,))
 
-    def gen(self):
-        return self.elem((0, 1))
-
     def elements(self):
         """All field elements (small fields only; used by tests)."""
         from itertools import product
 
         for rep in product(range(self.p), repeat=self.degree):
-            yield FqElem(self, _trim(rep))
+            yield FqElem(self, tuple(_trim(list(rep))))
 
 
 class FqElem:
+    """An element of an FqField; rep is its trimmed tuple of F_p
+    coefficients in t."""
+
     __slots__ = ("field", "rep")
 
     def __init__(self, field, rep):
         self.field = field
         self.rep = rep
+
+    def _coeff(self):
+        return self.field.arith.from_rep(self.rep)
+
+    def _new(self, c):
+        return FqElem(self.field, self.field.arith.to_rep(c))
 
     def is_zero(self):
         return not self.rep
@@ -157,39 +472,26 @@ class FqElem:
         return hash((self.field.p, self.field.modulus, self.rep))
 
     def __add__(self, other):
-        return FqElem(self.field, _padd(self.rep, self.field.elem(other).rep, self.field.p))
+        return self._new(self.field.arith.cadd(self._coeff(), self.field.elem(other)._coeff()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FqElem(self.field, _trim(-c % self.field.p for c in self.rep))
+        return self._new(self.field.arith.csub(self.field.arith.zero, self._coeff()))
 
     def __sub__(self, other):
-        return self + (-self.field.elem(other))
+        return self._new(self.field.arith.csub(self._coeff(), self.field.elem(other)._coeff()))
 
     def __rsub__(self, other):
-        return (-self) + self.field.elem(other)
+        return self.field.elem(other) - self
 
     def __mul__(self, other):
-        other = self.field.elem(other)
-        prod = _pmul(self.rep, other.rep, self.field.p)
-        return self.field.elem(prod)
+        return self._new(self.field.arith.cmul(self._coeff(), self.field.elem(other)._coeff()))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        # extended euclid in F_p[x]
-        p = self.field.p
-        a, b = self.rep, self.field.modulus
-        s0, s1 = (1,), ()
-        while b:
-            q, r = _pdivmod(a, b, p)
-            a, b = b, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        inv = inv_mod(a[0], p)
-        return self.field.elem(_trim(c * inv % p for c in s0))
+        return self._new(self.field.arith.cinv(self._coeff()))
 
     def __truediv__(self, other):
         return self * self.field.elem(other).inverse()
@@ -197,14 +499,7 @@ class FqElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return self._new(self.field.arith.cpow(self._coeff(), n))
 
     def frobenius(self):
         return self ** self.field.p
@@ -227,125 +522,98 @@ class FqElem:
         return "(" + IntPoly(self.rep).render("t") + ")"
 
 
-# -- polynomials over F_q ------------------------------------------------------
-
-
 class FqPoly:
-    """Univariate polynomial over an FqField, used for residual polynomials."""
+    """Univariate polynomial over an FqField, used for residual polynomials.
+    The coefficients are held as a kernel list (see FpArith, FqArith)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_c")
 
     def __init__(self, field, coeffs=()):
         self.field = field
-        cs = [field.elem(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
+        from_rep = field.arith.from_rep
+        self._c = _trim([from_rep(field.elem(c).rep) for c in coeffs])
+
+    @classmethod
+    def _wrap(cls, field, c):
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly._c = c
+        return poly
+
+    def _new(self, c):
+        return FqPoly._wrap(self.field, c)
+
+    @property
+    def coeffs(self):
+        to_rep = self.field.arith.to_rep
+        return tuple(FqElem(self.field, to_rep(c)) for c in self._c)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._c) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._c
 
     def lc(self):
-        return self.coeffs[-1] if self.coeffs else self.field.zero()
+        return self[len(self._c) - 1]
 
     def __getitem__(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero()
+        c = self._c[i] if 0 <= i < len(self._c) else self.field.arith.zero
+        return FqElem(self.field, self.field.arith.to_rep(c))
 
     def __eq__(self, other):
         return (
             isinstance(other, FqPoly)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self._c == other._c
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, tuple(self._c)))
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FqPoly(self.field, [self[i] + other[i] for i in range(n)])
+        return self._new(self.field.arith.add(self._c, other._c))
 
     def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return FqPoly(self.field, [self[i] - other[i] for i in range(n)])
+        return self._new(self.field.arith.sub(self._c, other._c))
 
     def __mul__(self, other):
+        arith = self.field.arith
         if isinstance(other, FqElem):
-            return FqPoly(self.field, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return FqPoly(self.field)
-        out = [self.field.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return FqPoly(self.field, out)
+            c = self.field.elem(other)._coeff()
+            return self._new(arith.scale(self._c, c) if c else [])
+        return self._new(arith.mul(self._c, other._c))
 
     def __divmod__(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError
-        inv = other.lc().inverse()
-        rem = list(self.coeffs)
-        if self.degree < other.degree:
-            return FqPoly(self.field), self
-        quot = [self.field.zero()] * (self.degree - other.degree + 1)
-        for k in range(len(quot) - 1, -1, -1):
-            q = rem[k + other.degree] * inv
-            quot[k] = q
-            if not q.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - q * b
-        return FqPoly(self.field, quot), FqPoly(self.field, rem)
+        q, r = self.field.arith.divmod(self._c, other._c)
+        return self._new(q), self._new(r)
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        return self._new(self.field.arith.rem(self._c, other._c))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def monic(self):
-        if self.is_zero() or self.lc() == self.field.one():
-            return self
-        inv = self.lc().inverse()
-        return self * inv
+        return self._new(self.field.arith.monic(self._c))
 
     def derivative(self):
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(self.coeffs[i] * self.field.elem(i))
-        return FqPoly(self.field, out)
+        return self._new(self.field.arith.deriv(self._c))
 
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        return self._new(self.field.arith.gcd(self._c, other._c))
 
     def pow_mod(self, n, modulus):
-        result = FqPoly(self.field, [1])
-        base = self % modulus
-        while n:
-            if n & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            n >>= 1
-        return result
+        return self._new(self.field.arith.powmod(self._c, n, modulus._c))
 
     def evaluate(self, x):
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def roots(self):
-        """Roots in the base field (exhaustive; fields here are tiny)."""
-        return [x for x in self.field.elements() if self.evaluate(x).is_zero()]
+        arith = self.field.arith
+        x = self.field.elem(x)._coeff()
+        acc = arith.zero
+        for c in reversed(self._c):
+            acc = arith.cadd(arith.cmul(acc, x), c)
+        return FqElem(self.field, arith.to_rep(acc))
 
     def __repr__(self):
         if self.is_zero():
@@ -367,107 +635,8 @@ def is_separable(r):
     """True iff gcd(r, r') has degree 0 over the coefficient field."""
     if r.is_zero():
         raise ValueError("separability of the zero polynomial is undefined")
-    return r.gcd(r.derivative()).degree == 0
-
-
-def _squarefree_factor(r, rng):
-    """[(irreducible monic, multiplicity)]; recursion on gcd with derivative."""
-    r = r.monic()
-    if r.degree == 0:
-        return []
-    d = r.derivative()
-    if d.is_zero():
-        # r = t(y^p) with t built from p-th roots of the coefficients
-        p = r.field.p
-        t = FqPoly(r.field, [r[i * p].pth_root() for i in range(r.degree // p + 1)])
-        return [(g, p * m) for g, m in _squarefree_factor(t, rng)]
-    g = r.gcd(d)
-    if g.degree == 0:
-        return [(h, 1) for h in _factor_squarefree(r, rng)]
-    w = r // g
-    out = []
-    for h in _factor_squarefree(w, rng):
-        m = 0
-        rr = r
-        while True:
-            q, rem = divmod(rr, h)
-            if not rem.is_zero():
-                break
-            m += 1
-            rr = q
-        out.append((h, m))
-    # factors of g that do not divide w (possible when char divides multiplicity)
-    rest = r
-    for h, m in out:
-        for _ in range(m):
-            rest = rest // h
-    if rest.degree > 0:
-        seen = {h: m for h, m in out}
-        for h, m in _squarefree_factor(rest, rng):
-            seen[h] = seen.get(h, 0) + m
-        out = sorted(seen.items(), key=_factor_sort_key)
-    return sorted(out, key=_factor_sort_key)
-
-
-def _factor_sort_key(item):
-    poly = item[0] if isinstance(item, tuple) else item
-    return (poly.degree, [c.rep for c in poly.coeffs])
-
-
-def _factor_squarefree(r, rng):
-    """Factor a squarefree monic polynomial: DDF then CZ splitting."""
-    out = []
-    q = r.field.order
-    y = FqPoly(r.field, [0, 1])
-    h = y
-    rem = r
-    d = 0
-    while rem.degree > 0:
-        d += 1
-        if 2 * d > rem.degree:
-            out.append(rem)
-            break
-        h = h.pow_mod(q, rem)
-        g = rem.gcd(h - y)
-        if g.degree > 0:
-            out.extend(_equal_degree_split(g, d, rng))
-            rem = rem // g
-            h = h % rem
-    return sorted(out, key=_factor_sort_key)
-
-
-def _equal_degree_split(g, d, rng):
-    """Cantor-Zassenhaus: g is a monic squarefree product of irreducibles of
-    degree d."""
-    if g.degree == d:
-        return [g.monic()]
-    field = g.field
-    q = field.order
-    while True:
-        rand = FqPoly(
-            field,
-            [field.elem([rng.randrange(field.p) for _ in range(field.degree)])
-             for _ in range(g.degree)],
-        )
-        if rand.degree < 1:
-            continue
-        if q % 2 == 1:
-            s = rand.pow_mod((q**d - 1) // 2, g)
-            cand = g.gcd(s - FqPoly(field, [1]))
-        else:
-            # trace map sum_{i<d*deg(field)} rand^(2^i)
-            tr = rand % g
-            acc = tr
-            for _ in range(d * field.degree - 1):
-                tr = (tr * tr) % g
-                acc = acc + tr
-            cand = g.gcd(acc)
-        if 0 < cand.degree < g.degree:
-            return sorted(
-                _equal_degree_split(cand, d, rng)
-                + _equal_degree_split(g // cand, d, rng),
-                key=_factor_sort_key,
-            )
+    arith = r.field.arith
+    return len(arith.gcd(r._c, arith.deriv(r._c))) == 1
 
 
 def factor_fqpoly(r, seed=DEFAULT_SEED):
@@ -477,9 +646,10 @@ def factor_fqpoly(r, seed=DEFAULT_SEED):
     ordered; the randomized splitting uses its own seeded generator."""
     if r.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    rng = random.Random(seed)
-    unit = r.lc()
-    return unit, _squarefree_factor(r, rng)
+    field = r.field
+    unit, factors = field.arith.factor(r._c, seed)
+    return (FqElem(field, field.arith.to_rep(unit)),
+            [(FqPoly._wrap(field, g), m) for g, m in factors])
 
 
 def multiple_factors(r, seed=DEFAULT_SEED):

@@ -7,7 +7,6 @@ sequence, so no rounding can occur anywhere.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from .arith import INFINITY, vp
 from .errors import ParseError
@@ -181,17 +180,6 @@ class IntPoly:
     def reduce_mod(self, m):
         return IntPoly([c % m for c in self.coeffs])
 
-    def reduce_mod_symmetric(self, m):
-        from .arith import symmetric_rep
-
-        return IntPoly([symmetric_rep(c, m) for c in self.coeffs])
-
-    def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
-
     def divide_exact(self, k):
         if any(c % k for c in self.coeffs):
             raise ValueError(f"{k} does not divide all coefficients")
@@ -247,10 +235,6 @@ class IntPoly:
 
     def __repr__(self):
         return f"IntPoly({self.render()})"
-
-    @staticmethod
-    def parse(text):
-        return parse_poly(text)
 
 
 def poly_vp(P, p):

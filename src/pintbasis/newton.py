@@ -7,7 +7,6 @@ cross products.  Points with infinite ordinate (zero coefficients) never
 enter the hull; they contribute zero residual coefficients.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_finite
@@ -15,10 +14,10 @@ from .errors import InconsistentError
 from .factor import DEFAULT_SEED, factor_mod_p, is_irreducible_mod_p
 from .fq import FqField, FqPoly, is_separable, multiple_factors
 from .intpoly import IntPoly
+from .record import Record
 
 
-@dataclass(frozen=True)
-class PhiExpansion:
+class PhiExpansion(Record):
     """phi-adic development f = sum a_i phi^i with deg a_i < deg phi,
     together with the quotients q_j and residues r_j of division by phi^j."""
 
@@ -59,8 +58,7 @@ def phi_expand(f, phi):
     return PhiExpansion(f, phi, tuple(coeffs), tuple(quotients), tuple(residues))
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(Record):
     start: tuple
     end: tuple
     slope: Fraction
@@ -91,8 +89,7 @@ class Side:
         return f"Side({self.start}->{self.end}, slope {self.slope})"
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record):
     """Lower convex envelope of the points (i, v_p(a_i)); u_i = INFINITY
     points are recorded but excluded from the hull."""
 
@@ -246,8 +243,7 @@ def residual_polynomial(side, coefficients):
     return r
 
 
-@dataclass(frozen=True)
-class SideData:
+class SideData(Record):
     side: Side
     residual: FqPoly
 
@@ -256,8 +252,7 @@ class SideData:
         return is_separable(self.residual)
 
 
-@dataclass(frozen=True)
-class PhiRegularity:
+class PhiRegularity(Record):
     phi: IntPoly
     regular: bool
     sides: tuple  # SideData for every principal side
@@ -290,8 +285,7 @@ def is_phi_regular(f, phi, p, seed=DEFAULT_SEED):
     return PhiRegularity(phi, not witnesses, tuple(data), tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class PRegularity:
+class PRegularity(Record):
     regular: bool
     by_phi: tuple  # PhiRegularity per lift, same order as the input
 

@@ -10,7 +10,6 @@ index and, through its abscissa-1 ordinate Y, a p-integral basis
 Second-order regularity is certified by membership in the phi-choice
 tables, never guessed."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import INFINITY, is_finite, vp
@@ -18,6 +17,7 @@ from .errors import HypothesisViolatedError, NoRowError, NotSecondOrderRegularEr
 from .intpoly import IntPoly
 from .newton import phi_expand
 from .basis import BasisElement
+from .record import Record
 
 _X = IntPoly([0, 1])
 
@@ -37,8 +37,7 @@ def v2p(P, p):
     return min(vals)
 
 
-@dataclass(frozen=True)
-class SecondOrderContext:
+class SecondOrderContext(Record):
     F: IntPoly
     p: int
     phi: IntPoly
@@ -61,8 +60,7 @@ class SecondOrderContext:
             )
 
 
-@dataclass(frozen=True)
-class SecondOrderPolygon:
+class SecondOrderPolygon(Record):
     points: tuple  # ((0, v2(a0)), (1, v2(a1 phi)), (2, 4))
     Y: Fraction  # ordinate of the polygon at abscissa 1
     one_sided: bool
@@ -99,8 +97,7 @@ def second_order_polygon(ctx):
     return SecondOrderPolygon(((0, v0), (1, pt1), (2, 4)), Y, one_sided)
 
 
-@dataclass(frozen=True)
-class Order2Basis:
+class Order2Basis(Record):
     elements: tuple  # in the coordinates of the root of F
     Y: Fraction
     nu: Fraction

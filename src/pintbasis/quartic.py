@@ -6,25 +6,21 @@ picks regular lifts of the repeated factors (iterating a shift s -> s + y p^d
 when a chosen lift is irregular) and then reads the basis off the polygon
 ordinates.  Every dispatch table is encoded as literal rows with guard
 predicates so individual rows are unit-testable, and the row that fired is
-recorded in the result metadata.
+recorded in the result metadata.  The tables are in pintbasis.tables and the
+constructions of the 4-tuple-root cases E1 and E2 in pintbasis.quartic_e.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .arith import INFINITY, check_prime, inv_mod, is_finite, legendre, sqrt_mod_pk, symmetric_rep, vp
-from .errors import (
-    InconsistentError,
-    IterationPreconditionError,
-    NoRowError,
-    NonIntegerSlopeError,
-)
+from .errors import InconsistentError, IterationPreconditionError, NonIntegerSlopeError
 from .factor import DEFAULT_SEED, factor_mod_p, require_irreducible_quartic
 from .intpoly import IntPoly
 from .newton import is_phi_regular, ordinates, phi_index, phi_polygon_data
 from .basis import BasisElement, PIntegralBasis, p_integral_basis_regular, triangularize
-from . import order2
+from .record import Record
+from .tables import match_table1
 
 _X = IntPoly([0, 1])
 _ONE = IntPoly([1])
@@ -46,8 +42,7 @@ class QuarticCase(Enum):
     E2 = "E2"
 
 
-@dataclass(frozen=True)
-class QuarticContext:
+class QuarticContext(Record):
     a: int
     b: int
     c: int
@@ -117,8 +112,7 @@ def classify(a, b, c, p):
 # -- valuation profiles and the shift iteration ---------------------------------
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
+class ValuationProfile(Record):
     """Exact Taylor data of a monic quartic F at the integer s:
     u_i = v_p of F(s), F'(s), F''(s)/2, F'''(s)/6 and the p-free parts."""
 
@@ -174,102 +168,7 @@ def _right_part_separable(F, s, p):
     return all(sd.separable for sd in data if sd.side.start[0] >= 2)
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    rid: int
-    cond: str
-    pclass: str  # '2', '>2', '3', '>3'
-    guard: object  # (profile, p) -> bool
-    delta: object  # profile -> int
-    accelerated: bool = False
-
-
-def _sbar(sig, p):
-    return sig % p
-
-
-def _table1_guard_quadratic(pr, p):
-    # sigma1^2 = 4 sigma0 sigma2 mod p
-    return (pr.sigma1 * pr.sigma1 - 4 * pr.sigma0 * pr.sigma2) % p == 0
-
-
-TABLE1_ROWS = (
-    Table1Row(1, "I", "2",
-              lambda pr, p: is_finite(pr.u0) and pr.u0 % 2 == 0 and pr.u0 < 2 * pr.u1,
-              lambda pr: pr.u0 // 2),
-    Table1Row(2, "I", ">2",
-              lambda pr, p: pr.u0 == 2 * pr.u1 and _table1_guard_quadratic(pr, p),
-              lambda pr: pr.u0 // 2, accelerated=True),
-    Table1Row(3, "II", "2",
-              lambda pr, p: pr.u0 > 3 * pr.u2 and is_finite(pr.u0) and is_finite(pr.u2)
-              and (pr.u0 + pr.u2) % 2 == 0 and pr.u0 + pr.u2 < 2 * pr.u1,
-              lambda pr: (pr.u0 - pr.u2) // 2),
-    Table1Row(4, "II", ">2",
-              lambda pr, p: pr.u0 > 3 * pr.u2 and is_finite(pr.u1)
-              and pr.u0 + pr.u2 == 2 * pr.u1 and _table1_guard_quadratic(pr, p),
-              lambda pr: (pr.u0 - pr.u2) // 2, accelerated=True),
-    Table1Row(5, "II", "2",
-              lambda pr, p: is_finite(pr.u1) and 2 * pr.u0 > 3 * pr.u1
-              and pr.u1 % 2 == 0 and pr.u1 < 2 * pr.u2,
-              lambda pr: pr.u1 // 2),
-    Table1Row(6, "II", ">2",
-              lambda pr, p: pr.u0 > 3 * pr.u2 and is_finite(pr.u1) and pr.u1 == 2 * pr.u2
-              and (pr.sigma2**2 - 4 * pr.sigma1 * pr.sigma3) % p == 0,
-              lambda pr: pr.u1 // 2),
-    Table1Row(7, "II", "2",
-              lambda pr, p: is_finite(pr.u2) and pr.u0 == 3 * pr.u2 and pr.u1 == 2 * pr.u2,
-              lambda pr: pr.u0 // 3),
-    Table1Row(8, "II", "3",
-              lambda pr, p: is_finite(pr.u0) and pr.u0 % 3 == 0 and pr.u0 < 3 * pr.u2
-              and 2 * pr.u0 < 3 * pr.u1,
-              lambda pr: pr.u0 // 3),
-    Table1Row(9, "II", ">3",
-              lambda pr, p: is_finite(pr.u2) and pr.u0 == 3 * pr.u2 and pr.u1 == 2 * pr.u2
-              and (3 * pr.sigma3 * pr.sigma1 - pr.sigma2**2) % p == 0
-              and (27 * pr.sigma3**2 * pr.sigma0 - pr.sigma2**3) % p == 0,
-              lambda pr: pr.u0 // 3),
-    Table1Row(10, "II", ">3",
-              lambda pr, p: is_finite(pr.u1) and 2 * pr.u0 == 3 * pr.u1
-              and 3 * pr.u1 < 6 * pr.u2
-              and (4 * pr.sigma1**3 + 27 * pr.sigma0**2 * pr.sigma3) % p == 0,
-              lambda pr: pr.u0 // 3),
-    Table1Row(11, "II", ">3",
-              lambda pr, p: is_finite(pr.u2) and pr.u0 == 3 * pr.u2
-              and 2 * pr.u0 < 3 * pr.u1
-              and (4 * pr.sigma2**3 + 27 * pr.sigma0 * pr.sigma3**2) % p == 0,
-              lambda pr: pr.u0 // 3),
-    Table1Row(12, "III", "2",
-              lambda pr, p: is_finite(pr.u0) and is_finite(pr.u2)
-              and (pr.u0 + pr.u2) % 2 == 0 and pr.u0 + pr.u2 < 2 * pr.u1,
-              lambda pr: (pr.u0 - pr.u2) // 2),
-    Table1Row(13, "III", ">2",
-              lambda pr, p: is_finite(pr.u1) and pr.u0 + pr.u2 == 2 * pr.u1
-              and _table1_guard_quadratic(pr, p),
-              lambda pr: (pr.u0 - pr.u2) // 2, accelerated=True),
-)
-
-
-def _match_table1(F, profile, p, cond):
-    pcl = "2" if p == 2 else (">2")
-    rows = []
-    for row in TABLE1_ROWS:
-        if row.cond != cond:
-            continue
-        if row.pclass == "2" and p != 2:
-            continue
-        if row.pclass == ">2" and p == 2:
-            continue
-        if row.pclass == "3" and p != 3:
-            continue
-        if row.pclass == ">3" and p <= 3:
-            continue
-        if row.guard(profile, p):
-            rows.append(row)
-    return rows
-
-
-@dataclass
-class IterationStep:
+class IterationStep(Record):
     s: int
     ind: int
     delta: int
@@ -326,7 +225,7 @@ def iterate_to_regular(F, s0, p, seed=DEFAULT_SEED, record=None):
         cond = check_initial_conditions(F, profile, p)
         if cond is None:
             raise InconsistentError("iteration left the admissible patterns")
-        rows = _match_table1(F, profile, p, cond)
+        rows = match_table1(F, profile, p, cond)
         if len(rows) != 1:
             raise InconsistentError(
                 f"irregular profile matches {len(rows)} rows of the iteration table"
@@ -376,13 +275,6 @@ def _construct(ctx, lifts, display, meta, seed=DEFAULT_SEED):
     )
 
 
-def _emit_family(ctx, family, meta):
-    """Triangularize an explicitly assembled family (used on second-order
-    paths, where the generic first-order construction does not apply)."""
-    basis = triangularize(family, ctx.p, 4, generators=family, meta=dict(meta))
-    return basis
-
-
 def _ordinate_floor(f, s, p, abscissa):
     """floor of the principal-polygon ordinate of f w.r.t. x - s."""
     _, principal, _ = phi_polygon_data(f, IntPoly([-s, 1]), p)
@@ -406,14 +298,14 @@ def _quartic_q2(F, s):
 def basis_case_A(ctx, seed=DEFAULT_SEED):
     a, b, c, p = ctx.a, ctx.b, ctx.c, ctx.p
     if p > 2:
-        mprime = _v(4 * c - a * a, p)
+        mprime = vp(4 * c - a * a, p)
         if is_finite(mprime):
             M = p ** (mprime // 2 + 1)
             s = a * inv_mod(2, M) % M
         else:
             s = a // 2  # 4c = a^2 exactly forces a even; s = a/2 is exact
         phi = IntPoly([s, 0, 1])
-        vb = _v(b, p)
+        vb = vp(b, p)
         twonu = min(vb, mprime)
         nu = int(Fraction(twonu, 2) // 1)
         display = [
@@ -667,7 +559,7 @@ def basis_case_D(ctx, seed=DEFAULT_SEED):
     return _construct(ctx, lifts, display, meta)
 
 
-# -- case E1: 4-tuple root, p | a, b, c -------------------------------------------
+# -- cases E1 and E2: a 4-tuple root (constructed in quartic_e) -----------------
 
 
 def reduce_E1(a, b, c, p):
@@ -686,297 +578,6 @@ def reduce_E1(a, b, c, p):
     return a, b, c, k
 
 
-def _v(n, p):
-    return vp(n, p) if n else INFINITY
-
-
-@dataclass(frozen=True)
-class TableRow:
-    rid: str
-    guard: object
-    strategy: str
-
-
-# Table of the reduced 4-tuple-root case; guards take (vc, vb, va, p).
-E1_ROWS = (
-    TableRow("T2r1", lambda vc, vb, va, p: vc == 1, "power"),
-    TableRow("T2r2", lambda vc, vb, va, p: vc > 1 and vb == 1, "theta3"),
-    TableRow("T2r3", lambda vc, vb, va, p: vc == 2 and vb > 1 and va == 1 and p > 2,
-             "half-a"),
-    TableRow("T2r4", lambda vc, vb, va, p: vc == 2 and vb > 1 and va == 1 and p == 2,
-             "x-reg"),
-    TableRow("T2r5", lambda vc, vb, va, p: vc == 2 and vb > 1 and va > 1 and p > 2,
-             "x-reg"),
-    TableRow("T2r6", lambda vc, vb, va, p: vc == 2 and vb > 1 and va > 1 and p == 2,
-             "table3"),
-    TableRow("T2r7", lambda vc, vb, va, p: vc > 2 and vb > 1 and va == 1 and p > 2,
-             "iterate"),
-    TableRow("T2r8", lambda vc, vb, va, p: vc > 2 and vb > 1 and va == 1 and p == 2,
-             "iterate"),
-    TableRow("T2r9", lambda vc, vb, va, p: vc > 2 and vb == 2 and va > 1, "x-reg"),
-    TableRow("T2r10", lambda vc, vb, va, p: vc == 3 and vb > 2 and va > 1, "x-reg"),
-)
-
-
-def _match_rows(rows, *args):
-    hits = [r for r in rows if r.guard(*args)]
-    if len(hits) != 1:
-        raise (NoRowError if not hits else InconsistentError)(
-            f"{len(hits)} rows match {args}"
-        )
-    return hits[0]
-
-
-# (Q, nu) selection expanding the p = 2, v(c)=2, v(b)>1, v(a)>1 row; the
-# guards take (va, vb, vacm4, vab) = (v(a), v(b), v(2a+c-4), v(2a+b)).
-TABLE3_ROWS = (
-    TableRow("T3r1", lambda va, vb, g4, gb: vb == 2, None),
-    TableRow("T3r2", lambda va, vb, g4, gb: vb == 3 and g4 == 3, None),
-    TableRow("T3r3", lambda va, vb, g4, gb: va == 2 and vb == 3 and g4 >= 4, None),
-    TableRow("T3r4", lambda va, vb, g4, gb: va >= 3 and vb == 3 and g4 >= 4, None),
-    TableRow("T3r5", lambda va, vb, g4, gb: va == 2 and vb >= 4 and g4 >= 4, None),
-    TableRow("T3r6", lambda va, vb, g4, gb: va == 2 and vb >= 4 and g4 == 3, None),
-    TableRow("T3r7", lambda va, vb, g4, gb: va >= 3 and vb >= 4 and g4 == 3, None),
-    TableRow("T3r8", lambda va, vb, g4, gb: va >= 3 and vb >= 4 and g4 == 4 and gb > 4,
-             None),
-    TableRow("T3r9", lambda va, vb, g4, gb: va >= 3 and vb >= 4 and g4 == 4 and gb == 4,
-             None),
-    TableRow("T3r10", lambda va, vb, g4, gb: va >= 3 and vb >= 4 and g4 >= 5 and gb == 4,
-             None),
-    TableRow("T3r11", lambda va, vb, g4, gb: va >= 3 and vb >= 4 and g4 >= 5 and gb > 4,
-             None),
-)
-
-
-def _table3_q_nu(a, b, c):
-    """(Q, nu, row ids) for the second-order subcase of the reduced
-    4-tuple-root table at p = 2."""
-    va, vb = _v(a, 2), _v(b, 2)
-    g4 = _v(2 * a + c - 4, 2)
-    gb = _v(2 * a + b, 2)
-    row = _match_rows(TABLE3_ROWS, va, vb, g4, gb)
-    rid = row.rid
-    if rid == "T3r1":
-        return IntPoly([0, 0, 1]), Fraction(5, 4), [rid]
-    if rid in ("T3r2", "T3r4", "T3r5"):
-        return IntPoly([2, 0, 1]), Fraction(7, 4), [rid]
-    if rid == "T3r3":
-        return IntPoly([2, 2, 1]), Fraction(2), [rid]
-    if rid == "T3r7":
-        return IntPoly([2, 0, 1]), Fraction(2), [rid]
-    if rid in ("T3r8", "T3r10"):
-        return IntPoly([2, 2, 1]), Fraction(9, 4), [rid]
-    if rid in ("T3r9", "T3r11"):
-        return IntPoly([2, 2, 1]), Fraction(5, 2), [rid]
-    # T3r6: keyed by u = v(b), v = v(c - a^2/4), d.  No closed nu form is
-    # pinned for these deep cells (simple candidates fail against the
-    # saturation oracle), so only the row is identified here and the
-    # denominators are read off the certified second-order polygon.
-    u = vb
-    v = _v(c - a * a // 4, 2)
-    half = a // 2
-    if u <= v:
-        return IntPoly([half, 0, 1]), Fraction(2 * u + 1, 4), [rid, "T3r6s1"]
-    d = ((c - a * a // 4) >> v) % 4
-    w = v // 2
-    if v % 2 == 0:
-        q = IntPoly([half + 2**w, 2**w if (u - 1 == v and d == 1) else 0, 1])
-        sub = {(True, 3): "T3r6s2", (False, 3): "T3r6s3",
-               (True, 1): "T3r6s4", (False, 1): "T3r6s5"}[(u - 1 == v, d)]
-        return q, None, [rid, sub]
-    plus = d == (a // 4) % 4
-    if not plus and d != (-a // 4) % 4:
-        raise NoRowError(f"no (Q, nu) subrow for (a,b,c)=({a},{b},{c})")
-    sub = {(True, True): "T3r6s6", (False, True): "T3r6s7",
-           (True, False): "T3r6s8", (False, False): "T3r6s9"}[(u - 1 == v, plus)]
-    q = IntPoly([half + (2 ** (w + 1) if sub == "T3r6s8" else 0), 2**w, 1])
-    return q, None, [rid, sub]
-
-
-def _order2_family(ctx, F, phi, tag, nu_table, rows, meta_extra=None):
-    """The family 1, theta, Q/p^[nu], theta*Q/p^[nu+1/2] with Q the first
-    quotient of the certified phi-development.  The tabled nu is only
-    cross-checked against the second-order index: its floors must reproduce
-    ind_p = floor(Y) - 2.  (The row data also carries simplified numerators;
-    those are display sugar and not always integral in the theta*Q slot, so
-    the construction never uses them.)"""
-    o2 = order2.basis_order2(order2.SecondOrderContext(F, ctx.p, phi, tag))
-    if nu_table is not None:
-        e2 = int(nu_table // 1)
-        e3 = int((nu_table + Fraction(1, 2)) // 1)
-        if e2 + e3 != o2.ind_p:
-            raise InconsistentError(
-                f"table nu {nu_table} disagrees with the second-order index {o2.ind_p}"
-            )
-    meta = {"case": ctx_case_name(ctx), "rows": list(rows) + [tag],
-            "Y": str(o2.Y), "order2": 1}
-    if meta_extra:
-        meta.update(meta_extra)
-    return list(o2.elements), meta
-
-
-def basis_case_E1(ctx, seed=DEFAULT_SEED):
-    """Reduced 4-tuple-root dispatch; the caller guarantees the reduction
-    step has already been applied."""
-    a, b, c, p, f = ctx.a, ctx.b, ctx.c, ctx.p, ctx.f
-    vc, vb, va = _v(c, p), _v(b, p), _v(a, p)
-    row = _match_rows(E1_ROWS, vc, vb, va, p)
-    meta = {"case": "E1", "rows": [row.rid]}
-    if row.strategy == "power":
-        display = [BasisElement(IntPoly.x(i), 0) for i in range(4)]
-        return _construct(ctx, [_X], display, meta, seed)
-    if row.strategy == "theta3":
-        display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
-                   BasisElement(_X**2, 0), BasisElement(_X**3, 1)]
-        return _construct(ctx, [_X], display, meta, seed)
-    if row.strategy == "x-reg":
-        return _construct(ctx, [_X], None, meta, seed)
-    if row.strategy == "iterate":
-        s = iterate_to_regular(f, 0, p, seed)
-        nu = _ordinate_floor(f, s, p, 1)
-        display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
-                   BasisElement(_X**2, 1), BasisElement(_quartic_q1(f, s), nu)]
-        meta.update({"s": s, "nu": nu})
-        return _construct(ctx, [IntPoly([-s, 1])], display, meta, seed)
-    if row.strategy == "half-a":
-        mprime = vp(a * a - 4 * c, p)
-        if mprime == 2:
-            return _construct(ctx, [_X], None, meta, seed)
-        M = p ** (mprime // 2 + 2)
-        s = symmetric_rep(a * inv_mod(2, M) % M, M)
-        nu = Fraction(min(_v(b, p), mprime), 2)
-        phi, tag = order2.choose_phi("E1_row3", {"s": s})
-        family, meta2 = _order2_family(ctx, f, phi, tag, nu, [row.rid], {"s": s})
-        return _emit_family(ctx, family, meta2)
-    if row.strategy == "table3":
-        Q, nu, rows = _table3_q_nu(a, b, c)
-        phi, tag = order2.choose_phi("E1_row6", {"a": a, "b": b, "c": c})
-        family, meta2 = _order2_family(ctx, f, phi, tag, nu, [row.rid] + rows)
-        return _emit_family(ctx, family, meta2)
-    raise InconsistentError(f"unhandled strategy {row.strategy}")
-
-
-# -- case E2: p = 2, a, b even, c odd ---------------------------------------------
-
-
-# Rows of the shifted-polynomial table; guards take (vC, vB, vA) for
-# g(x) = f(x+m) = x^4 + 4m x^3 + A x^2 + B x + C.
-E2_ROWS = (
-    TableRow("T4r1", lambda vC, vB, vA: vC == 1, "direct"),
-    TableRow("T4r2", lambda vC, vB, vA: vC > 1 and vB == 1, "direct"),
-    TableRow("T4r3", lambda vC, vB, vA: vC == 2 and vB > 1 and vA == 1, "direct"),
-    TableRow("T4r4", lambda vC, vB, vA: vC == 2 and vB > 1 and vA > 1, "table5"),
-    TableRow("T4r5", lambda vC, vB, vA: vC > 2 and vB > 1 and vA == 1, "iterate"),
-    TableRow("T4r6", lambda vC, vB, vA: vC > 2 and vB == 2 and vA > 1, "direct"),
-    TableRow("T4r7", lambda vC, vB, vA: vC == 3 and vB > 2 and vA > 1, "direct"),
-    TableRow("T4r8", lambda vC, vB, vA: vC == 4 and vB == 3 and vA == 2, "direct"),
-    TableRow("T4r9", lambda vC, vB, vA: vC == 4 and vB == 3 and vA > 2, "direct"),
-    TableRow("T4r10", lambda vC, vB, vA: vC == 4 and vB > 3 and vA == 2, "table6"),
-    TableRow("T4r11", lambda vC, vB, vA: vC > 4 and vB > 3 and vA == 2, "twodouble"),
-    TableRow("T4r12", lambda vC, vB, vA: vC > 4 and vB == 3 and vA >= 2, "direct"),
-    TableRow("T4r13", lambda vC, vB, vA: vC == 5 and vB > 3 and vA > 2, "direct"),
-    TableRow("T4r14", lambda vC, vB, vA: vC > 5 and vB == 4 and vA > 2, "direct"),
-    TableRow("T4r15", lambda vC, vB, vA: vC == 6 and vB > 4 and vA == 3, "direct"),
-    TableRow("T4r16", lambda vC, vB, vA: vC == 6 and vB == 5 and vA >= 4, "order2-54"),
-    TableRow("T4r17", lambda vC, vB, vA: vC == 6 and vB > 5 and vA >= 4, "order2-54"),
-    TableRow("T4r18", lambda vC, vB, vA: vC > 6 and vB > 4 and vA == 3, "iterate"),
-    TableRow("T4r19", lambda vC, vB, vA: vC > 6 and vB == 5 and vA >= 4, "direct"),
-    TableRow("T4r20", lambda vC, vB, vA: vC == 7 and vB > 5 and vA >= 4, "direct"),
-    TableRow("T4r21", lambda vC, vB, vA: vC == 8 and vB == 6 and vA == 4, "direct"),
-    TableRow("T4r22", lambda vC, vB, vA: vC == 8 and vB > 6 and vA >= 4, "direct"),
-    TableRow("T4r23", lambda vC, vB, vA: vC > 8 and vB == 6 and vA > 4, "direct"),
-    TableRow("T4r24", lambda vC, vB, vA: vC > 8 and vB > 6 and vA == 4, "iterate"),
-    TableRow("T4r25", lambda vC, vB, vA: vC > 8 and vB > 6 and vA > 4, "scale4"),
-)
-
-# Explicit 2-power denominator patterns (deg 1..3) for the direct rows.
-E2_DIRECT_DENOMS = {
-    "T4r1": (0, 0, 0), "T4r2": (0, 0, 1), "T4r3": (0, 1, 1),
-    "T4r6": (0, 1, 2), "T4r7": (0, 1, 2), "T4r8": (1, 2, 3), "T4r9": (1, 2, 3),
-    "T4r12": (1, 2, 3), "T4r13": (1, 2, 3), "T4r14": (1, 2, 4),
-    "T4r15": (1, 3, 4), "T4r19": (1, 3, 5), "T4r20": (1, 3, 5),
-    "T4r21": (2, 4, 6), "T4r22": (2, 4, 6), "T4r23": (2, 4, 6),
-}
-
-
-def _bad_shift(vC, vB, vA):
-    """The three (vA, vB, vC) patterns excluded by adjusting the odd shift m."""
-    if vA > 2 and vB > 3 and vC == 4:
-        return 2
-    if vA > 4 and vB == 6 and vC == 8:
-        return 4
-    if vA == 4 and vB == 6 and vC > 8:
-        return 4
-    return 0
-
-
-def _table5_q_nu(A, B, C):
-    """(Q, nu, rows) expanding the vC=2, vB>1, vA>1 row of the shifted table."""
-    vA, vB8 = _v(A, 2), _v(B + 8, 2)
-    vac = _v(2 * A + C + 4, 2)
-    x2 = IntPoly([0, 0, 1])
-    if vB8 == 2:
-        return x2, Fraction(5, 4), ["T5r1"]
-    if vB8 == 3 and vac >= 4:
-        return x2 + 2, Fraction(7, 4), ["T5r2"]
-    if vA == 2:
-        if vB8 == 3 and vac == 3:
-            return IntPoly([2, 2, 1]), Fraction(2), ["T5r3"]
-        if vB8 >= 4 and vac == 3:
-            return x2 + 2, Fraction(7, 4), ["T5r4"]
-        # oracle-pinned: nu = 5/2 exactly when v(B+8) = 4 iff v(2A+C+4) = 4
-        # (the two diagonal cells share 5/2, the two off-diagonal ones 9/4)
-        if vB8 == 4 and vac >= 5:
-            return x2 + 2, Fraction(9, 4), ["T5r5"]
-        if vB8 == 4 and vac == 4:
-            return x2 + 2, Fraction(5, 2), ["T5r5d"]
-        if vB8 >= 5 and vac >= 5:
-            return x2 - 2, Fraction(5, 2), ["T5r6"]
-        if vB8 >= 5 and vac == 4:
-            return x2 + 2, Fraction(9, 4), ["T5r7"]
-    if vA >= 3:
-        if vB8 == 3 and vac == 3:
-            return x2 + 2, Fraction(7, 4), ["T5r8"]
-        if vB8 >= 4 and vac >= 4:
-            return x2 + 2, Fraction(2), ["T5r10"]
-        if vB8 >= 4 and vac == 3:
-            # sub-table keyed by u, v, d, e.  As with the reduced-case
-            # expansion, no closed nu form is pinned for deep cells, so rows
-            # are identified for coverage and the denominators come from the
-            # certified second-order polygon.
-            u = _v(B + 8 - 2 * A, 2)
-            v = _v(C - (A - 4) ** 2 // 4, 2)
-            base = IntPoly([-2 + A // 2, 2, 1])
-            if u < v or (u == v and is_finite(v) and v % 2 == 0):
-                return base, Fraction(2 * u + 1, 4), ["T5r9", "T5r9s1"]
-            d = ((C - (A - 4) ** 2 // 4) >> v) % 4
-            w = v // 2
-            if u == v:
-                e = ((B + 8 - 2 * A) >> u) % 4
-                q = IntPoly([-2 + A // 2, 2 + 2**w, 1])
-                plus = d == (1 + A // 4) % 4
-                if not plus and d != (-1 + A // 4) % 4:
-                    raise NoRowError(f"no subrow for (A,B,C)=({A},{B},{C})")
-                sub = {(True, 1): "T5r9s2", (True, 3): "T5r9s3",
-                       (False, 3): "T5r9s4", (False, 1): "T5r9s5"}[(plus, e)]
-                if sub == "T5r9s3":
-                    q = q + 2 ** (w + 1)
-                return q, None, ["T5r9", sub]
-            if v % 2 == 0:
-                if u - 1 == v:
-                    return base + 2**w, None, ["T5r9", "T5r9s6"]
-                if d == 3:
-                    return base + 2**w, None, ["T5r9", "T5r9s7"]
-                return IntPoly([-2 + A // 2 + 2**w, 2 + 2**w, 1]), None, ["T5r9", "T5r9s8"]
-            return base, None, ["T5r9", "T5r9s9"]
-    raise NoRowError(f"no (Q, nu) row for (A,B,C)=({A},{B},{C})")
-
-
-def _scale_down(g, k):
-    """g(2^k x) / 2^(4k), exact when the coefficient valuations allow it."""
-    return g.scale_arg(2**k).divide_exact(2 ** (4 * k))
-
-
 def _transport(elements, p, scale_pow=0, shift=0):
     """Rewrite tau-coordinate elements (tau = (theta - shift)/p^scale_pow) in
     theta coordinates; numerators stay integral, denominators absorb p^(3k)."""
@@ -991,148 +592,6 @@ def _transport(elements, p, scale_pow=0, shift=0):
             n = n.shift(-shift)
         out.append(BasisElement(n, e))
     return out
-
-
-def basis_case_E2(ctx, seed=DEFAULT_SEED):
-    f, p = ctx.f, ctx.p
-    m = 1
-    for _ in range(10):
-        g = f.shift(m)
-        A, B, C = g[2], g[1], g[0]
-        vC, vB, vA = _v(C, 2), _v(B, 2), _v(A, 2)
-        step = _bad_shift(vC, vB, vA)
-        if not step:
-            break
-        m += step
-    else:
-        raise InconsistentError("shift adjustment failed to leave the bad patterns")
-    row = _match_rows(E2_ROWS, vC, vB, vA)
-    meta = {"case": "E2", "rows": [row.rid], "m": m}
-    omega_shift = m  # omega = theta - m
-
-    def finish(elements_tau, scale_pow, display_tau, extra_rows=(), extra_meta=None):
-        meta2 = dict(meta)
-        meta2["rows"] = meta["rows"] + list(extra_rows)
-        if extra_meta:
-            meta2.update(extra_meta)
-        gens = _transport(display_tau, 2, scale_pow, omega_shift) if display_tau else None
-        els = _transport(elements_tau, 2, scale_pow, omega_shift)
-        basis = triangularize(els, 2, 4, generators=gens or els, meta=meta2)
-        return basis
-
-    if row.strategy == "direct":
-        constructed = p_integral_basis_regular(g, 2, lifts=[_X], seed=seed)
-        denoms = E2_DIRECT_DENOMS[row.rid]
-        display = [BasisElement(_ONE, 0)] + [
-            BasisElement(_X ** (i + 1), denoms[i]) for i in range(3)
-        ]
-        return finish(list(constructed.elements), 0, display)
-    if row.strategy == "iterate":
-        s = iterate_to_regular(g, 0, 2, seed)
-        constructed = p_integral_basis_regular(
-            g, 2, lifts=[IntPoly([-s, 1])], seed=seed)
-        nu = _ordinate_floor(g, s, 2, 1)
-        pre = {"T4r5": (0, 1), "T4r18": (1, 3), "T4r24": (2, 4)}[row.rid]
-        display = [BasisElement(_ONE, 0), BasisElement(_X, pre[0]),
-                   BasisElement(_X**2, pre[1]),
-                   BasisElement(_quartic_q1(g, s), nu)]
-        return finish(list(constructed.elements), 0, display,
-                      extra_meta={"s": s, "nu": nu})
-    if row.strategy == "table5":
-        Q, nu, rows = _table5_q_nu(A, B, C)
-        phi, tag = order2.choose_phi("E2_row4", {"A": A, "B": B, "C": C})
-        family, meta2 = _order2_family(ctx, g, phi, tag, nu, rows)
-        return finish(family, 0, None, extra_rows=meta2["rows"],
-                      extra_meta={"Y": meta2["Y"], "order2": 1})
-    if row.strategy == "order2-54":
-        h = _scale_down(g, 1)
-        phi, tag = order2.choose_phi("E2_rows16_17", {})
-        o2 = order2.basis_order2(
-            order2.SecondOrderContext(h, 2, phi, tag))
-        expected_Y = Fraction(9, 2) if _v(h[1], 2) >= 3 else Fraction(5)
-        if o2.Y != expected_Y:
-            raise InconsistentError(
-                f"second-order ordinate {o2.Y} differs from the tabled {expected_Y}"
-            )
-        return finish(list(o2.elements), 1, None, extra_rows=[tag],
-                      extra_meta={"Y": str(o2.Y), "order2": 1})
-    if row.strategy == "table6":
-        h = _scale_down(g, 1)
-        Ap, Bp, Cp = h[2], h[1], h[0]
-        phi, tag = order2.choose_phi("E2_row10", {"Ap": Ap, "Bp": Bp, "Cp": Cp})
-        constructed = p_integral_basis_regular(h, 2, lifts=[phi], seed=seed)
-        return finish(list(constructed.elements), 1, None, extra_rows=[tag])
-    if row.strategy == "twodouble":
-        h = _scale_down(g, 1)
-        return _basis_e2_twodouble(ctx, h, finish, seed)
-    if row.strategy == "scale4":
-        h = _scale_down(g, 2)
-        s = iterate_to_regular(h, 0, 2, seed)
-        lifts = [IntPoly([-s, 1]), IntPoly([-1, 1])]
-        constructed = p_integral_basis_regular(h, 2, lifts=lifts, seed=seed)
-        nu1 = _ordinate_floor(h, s, 2, 1)
-        nu2 = _ordinate_floor(h, s, 2, 2)
-        display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
-                   BasisElement(_quartic_q2(h, s), nu2),
-                   BasisElement(_quartic_q1(h, s), nu1)]
-        return finish(list(constructed.elements), 2, display, ["eq-last"],
-                      {"s": s})
-    raise InconsistentError(f"unhandled strategy {row.strategy}")
-
-
-def _basis_e2_twodouble(ctx, h, finish, seed):
-    """Expansion of the two-double-roots subcase of the shifted table:
-    h = g(2x)/16 with h = x^2 (x+1)^2 mod 2."""
-    Ap, Bp, Cp = h[2], h[1], h[0]
-    vCp = _v(Cp, 2)
-    vS = _v(Ap + Bp + Cp + 3, 2)
-    x2x = IntPoly([0, 1, 1])
-    if vCp == 1 and vS == 1:
-        t, s = 0, 1
-        rows = ["Tdd2-r1"]
-        display = [BasisElement(IntPoly.x(i), 0) for i in range(4)]
-    elif vCp == 1:
-        t = 0
-        s = iterate_to_regular(h, 1, 2, seed)
-        rows = ["Tdd2-r2"]
-        display = None
-    elif vS == 1:
-        t = 1
-        s = iterate_to_regular(h, 0, 2, seed)
-        rows = ["Tdd2-r3"]
-        display = None
-    elif Ap % 4 == 3:
-        t = 0
-        s = iterate_to_regular(h, 1, 2, seed)
-        rows = ["Tdd2-r4"]
-        nu_s = _ordinate_floor(h, s, 2, 1)
-        display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
-                   BasisElement(x2x, 1),
-                   BasisElement(_quartic_q1(h, s), nu_s)]
-    else:
-        s_even = iterate_to_regular(h, 0, 2, seed)
-        s_odd = iterate_to_regular(h, 1, 2, seed)
-        nu_even = _ordinate_floor(h, s_even, 2, 1)
-        nu_odd = _ordinate_floor(h, s_odd, 2, 1)
-        if nu_even > nu_odd:
-            s, t, nu_s, nu_t = s_even, s_odd, nu_even, nu_odd
-        else:
-            s, t, nu_s, nu_t = s_odd, s_even, nu_odd, nu_even
-        beta = IntPoly([s * s + s * t + t * t + 2 * (s + t) + Ap, s + t + 2, 1])
-        rows = ["Tdd2-r5"]
-        display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
-                   BasisElement(beta, nu_t),
-                   BasisElement(_quartic_q1(h, s), nu_s)]
-    if display is None:
-        nu_s = _ordinate_floor(h, s, 2, 1)
-        display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
-                   BasisElement(_X**2, 0),
-                   BasisElement(_quartic_q1(h, s), nu_s)]
-    if not is_phi_regular(h, IntPoly([-t, 1]), 2, seed).regular:
-        raise InconsistentError("claimed-regular double-root lift is irregular")
-    lifts = [IntPoly([-t, 1]), IntPoly([-s, 1])]
-    constructed = p_integral_basis_regular(h, 2, lifts=lifts, seed=seed)
-    return finish(list(constructed.elements), 1, display, rows, {"s": s, "t": t})
 
 
 # -- top-level dispatch -----------------------------------------------------------
@@ -1171,3 +630,8 @@ def quartic_p_integral_basis(a, b, c, p, seed=DEFAULT_SEED):
     meta["reduced_by"] = k
     meta["case"] = "E1->" + meta.get("case", "?")
     return triangularize(els, p, 4, generators=gens, meta=meta)
+
+
+# The 4-tuple-root constructions live in quartic_e, which imports the helpers
+# above.
+from .quartic_e import basis_case_E1, basis_case_E2  # noqa: E402

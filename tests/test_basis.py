@@ -161,3 +161,18 @@ def test_constructed_module_contains_power_basis():
                 assert coord == 0 or vp_frac(coord, p) >= 0, (f.render(), p, k)
                 target = [t - coord * v for t, v in zip(target, vecs[j])]
             assert all(t == 0 for t in target)
+
+
+def test_basis_records_are_immutable_values():
+    from pintbasis.basis import BasisElement, PIntegralBasis
+
+    els = (BasisElement(IntPoly([1]), 0), BasisElement(X, 1))
+    a = PIntegralBasis(2, els, 1, meta={"case": "A1"})
+    b = PIntegralBasis(2, els, 1)
+    assert a == b and hash(a) == hash(b)  # meta is not compared
+    assert b.meta == {} and PIntegralBasis(2, els, 1).meta is not b.meta
+    assert a != PIntegralBasis(3, els, 1)
+    with pytest.raises(AttributeError):
+        a.p = 3
+    with pytest.raises(TypeError):
+        BasisElement(X)

@@ -1,7 +1,7 @@
 import io
 import json
 
-from pintbasis.cli import main
+from pintbasis.cli import build_parser, main
 
 
 def run(argv):
@@ -95,3 +95,61 @@ def test_error_paths():
     assert code == 2
     code, out = run(["verify", "-f", "x^4+4x^2+4", "-p", "2"])
     assert code == 2  # reducible
+
+
+def test_reused_parser_matches_fresh_parsers():
+    sequence = [
+        ["basis", "-f", "x^4+x^2+50", "-p", "5", "--json"],
+        ["classify", "-f", "x^4+x^2+50", "-p", "5"],
+        ["basis", "-f"],  # parse error: -f needs a value
+        ["factor", "-f", "x^4-2", "-p", "2"],
+        ["basis", "-f", "x^4+2x^2+4", "-p", "2", "--method", "generic"],
+        ["nonsense"],  # parse error: unknown command
+        ["polygon", "-f", "x^4+2x+4", "-p", "2", "--phi", "x"],
+        ["basis", "-f", "x^4+x^2+50", "-p", "5", "--seed", "3"],
+        ["verify", "-f", "x^4+2x^2+4", "-p", "2"],
+        ["basis", "-f", "x^4+x^2+50", "-p", "5", "--json"],
+    ]
+    reused = [run(argv) for argv in sequence]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in sequence:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 0, 2, 0, 0, 2, 0, 0, 0, 0]
+    assert reused[0] == reused[-1]
+
+
+def test_basis_json_factors_and_guards_once(monkeypatch):
+    import pintbasis
+    from pintbasis import factor
+    from pintbasis.basis import decomposition_type, p_integral_basis_regular
+    from pintbasis.intpoly import parse_poly
+
+    argv = ["basis", "-f", "x^4+x^2+50", "-p", "5", "--json"]
+    _, out = run(argv)
+    f = parse_poly("x^4+x^2+50")
+    expected = p_integral_basis_regular(f, 5).to_json(decomposition_type(f, 5))
+    expected["path"] = "generic"
+    assert json.loads(out) == expected
+
+    calls = {"factor_mod_p": 0, "sanity_check_irreducible": 0}
+
+    def counting(name):
+        fn = getattr(factor, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    modules = [m for m in vars(pintbasis).values() if type(m) is type(pintbasis)]
+    for name in calls:
+        original, wrapper = getattr(factor, name), counting(name)
+        for mod in modules:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+    assert run(argv)[1] == out
+    assert calls == {"factor_mod_p": 1, "sanity_check_irreducible": 1}

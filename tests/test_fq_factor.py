@@ -1,4 +1,7 @@
 import random
+from itertools import product
+
+import pytest
 
 from pintbasis.factor import (
     factor_mod_p,
@@ -8,7 +11,7 @@ from pintbasis.factor import (
     is_irreducible_quartic,
     ord_mod_p,
 )
-from pintbasis.fq import FqField, FqPoly, factor_fqpoly, is_separable
+from pintbasis.fq import DEFAULT_SEED, FqField, FqPoly, factor_fqpoly, is_separable
 from pintbasis.intpoly import IntPoly
 
 X = IntPoly([0, 1])
@@ -109,6 +112,90 @@ def test_factor_fqpoly_random_reassembly():
             for _ in range(m):
                 prod = prod * g
         assert prod == r
+
+
+def _brute_force_irreducible(g):
+    """No monic divisor of degree 1..deg(g)/2, by enumeration."""
+    fq = g.field
+    elems = list(fq.elements())
+    for d in range(1, g.degree // 2 + 1):
+        for low in product(elems, repeat=d):
+            if (g % FqPoly(fq, list(low) + [fq.one()])).is_zero():
+                return False
+    return True
+
+
+# F_p and F_{p^k}, moduli irreducible mod p
+FACTOR_FIELDS = [
+    (2, (0, 1)), (2, (1, 1, 1)), (2, (1, 1, 0, 1)), (3, (0, 1)), (3, (1, 0, 1)),
+    (3, (1, 2, 0, 1)), (5, (0, 1)), (5, (2, 0, 1)), (7, (0, 1)), (7, (1, 0, 1)),
+    (101, (0, 1)), (101, (2, 0, 1)), (10**6 + 3, (0, 1)), (10**6 + 3, (1, 0, 1)),
+]
+
+
+def _random_poly(fq, rng, degree):
+    def elem():
+        return [rng.randrange(fq.p) for _ in range(fq.degree)]
+
+    lead = elem()
+    while not any(lead):
+        lead = elem()
+    return FqPoly(fq, [elem() for _ in range(degree)] + [lead])
+
+
+def _inseparable(fq, rng):
+    """t(y^p), sometimes times the square of a linear factor."""
+    p = fq.p
+    t = _random_poly(fq, rng, rng.randint(1, 2))
+    coeffs = []
+    for i in range(t.degree + 1):
+        coeffs += [t[i]] + [fq.zero()] * (p - 1)
+    r = FqPoly(fq, coeffs[:t.degree * p + 1])
+    if rng.random() < 0.5:
+        g = _random_poly(fq, rng, 1)
+        r = r * g * g
+    return r
+
+
+@pytest.mark.parametrize("p,modulus", FACTOR_FIELDS)
+def test_factor_fqpoly_properties(p, modulus):
+    fq = FqField(p, modulus)
+    rng = random.Random(p * 1000 + len(modulus))
+    tiny = fq.order <= 9
+    inputs = [_random_poly(fq, rng, rng.randint(1, 7)) for _ in range(25)]
+    for _ in range(10):
+        g = _random_poly(fq, rng, rng.randint(1, 2))
+        h = _random_poly(fq, rng, rng.randint(1, 3))
+        inputs.append(g * g * h * g)
+    if p <= 7:
+        inputs += [_inseparable(fq, rng) for _ in range(10)]
+    for r in inputs:
+        unit, factors = factor_fqpoly(r)
+        assert unit == r.lc()
+        prod = FqPoly(fq, [unit])
+        for g, m in factors:
+            assert g.lc() == fq.one() and g.degree >= 1 and m >= 1
+            if tiny:
+                assert _brute_force_irreducible(g), (r, g)
+            for _ in range(m):
+                prod = prod * g
+        assert prod == r
+        assert len({repr(g) for g, _ in factors}) == len(factors)
+        if fq.degree == 1 and fq.modulus == (0, 1):
+            def lift(poly):
+                return IntPoly([c.scalar() for c in poly.coeffs])
+
+            assert all(is_irreducible_mod_p(lift(g), p) for g, _ in factors)
+            single = len(factors) == 1 and factors[0][1] == 1
+            assert is_irreducible_mod_p(lift(r), p) == (single and r.degree >= 1)
+        for seed in (0, 1, 12345):
+            assert factor_fqpoly(r, seed) == (unit, factors)
+
+
+def test_factor_fqpoly_default_seed_matches_explicit():
+    fq = FqField(5, (2, 0, 1))
+    r = _random_poly(fq, random.Random(3), 6)
+    assert factor_fqpoly(r) == factor_fqpoly(r, DEFAULT_SEED)
 
 
 def test_integer_roots():

@@ -375,3 +375,28 @@ def test_deep_valuation_families_match_oracle():
         oracle = saturate(f, p)
         assert basis.elements == oracle.elements, (a, b, c, p)
     assert tested >= 80
+
+
+def test_e1_half_a_when_a_squared_is_4c():
+    # row T2r3 with a^2 = 4c: v_p(a^2 - 4c) is infinite, and the basis must
+    # still come out and match saturation
+    cases = [(6, -27, 9, 3), (-10, 1250, 25, 5)]
+    rng = random.Random(31)
+    for p in (3, 5, 7):
+        found = 0
+        while found < 3:
+            u = rng.choice([1, -1]) * rng.randint(1, 3)
+            w = rng.choice([1, -1]) * rng.randint(1, 2 * p)
+            a, b, c = 2 * p * u, p * p * w, p * p * u * u
+            if u % p == 0 or not is_irreducible_quartic(a, b, c):
+                continue
+            cases.append((a, b, c, p))
+            found += 1
+    for a, b, c, p in cases:
+        assert a * a == 4 * c
+        basis = quartic_p_integral_basis(a, b, c, p)
+        assert basis.meta["rows"][0] == "T2r3"
+        f = IntPoly.monic_quartic(a, b, c)
+        assert basis.elements == saturate(f, p).elements, (a, b, c, p)
+    assert quartic_p_integral_basis(6, -27, 9, 3).index_valuation == 3
+    assert quartic_p_integral_basis(-10, 1250, 25, 5).index_valuation == 4
