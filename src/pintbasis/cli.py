@@ -9,6 +9,9 @@ Commands:
   verify    --corpus N [--seed S] [-p P]  reproducible random corpus check
   oracle    -f POLY -p P [--json]         saturation only
 
+All commands but polygon reject, with exit code 2, an f with a rational
+root or a repeated factor and any reducible x^4+ax^2+bx+c.
+
 Exit codes: 0 ok, 1 verification mismatch, 2 bad input or precondition.
 """
 
@@ -36,7 +39,7 @@ from .newton import (
 )
 from .oracle import disc_identity_check, is_ring_closed, saturate
 from .basis import _decomposition, _regular_basis, decomposition_type
-from .quartic import classify, quartic_p_integral_basis
+from .quartic import _quartic_basis, classify, make_context, quartic_p_integral_basis
 
 
 def _parse_f(args):
@@ -57,6 +60,7 @@ def cmd_classify(args, out):
     abc = _quartic_coeffs(f)
     if abc is None:
         raise PintbasisError("classify expects a quartic x^4+ax^2+bx+c")
+    sanity_check_irreducible(f)
     case = classify(*abc, args.p)
     out(case.value)
     return 0
@@ -108,16 +112,14 @@ def _compute_basis(f, p, method, seed):
         return basis, basis.meta.get("case", "quartic"), None
     sanity_check_irreducible(f)
     lifts = [phi for phi, _ in factor_mod_p(f, p, seed)]
-    if method == "generic":
-        return _regular_basis(f, p, lifts, seed), "generic", lifts
-    # auto: prefer the generic p-regular path, fall back to the quartic
-    # pipeline (which covers the order-2 cases internally)
+    # generic takes the p-regular path only; auto falls back to the quartic
+    # pipeline, which covers the order-2 cases internally
     try:
         return _regular_basis(f, p, lifts, seed), "generic", lifts
     except NotRegularError:
-        if abc is None:
+        if method == "generic" or abc is None:
             raise
-        basis = quartic_p_integral_basis(*abc, p, seed)
+        basis = _quartic_basis(make_context(*abc, p), seed)
         path = "quartic+order2" if basis.meta.get("order2") else "quartic"
         return basis, path, lifts
 
@@ -126,11 +128,10 @@ def cmd_basis(args, out):
     f = _parse_f(args)
     basis, path, lifts = _compute_basis(f, args.p, args.method, args.seed)
     if args.json:
+        if lifts is None:  # the quartic methods guarded f but did not factor it
+            lifts = [phi for phi, _ in factor_mod_p(f, args.p, args.seed)]
         try:
-            if lifts is None:
-                dec = decomposition_type(f, args.p, seed=args.seed)
-            else:
-                dec = _decomposition(f, args.p, lifts, args.seed)
+            dec = _decomposition(f, args.p, lifts, args.seed)
         except PintbasisError:
             dec = None
         payload = basis.to_json(dec)
@@ -212,16 +213,14 @@ def cmd_verify(args, out):
         out(f"corpus: {done - bad}/{done} ok")
         return 1 if bad else 0
     f = _parse_f(args)
-    if f.degree == 4 and f[3] == 0:
-        if not is_irreducible_quartic(f[2], f[1], f[0]):
-            raise PintbasisError("f is reducible over Q")
-    elif is_irreducible(f) is False:
+    if is_irreducible(f) is False:
         raise PintbasisError("f is reducible over Q")
     return 0 if _verify_one(f, args.p, args.seed, out) else 1
 
 
 def cmd_oracle(args, out):
     f = _parse_f(args)
+    sanity_check_irreducible(f)
     basis = saturate(f, args.p)
     if args.json:
         out(json.dumps(basis.to_json(), indent=2))

@@ -74,13 +74,16 @@ def integer_roots(f):
 
 
 def is_irreducible_quartic(a, b, c):
-    """Exact irreducibility test for x^4 + a*x^2 + b*x + c over Q.
-
-    A monic quartic splits as 1+3 (giving an integer root) or as 2+2:
-    (x^2+ux+v)(x^2-ux+w) with vw = c, v+w-u^2 = a, u(w-v) = b."""
+    """Exact irreducibility test for x^4 + a*x^2 + b*x + c over Q."""
     f = IntPoly.monic_quartic(a, b, c)
-    if c == 0 or integer_roots(f):
-        return False
+    return not (c == 0 or integer_roots(f) or _splits_2_2(a, b, c))
+
+
+def _splits_2_2(a, b, c):
+    """Whether x^4 + a*x^2 + b*x + c with c != 0 is a product of two monic
+    integer quadratics (x^2+ux+v)(x^2-ux+w): vw = c, v+w-u^2 = a and
+    u(w-v) = b.  Together with the absence of integer roots (a 1+3 split)
+    this decides irreducibility."""
     divs = set()
     for d in range(1, isqrt(abs(c)) + 1):
         if c % d == 0:
@@ -94,8 +97,8 @@ def is_irreducible_quartic(a, b, c):
         if u * u != u2:
             continue
         if u * (w - v) == b or -u * (w - v) == b:
-            return False
-    return True
+            return True
+    return False
 
 
 _WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -119,7 +122,7 @@ def is_irreducible(f, tries=10):
     if n <= 3:
         return True  # no roots, so no factor of degree 1 and none of degree n-1
     if n == 4 and f[3] == 0:
-        return is_irreducible_quartic(f[2], f[1], f[0])
+        return not _splits_2_2(f[2], f[1], f[0])
     possible = set(range(1, n))
     used = 0
     for q in _WITNESS_PRIMES:
@@ -143,19 +146,17 @@ def is_irreducible(f, tries=10):
     return None
 
 
-def require_irreducible_quartic(a, b, c):
-    if not is_irreducible_quartic(a, b, c):
-        raise NotIrreducibleError(
-            f"x^4{'+' if a >= 0 else ''}{a}x^2{'+' if b >= 0 else ''}{b}x"
-            f"{'+' if c >= 0 else ''}{c} is reducible over Q"
-        )
-
-
 def sanity_check_irreducible(f):
-    """Raise NotIrreducibleError when a rational root or (for shape
-    x^4+ax^2+bx+c) a quadratic factor is detected; silent otherwise."""
-    if f.degree >= 1 and f.monic:
-        if f.degree > 1 and (f[0] == 0 or integer_roots(f)):
-            raise NotIrreducibleError(f"{f.render()} has a rational root")
-        if f.degree == 4 and f[3] == 0 and not is_irreducible_quartic(f[2], f[1], f[0]):
+    """Raise NotIrreducibleError when a rational root, (for shape
+    x^4+ax^2+bx+c) a quadratic factor, or (for any other f) a repeated
+    factor is detected; silent otherwise.  A quartic of that shape with a
+    repeated factor is reducible, so the exact test covers it."""
+    if f.degree < 2 or not f.monic:
+        return
+    if f[0] == 0 or integer_roots(f):
+        raise NotIrreducibleError(f"{f.render()} has a rational root")
+    if f.degree == 4 and f[3] == 0:
+        if _splits_2_2(f[2], f[1], f[0]):
             raise NotIrreducibleError(f"{f.render()} factors over Q")
+    elif f.discriminant() == 0:
+        raise NotIrreducibleError(f"{f.render()} has a repeated factor")

@@ -15,10 +15,10 @@ from fractions import Fraction
 
 from .arith import INFINITY, check_prime, inv_mod, is_finite, legendre, sqrt_mod_pk, symmetric_rep, vp
 from .errors import InconsistentError, IterationPreconditionError, NonIntegerSlopeError
-from .factor import DEFAULT_SEED, factor_mod_p, require_irreducible_quartic
+from .factor import DEFAULT_SEED, factor_mod_p, sanity_check_irreducible
 from .intpoly import IntPoly
 from .newton import is_phi_regular, ordinates, phi_index, phi_polygon_data
-from .basis import BasisElement, PIntegralBasis, p_integral_basis_regular, triangularize
+from .basis import BasisElement, PIntegralBasis, _regular_basis, triangularize
 from .record import Record
 from .tables import match_table1
 
@@ -43,6 +43,9 @@ class QuarticCase(Enum):
 
 
 class QuarticContext(Record):
+    """What the case constructions read about (f, p), computed once: f, its
+    discriminant, Delta = v_p(disc) and the factorization case mod p."""
+
     a: int
     b: int
     c: int
@@ -50,6 +53,7 @@ class QuarticContext(Record):
     f: IntPoly
     disc: int
     Delta: int
+    case: QuarticCase
 
 
 def make_context(a, b, c, p):
@@ -60,15 +64,19 @@ def make_context(a, b, c, p):
     )
     if disc != f.discriminant():
         raise InconsistentError("closed-form discriminant disagrees with resultant")
-    return QuarticContext(a, b, c, p, f, disc, vp(disc, p) if disc else 0)
+    return QuarticContext(a, b, c, p, f, disc, vp(disc, p) if disc else 0,
+                          _case(a, b, c, p, disc))
 
 
 def classify(a, b, c, p):
     """The factorization shape of x^4+ax^2+bx+c mod p, assuming f irreducible
     over Q.  Exactly one case applies; Inconsistent would indicate a bug."""
     check_prime(p)
-    ctx = make_context(a, b, c, p)
-    if ctx.disc % p != 0:
+    return make_context(a, b, c, p).case
+
+
+def _case(a, b, c, p, disc):
+    if disc % p != 0:
         return QuarticCase.SEPARABLE
     if p == 2:
         # 2 | disc forces 2 | b; split on the parities of a and c
@@ -250,14 +258,14 @@ def iterate_to_regular(F, s0, p, seed=DEFAULT_SEED, record=None):
 # -- shared construction helpers -------------------------------------------------
 
 
-def _lifts_with_override(f, p, replacements, seed=DEFAULT_SEED):
-    """Symmetric lifts of the factors of f mod p, with any lift whose
+def _lifts_with_override(factors, p, replacements):
+    """The symmetric lifts of factor_mod_p's factors, with any lift whose
     reduction matches a replacement swapped for that replacement."""
     keyed = {}
     for r in replacements:
         keyed[tuple(c % p for c in r.coeffs)] = r
     out = []
-    for phi, _ in factor_mod_p(f, p, seed):
+    for phi, _ in factors:
         key = tuple(c % p for c in phi.coeffs)
         out.append(keyed.pop(key, phi))
     if keyed:
@@ -268,7 +276,7 @@ def _lifts_with_override(f, p, replacements, seed=DEFAULT_SEED):
 def _construct(ctx, lifts, display, meta, seed=DEFAULT_SEED):
     """Basis from the regular-case construction for the given lifts, with the
     table's display family retained as generators."""
-    basis = p_integral_basis_regular(ctx.f, ctx.p, lifts=lifts, seed=seed)
+    basis = _regular_basis(ctx.f, ctx.p, lifts, seed)
     return PIntegralBasis(
         ctx.p, basis.elements, basis.index_valuation,
         tuple(display) if display else basis.generators, dict(meta),
@@ -352,8 +360,8 @@ def _hensel_root_of_derivative(f, s0, p, K):
 
 def basis_case_B(ctx, seed=DEFAULT_SEED):
     f, p = ctx.f, ctx.p
-    doubles = [phi for phi, mult in factor_mod_p(f, p, seed)
-               if mult == 2 and phi.degree == 1]
+    factors = factor_mod_p(f, p, seed)
+    doubles = [phi for phi, mult in factors if mult == 2 and phi.degree == 1]
     if len(doubles) != 1:
         raise InconsistentError("case B expects exactly one double linear factor")
     s0 = -doubles[0][0]
@@ -363,20 +371,12 @@ def basis_case_B(ctx, seed=DEFAULT_SEED):
         BasisElement(_ONE, 0), BasisElement(_X, 0), BasisElement(_X**2, 0),
         BasisElement(_quartic_q1(f, s), nu),
     ]
-    lifts = _lifts_with_override(f, p, [IntPoly([-s, 1])], seed)
+    lifts = _lifts_with_override(factors, p, [IntPoly([-s, 1])])
     return _construct(ctx, lifts, display,
-                      {"case": ctx_case_name(ctx), "rows": ["eq13"], "s": s})
-
-
-def ctx_case_name(ctx):
-    return classify(ctx.a, ctx.b, ctx.c, ctx.p).value
+                      {"case": ctx.case.value, "rows": ["eq13"], "s": s})
 
 
 # -- case C: two double roots ----------------------------------------------------
-
-
-def _nu_at(f, s, p):
-    return _ordinate_floor(f, s, p, 1)
 
 
 def basis_case_C1(ctx, seed=DEFAULT_SEED):
@@ -401,8 +401,8 @@ def basis_case_C1(ctx, seed=DEFAULT_SEED):
         for t in (s, -s):
             if not is_phi_regular(f, IntPoly([-t, 1]), p, seed).regular:
                 raise InconsistentError("iterate left an irregular companion lift")
-    nu_plus = _nu_at(f, s, p)
-    nu_minus = _nu_at(f, -s, p)
+    nu_plus = _ordinate_floor(f, s, p, 1)
+    nu_minus = _ordinate_floor(f, -s, p, 1)
     if nu_minus > nu_plus:
         s = -s
         nu_plus, nu_minus = nu_minus, nu_plus
@@ -411,7 +411,8 @@ def basis_case_C1(ctx, seed=DEFAULT_SEED):
         BasisElement(IntPoly([s * s + a, 0, 1]), nu_minus),
         BasisElement(_quartic_q1(f, s), nu_plus),
     ]
-    lifts = _lifts_with_override(f, p, [IntPoly([-s, 1]), IntPoly([s, 1])], seed)
+    lifts = _lifts_with_override(factor_mod_p(f, p, seed), p,
+                                 [IntPoly([-s, 1]), IntPoly([s, 1])])
     return _construct(ctx, lifts, display,
                       {"case": "C1", "rows": ["eq14"], "s": s,
                        "iterated": iterated})
@@ -446,7 +447,7 @@ def basis_case_C2(ctx, seed=DEFAULT_SEED):
             s = iterate_to_regular(f, 0, 2, seed)
         display = None
     if display is None:
-        nu = _nu_at(f, s, 2)
+        nu = _ordinate_floor(f, s, 2, 1)
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0)]
         if rows[-1] == "eq15-r4":
             display.append(BasisElement(IntPoly([0, 1, 1]), 1))
@@ -492,7 +493,7 @@ def _deep_derivative_root(f, p, K, congruent_to):
 def basis_case_D(ctx, seed=DEFAULT_SEED):
     a, b, c, p, f = ctx.a, ctx.b, ctx.c, ctx.p, ctx.f
     rows = []
-    meta = {"case": ctx_case_name(ctx)}
+    meta = {"case": ctx.case.value}
     if p > 3:
         k = ctx.Delta // 6 + 1
         M = p**k
@@ -554,7 +555,7 @@ def basis_case_D(ctx, seed=DEFAULT_SEED):
         BasisElement(_quartic_q2(f, s), nu2),
         BasisElement(_quartic_q1(f, s), nu1),
     ]
-    lifts = _lifts_with_override(f, p, [IntPoly([-s, 1])], seed)
+    lifts = _lifts_with_override(factor_mod_p(f, p, seed), p, [IntPoly([-s, 1])])
     meta.update({"rows": rows, "s": s})
     return _construct(ctx, lifts, display, meta)
 
@@ -601,12 +602,17 @@ def quartic_p_integral_basis(a, b, c, p, seed=DEFAULT_SEED):
     """p-integral basis of Q[x]/(x^4+ax^2+bx+c) by the quartic fast path.
     The result records the case and every table row used in meta."""
     check_prime(p)
-    require_irreducible_quartic(a, b, c)
-    ctx = make_context(a, b, c, p)
-    case = classify(a, b, c, p)
+    sanity_check_irreducible(IntPoly.monic_quartic(a, b, c))
+    return _quartic_basis(make_context(a, b, c, p), seed)
+
+
+def _quartic_basis(ctx, seed=DEFAULT_SEED):
+    """quartic_p_integral_basis for an f already checked by the
+    irreducibility guard, with its context in hand."""
+    case = ctx.case
     if case == QuarticCase.SEPARABLE:
         els = tuple(BasisElement(IntPoly.x(i), 0) for i in range(4))
-        return PIntegralBasis(p, els, 0, els, {"case": "SEPARABLE", "rows": []})
+        return PIntegralBasis(ctx.p, els, 0, els, {"case": "SEPARABLE", "rows": []})
     if case in (QuarticCase.A1, QuarticCase.A2):
         return basis_case_A(ctx, seed)
     if case in (QuarticCase.B1, QuarticCase.B2, QuarticCase.B3, QuarticCase.B4):
@@ -619,11 +625,13 @@ def quartic_p_integral_basis(a, b, c, p, seed=DEFAULT_SEED):
         return basis_case_D(ctx, seed)
     if case == QuarticCase.E2:
         return basis_case_E2(ctx, seed)
-    # E1: normalize, dispatch the reduced polynomial, transport back
-    a2, b2, c2, k = reduce_E1(a, b, c, p)
+    # E1: normalize, dispatch the reduced polynomial (irreducible, as it
+    # generates the same field), transport back
+    p = ctx.p
+    a2, b2, c2, k = reduce_E1(ctx.a, ctx.b, ctx.c, p)
     if k == 0:
         return basis_case_E1(ctx, seed)
-    inner = quartic_p_integral_basis(a2, b2, c2, p, seed)
+    inner = _quartic_basis(make_context(a2, b2, c2, p), seed)
     els = _transport(list(inner.elements), p, scale_pow=k, shift=0)
     gens = _transport(list(inner.generators), p, scale_pow=k, shift=0)
     meta = dict(inner.meta)

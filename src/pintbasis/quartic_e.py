@@ -12,7 +12,7 @@ construction helpers are in quartic.
 from fractions import Fraction
 
 from .arith import inv_mod, is_finite, symmetric_rep, vp
-from .basis import BasisElement, p_integral_basis_regular, triangularize
+from .basis import BasisElement, _regular_basis, triangularize
 from .errors import InconsistentError
 from .factor import DEFAULT_SEED
 from .intpoly import IntPoly
@@ -25,18 +25,10 @@ from .quartic import (
     _quartic_q1,
     _quartic_q2,
     _transport,
-    ctx_case_name,
     iterate_to_regular,
 )
 from .tables import E1_ROWS, E2_DIRECT_DENOMS, E2_ROWS, bad_shift, match_rows, table3_q_nu, table5_q_nu
 from . import order2
-
-
-def _emit_family(ctx, family, meta):
-    """Triangularize an explicitly assembled family (used on second-order
-    paths, where the generic first-order construction does not apply)."""
-    basis = triangularize(family, ctx.p, 4, generators=family, meta=dict(meta))
-    return basis
 
 
 def _order2_family(ctx, F, phi, tag, nu_table, rows, meta_extra=None):
@@ -54,7 +46,7 @@ def _order2_family(ctx, F, phi, tag, nu_table, rows, meta_extra=None):
             raise InconsistentError(
                 f"table nu {nu_table} disagrees with the second-order index {o2.ind_p}"
             )
-    meta = {"case": ctx_case_name(ctx), "rows": list(rows) + [tag],
+    meta = {"case": ctx.case.value, "rows": list(rows) + [tag],
             "Y": str(o2.Y), "order2": 1}
     if meta_extra:
         meta.update(meta_extra)
@@ -96,12 +88,12 @@ def basis_case_E1(ctx, seed=DEFAULT_SEED):
         nu = Fraction(min(vp(b, p), mprime), 2)
         phi, tag = order2.choose_phi("E1_row3", {"s": s})
         family, meta2 = _order2_family(ctx, f, phi, tag, nu, [row.rid], {"s": s})
-        return _emit_family(ctx, family, meta2)
+        return triangularize(family, p, 4, generators=family, meta=meta2)
     if row.strategy == "table3":
         Q, nu, rows = table3_q_nu(a, b, c)
         phi, tag = order2.choose_phi("E1_row6", {"a": a, "b": b, "c": c})
         family, meta2 = _order2_family(ctx, f, phi, tag, nu, [row.rid] + rows)
-        return _emit_family(ctx, family, meta2)
+        return triangularize(family, p, 4, generators=family, meta=meta2)
     raise InconsistentError(f"unhandled strategy {row.strategy}")
 
 
@@ -141,7 +133,7 @@ def basis_case_E2(ctx, seed=DEFAULT_SEED):
         return basis
 
     if row.strategy == "direct":
-        constructed = p_integral_basis_regular(g, 2, lifts=[_X], seed=seed)
+        constructed = _regular_basis(g, 2, [_X], seed)
         denoms = E2_DIRECT_DENOMS[row.rid]
         display = [BasisElement(_ONE, 0)] + [
             BasisElement(_X ** (i + 1), denoms[i]) for i in range(3)
@@ -149,8 +141,7 @@ def basis_case_E2(ctx, seed=DEFAULT_SEED):
         return finish(list(constructed.elements), 0, display)
     if row.strategy == "iterate":
         s = iterate_to_regular(g, 0, 2, seed)
-        constructed = p_integral_basis_regular(
-            g, 2, lifts=[IntPoly([-s, 1])], seed=seed)
+        constructed = _regular_basis(g, 2, [IntPoly([-s, 1])], seed)
         nu = _ordinate_floor(g, s, 2, 1)
         pre = {"T4r5": (0, 1), "T4r18": (1, 3), "T4r24": (2, 4)}[row.rid]
         display = [BasisElement(_ONE, 0), BasisElement(_X, pre[0]),
@@ -180,7 +171,7 @@ def basis_case_E2(ctx, seed=DEFAULT_SEED):
         h = _scale_down(g, 1)
         Ap, Bp, Cp = h[2], h[1], h[0]
         phi, tag = order2.choose_phi("E2_row10", {"Ap": Ap, "Bp": Bp, "Cp": Cp})
-        constructed = p_integral_basis_regular(h, 2, lifts=[phi], seed=seed)
+        constructed = _regular_basis(h, 2, [phi], seed)
         return finish(list(constructed.elements), 1, None, extra_rows=[tag])
     if row.strategy == "twodouble":
         h = _scale_down(g, 1)
@@ -189,7 +180,7 @@ def basis_case_E2(ctx, seed=DEFAULT_SEED):
         h = _scale_down(g, 2)
         s = iterate_to_regular(h, 0, 2, seed)
         lifts = [IntPoly([-s, 1]), IntPoly([-1, 1])]
-        constructed = p_integral_basis_regular(h, 2, lifts=lifts, seed=seed)
+        constructed = _regular_basis(h, 2, lifts, seed)
         nu1 = _ordinate_floor(h, s, 2, 1)
         nu2 = _ordinate_floor(h, s, 2, 2)
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
@@ -251,5 +242,5 @@ def _basis_e2_twodouble(ctx, h, finish, seed):
     if not is_phi_regular(h, IntPoly([-t, 1]), 2, seed).regular:
         raise InconsistentError("claimed-regular double-root lift is irregular")
     lifts = [IntPoly([-t, 1]), IntPoly([-s, 1])]
-    constructed = p_integral_basis_regular(h, 2, lifts=lifts, seed=seed)
+    constructed = _regular_basis(h, 2, lifts, seed)
     return finish(list(constructed.elements), 1, display, rows, {"s": s, "t": t})

@@ -1,5 +1,6 @@
 import io
 import json
+from collections import Counter
 
 from pintbasis.cli import build_parser, main
 
@@ -93,8 +94,20 @@ def test_error_paths():
     assert code == 2 and "prime" in out
     code, out = run(["classify", "-f", "x^5-2", "-p", "2"])
     assert code == 2
+    code, out = run(["classify", "-f", "x^4-2x^2+1", "-p", "3"])
+    assert code == 2  # reducible
     code, out = run(["verify", "-f", "x^4+4x^2+4", "-p", "2"])
     assert code == 2  # reducible
+
+
+def test_repeated_factors_are_rejected():
+    # (x^2+x+1)^2 and (x^2+1)^3 have no rational root and are not of the
+    # shape x^4+ax^2+bx+c, so only the repeated-factor guard catches them
+    for f, p in (("x^4+2x^3+3x^2+2x+1", "2"), ("x^4+2x^3+3x^2+2x+1", "5"),
+                 ("x^6+3x^4+3x^2+1", "3")):
+        for command in ("basis", "factor", "verify", "oracle"):
+            code, out = run([command, "-f", f, "-p", p])
+            assert code == 2 and "has a repeated factor" in out, (command, f, p, out)
 
 
 def test_reused_parser_matches_fresh_parsers():
@@ -123,9 +136,9 @@ def test_reused_parser_matches_fresh_parsers():
 
 def test_basis_json_factors_and_guards_once(monkeypatch):
     import pintbasis
-    from pintbasis import factor
+    from pintbasis import factor, quartic
     from pintbasis.basis import decomposition_type, p_integral_basis_regular
-    from pintbasis.intpoly import parse_poly
+    from pintbasis.intpoly import IntPoly, parse_poly
 
     argv = ["basis", "-f", "x^4+x^2+50", "-p", "5", "--json"]
     _, out = run(argv)
@@ -134,11 +147,9 @@ def test_basis_json_factors_and_guards_once(monkeypatch):
     expected["path"] = "generic"
     assert json.loads(out) == expected
 
-    calls = {"factor_mod_p": 0, "sanity_check_irreducible": 0}
+    calls = Counter()
 
-    def counting(name):
-        fn = getattr(factor, name)
-
+    def counting(name, fn):
         def counted(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
@@ -146,10 +157,27 @@ def test_basis_json_factors_and_guards_once(monkeypatch):
         return counted
 
     modules = [m for m in vars(pintbasis).values() if type(m) is type(pintbasis)]
-    for name in calls:
-        original, wrapper = getattr(factor, name), counting(name)
+    for owner, name in ((factor, "factor_mod_p"), (factor, "sanity_check_irreducible"),
+                        (quartic, "make_context")):
+        original = getattr(owner, name)
+        wrapper = counting(name, original)
         for mod in modules:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, wrapper)
+    monkeypatch.setattr(IntPoly, "discriminant",
+                        counting("discriminant", IntPoly.discriminant))
     assert run(argv)[1] == out
     assert calls == {"factor_mod_p": 1, "sanity_check_irreducible": 1}
+
+    # a case-B1 quartic the generic route rejects: the quartic fallback
+    # reuses the guard and builds one context, as does --method quartic
+    for method, path in (("auto", "quartic"), ("quartic", "B1")):
+        calls.clear()
+        code, out = run(["basis", "-f", "x^4-148x^2+372x+180", "-p", "3",
+                         "--method", method, "--json"])
+        payload = json.loads(out)
+        assert code == 0 and payload["path"] == path and payload["meta"]["case"] == "B1"
+        assert calls["sanity_check_irreducible"] == 1
+        assert calls["make_context"] == 1
+        assert calls["discriminant"] == 1
+        assert calls["factor_mod_p"] <= 2

@@ -10,7 +10,9 @@ from pintbasis.factor import (
     is_irreducible_mod_p,
     is_irreducible_quartic,
     ord_mod_p,
+    sanity_check_irreducible,
 )
+from pintbasis.errors import NotIrreducibleError
 from pintbasis.fq import DEFAULT_SEED, FqField, FqPoly, factor_fqpoly, is_separable
 from pintbasis.intpoly import IntPoly
 
@@ -230,6 +232,33 @@ def test_quartic_irreducibility_against_products():
         if f[3] != 0:
             continue
         assert not is_irreducible_quartic(f[2], f[1], f[0])
+
+
+def test_quartic_guards_agree():
+    """is_irreducible, is_irreducible_quartic and sanity_check_irreducible
+    give one verdict on x^4+ax^2+bx+c, over random triples and the shapes
+    each of their tests exists for."""
+    rng = random.Random(21)
+    triples = [tuple(rng.randint(-40, 40) for _ in range(3)) for _ in range(300)]
+    for _ in range(40):
+        r, s, t, u, v, w = (rng.randint(-6, 6) for _ in range(6))
+        triples.append((r, s, 0))  # c = 0
+        triples.append((s - r * r, t - r * s, -r * t))  # (x-r)(x^3+rx^2+sx+t)
+        triples.append((v + w - u * u, u * (w - v), v * w))  # (x^2+ux+v)(x^2-ux+w)
+        triples.append((2 * v, 0, v * v))  # (x^2+v)^2
+    verdicts = set()
+    for a, b, c in triples:
+        verdict = is_irreducible_quartic(a, b, c)
+        f = IntPoly.monic_quartic(a, b, c)
+        assert is_irreducible(f) is verdict, (a, b, c)
+        try:
+            sanity_check_irreducible(f)
+            passed = True
+        except NotIrreducibleError:
+            passed = False
+        assert passed is verdict, (a, b, c)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_is_irreducible_generic():
