@@ -9,6 +9,8 @@ entries above it, and minimal denominators; two modules are equal iff their
 triangularized forms are identical.
 """
 
+from fractions import Fraction
+
 from .arith import vp
 from .errors import InconsistentError, NotRegularError, RankDeficientError
 from .factor import DEFAULT_SEED, factor_mod_p, sanity_check_irreducible
@@ -86,72 +88,21 @@ def power_basis(p, n):
 # -- triangularization -----------------------------------------------------------
 
 
-def _hnf_rows(rows, n):
-    """Row-style Hermite form of the lattice spanned by integer rows: returns
-    a list indexed by pivot column (degree), entries reduced upward, or None
-    in positions without a pivot."""
-    rows = [list(r) for r in rows if any(r)]
-    result = [None] * n
-    for col in range(n - 1, -1, -1):
-        pivot = None
-        rest = []
-        for r in rows:
-            if r[col]:
-                if pivot is None:
-                    pivot = r
-                else:
-                    a, b = pivot[col], r[col]
-                    g, x, y = _xgcd(a, b)
-                    pivot, r = (
-                        [x * u + y * v for u, v in zip(pivot, r)],
-                        [(a // g) * v - (b // g) * u for u, v in zip(pivot, r)],
-                    )
-                    if any(r):
-                        rest.append(r)
-            else:
-                rest.append(r)
-        if pivot is not None:
-            if pivot[col] < 0:
-                pivot = [-u for u in pivot]
-            result[col] = pivot
-        rows = rest
-    # reduce the off-pivot entries of each row into [0, pivot), walking the
-    # reference pivots downward so a subtraction never disturbs a column that
-    # was already reduced (pivot rows vanish above their own column)
-    for col2 in range(n):
-        if result[col2] is None:
-            continue
-        for col in range(col2 - 1, -1, -1):
-            piv = result[col]
-            if piv is None:
-                continue
-            q = result[col2][col] // piv[col]
-            if q:
-                result[col2] = [u - q * v for u, v in zip(result[col2], piv)]
-    return result
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def triangularize(elements, p, n=None, generators=None, meta=None):
     """Canonical triangular basis of the Z_(p)-module spanned by the given
     elements.
 
-    Denominators are cleared to a common power of p; the integer row lattice
-    is augmented by q*Z^n with q = p^{v_p(det)+1}, which leaves the local
-    span unchanged but forces every Hermite pivot to be a power of p.  The
-    result is one element per degree with minimal denominator and entries
-    reduced modulo the pivot."""
+    Denominators are cleared to a common power p^E, then one elimination
+    over Z_(p) runs from the top degree down.  Each column takes as pivot a
+    remaining row whose entry has the least p-valuation v, divided by the
+    unit part of that entry so the pivot is exactly p^v; every other row
+    loses a p-integral multiple of it, which keeps the local span.  Entries
+    stay integers while those divisions are exact and are otherwise
+    Fractions with p-free denominators, bounded by minors of the input.
+    Walking downward, each row is then reduced modulo the pivots below it
+    into [0, p^v).  The Hermite form over Z_(p) is unique, so the result is
+    one element per degree with minimal denominator, and two families give
+    the same result iff they span the same module."""
     elements = list(elements)
     if n is None:
         n = max(e.numerator.degree for e in elements) + 1
@@ -162,20 +113,51 @@ def triangularize(elements, p, n=None, generators=None, meta=None):
             raise ValueError("numerator degree exceeds ambient rank")
         scale = p ** (E - e.denom_exp)
         rows.append([e.numerator[k] * scale for k in range(n)])
-    hnf = _hnf_rows(rows, n)
-    if any(r is None for r in hnf):
-        raise RankDeficientError("elements do not span a rank-n module")
-    det_v = sum(vp(r[k], p) for k, r in enumerate(hnf))
-    q = p ** (det_v + 1)
-    aug = rows + [[q if j == k else 0 for j in range(n)] for k in range(n)]
-    hnf = _hnf_rows(aug, n)
+    pivots = [None] * n  # pivots[col] has length col + 1, as do the rows left
+    for col in range(n - 1, -1, -1):
+        candidates = [(vp(r[col].numerator, p), i) for i, r in enumerate(rows) if r[col]]
+        if not candidates:
+            raise RankDeficientError("elements do not span a rank-n module")
+        v, i = min(candidates)
+        piv, pv = rows.pop(i), p**v
+        if piv[col] != pv:
+            unit = Fraction(piv[col]) / pv
+            u = unit.numerator
+            if unit.denominator == 1 and all(type(c) is int and c % u == 0 for c in piv):
+                piv = [c // u for c in piv]
+            else:
+                piv = [c / unit for c in piv]
+        piv[col] = pv  # an int, even where the entry was a Fraction
+        pivots[col] = piv
+        for j, r in enumerate(rows):
+            if r[col]:
+                m = r[col] // pv if type(r[col]) is int else r[col] / pv
+                r = [a - m * b for a, b in zip(r, piv)]
+            rows[j] = r[:col]
+    # reduce the entries of each row into [0, pivot), walking the reference
+    # pivots downward so a subtraction never disturbs a column that was
+    # already reduced (pivot rows vanish above their own column)
+    for col2 in range(n):
+        row = pivots[col2]
+        for col in range(col2 - 1, -1, -1):
+            piv = pivots[col]
+            pv, c = piv[col], row[col]
+            if type(c) is int:
+                q = c // pv
+            else:
+                q = (c - c.numerator * pow(c.denominator, -1, pv) % pv) / pv
+            if q:
+                row = [a - q * b for a, b in zip(row, piv)] + row[col + 1 :]
+        pivots[col2] = row
     out = []
     index_valuation = 0
-    for k in range(n):
-        row = hnf[k]
+    for k, row in enumerate(pivots):
+        if any(c.denominator != 1 for c in row):
+            raise InconsistentError("triangular row is not p-integral after reduction")
+        row = [int(c) for c in row]
         piv_v = vp(row[k], p)
         if p**piv_v != row[k]:
-            raise InconsistentError("pivot is not a power of p after saturation")
+            raise InconsistentError("pivot is not a power of p after elimination")
         index_valuation += E - piv_v
         strip = min([E] + [vp(c, p) for c in row if c])
         num = IntPoly([c // p**strip for c in row])

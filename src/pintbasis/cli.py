@@ -24,6 +24,7 @@ from .arith import check_prime
 from .errors import NotRegularError, PintbasisError
 from .factor import (
     DEFAULT_SEED,
+    check_squarefree,
     factor_mod_p,
     is_irreducible,
     is_irreducible_quartic,
@@ -97,11 +98,11 @@ def cmd_polygon(args, out):
     return 0
 
 
-def _compute_basis(f, p, method, seed):
+def _compute_basis(f, p, method, seed, guarded=False):
     """(basis, path, lifts); lifts is None when the method did not need
-    the factorization of f mod p.  The irreducibility guard and the
-    factorization run once per command: the generic route and the
-    decomposition type share the lifts."""
+    the factorization of f mod p.  The factorization runs once per command,
+    shared by the generic route and the decomposition type, and the
+    irreducibility guard once, or not at all when the caller guarded f."""
     abc = _quartic_coeffs(f)
     if method == "quartic" or method == "order2":
         if abc is None:
@@ -110,7 +111,8 @@ def _compute_basis(f, p, method, seed):
         if method == "order2" and not basis.meta.get("order2"):
             raise PintbasisError("input does not route through a second-order polygon")
         return basis, basis.meta.get("case", "quartic"), None
-    sanity_check_irreducible(f)
+    if not guarded:
+        sanity_check_irreducible(f)
     lifts = [phi for phi, _ in factor_mod_p(f, p, seed)]
     # generic takes the p-regular path only; auto falls back to the quartic
     # pipeline, which covers the order-2 cases internally
@@ -167,7 +169,7 @@ def cmd_factor(args, out):
 
 
 def _verify_one(f, p, seed, out, label=""):
-    basis, path, lifts = _compute_basis(f, p, "auto", seed)
+    basis, path, lifts = _compute_basis(f, p, "auto", seed, guarded=True)  # cmd_verify guarded f
     oracle = saturate(f, p)
     ok = basis.elements == oracle.elements
     checks = {
@@ -213,8 +215,11 @@ def cmd_verify(args, out):
         out(f"corpus: {done - bad}/{done} ok")
         return 1 if bad else 0
     f = _parse_f(args)
-    if is_irreducible(f) is False:
+    verdict = is_irreducible(f)
+    if verdict is False:
         raise PintbasisError("f is reducible over Q")
+    if verdict is None:  # an irreducible f is squarefree; otherwise check
+        check_squarefree(f)
     return 0 if _verify_one(f, args.p, args.seed, out) else 1
 
 

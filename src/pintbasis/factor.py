@@ -158,5 +158,11 @@ def sanity_check_irreducible(f):
     if f.degree == 4 and f[3] == 0:
         if _splits_2_2(f[2], f[1], f[0]):
             raise NotIrreducibleError(f"{f.render()} factors over Q")
-    elif f.discriminant() == 0:
+    else:
+        check_squarefree(f)
+
+
+def check_squarefree(f):
+    """Raise NotIrreducibleError when f has a repeated factor (disc f = 0)."""
+    if f.discriminant() == 0:
         raise NotIrreducibleError(f"{f.render()} has a repeated factor")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from .arith import vp, vp_frac
-from .errors import InconsistentError
+from .errors import InconsistentError, NotIrreducibleError
 from .intpoly import IntPoly, lagrange_interpolate_int
 from .basis import BasisElement, PIntegralBasis, power_basis, triangularize
 
@@ -222,11 +222,15 @@ def saturate(f, p, max_rounds=None):
     Candidates are drawn from the kernel of the trace form mod p, which is a
     necessary condition for integrality (Tr(alpha * w_j) must be integral),
     and only one representative per F_p-line is tested; every accepted
-    element still passes the full resolvent integrality test."""
+    element still passes the full resolvent integrality test.  An f with a
+    repeated factor raises NotIrreducibleError."""
     n = f.degree
     basis = power_basis(p, n)
+    disc = f.discriminant()
+    if disc == 0:
+        raise NotIrreducibleError(f"{f.render()} has a repeated factor")
     if max_rounds is None:
-        max_rounds = vp(f.discriminant(), p) // 2 + 2
+        max_rounds = vp(disc, p) // 2 + 2
     for _ in range(max_rounds + 1):
         gram = gram_matrix(f, basis)
         for row in gram:

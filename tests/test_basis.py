@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from pintbasis.arith import vp_frac
 from pintbasis.errors import NotRegularError, RankDeficientError
 from pintbasis.intpoly import IntPoly
+from pintbasis.oracle import _det_fraction
 from pintbasis.basis import (
     BasisElement,
     decomposition_type,
@@ -62,6 +65,89 @@ def test_triangularize_module_invariance():
             b2 = triangularize(mixed, p, 4)
             assert b1.elements == b2.elements
             assert b1.index_valuation == b2.index_valuation
+
+
+def _coords(e, p, n):
+    return [Fraction(e.numerator[k], p**e.denom_exp) for k in range(n)]
+
+
+def _element(vec, p):
+    """The element with power-basis coordinates vec (p-power denominators)."""
+    e = max([0] + [-vp_frac(c, p) for c in vec if c])
+    return BasisElement(IntPoly([int(c * p**e) for c in vec]), e)
+
+
+def _combination(rng, els, p, n):
+    """An integer combination of els; some coefficients carry the unit p + 1."""
+    vec = [Fraction(0)] * n
+    for e in els:
+        c = rng.randint(-3, 3) * rng.choice([1, 1, p + 1])
+        vec = [a + c * x for a, x in zip(vec, _coords(e, p, n))]
+    return _element(vec, p)
+
+
+def _mixed(rng, els, p, n):
+    """els under a unimodular Z_(p) row mixing: integer row additions,
+    scaling by units prime to p, and a shuffle."""
+    vecs = [_coords(e, p, n) for e in els]
+    for _ in range(2 * len(vecs)):
+        i, j = rng.randrange(len(vecs)), rng.randrange(len(vecs))
+        if i != j:
+            c = rng.randint(-4, 4)
+            vecs[i] = [a + c * b for a, b in zip(vecs[i], vecs[j])]
+        else:
+            u = rng.choice([-1, p - 1, p + 1, 2 * p + 1])
+            vecs[i] = [u * a for a in vecs[i]]
+    rng.shuffle(vecs)
+    return [_element(v, p) for v in vecs]
+
+
+def test_triangularize_against_independent_arithmetic():
+    """Random families with non-monic leading coefficients, checked by
+    Fraction arithmetic that shares no code with triangularize: the index
+    is n*E - v_p(det) for the rows cleared to p^E, every input has
+    p-integral coordinates in the result, the result depends only on the
+    Z_(p)-span of the input, and families of rank < n are rejected."""
+    rng = random.Random(21)
+    full = deficient = 0
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 101])
+        n = rng.randint(1, 6)
+        els = []
+        for _ in range(n):
+            d = rng.randint(0, n - 1)
+            lc = rng.choice([1, -1, rng.randint(2, 3 * p), p * rng.randint(1, 3)])
+            coeffs = [rng.randint(-p * p, p * p) for _ in range(d)] + [lc]
+            els.append(BasisElement(IntPoly(coeffs), rng.randint(0, 3)))
+        E = max(e.denom_exp for e in els)
+        det = _det_fraction([[c * p**E for c in _coords(e, p, n)] for e in els])
+        if det == 0:
+            deficient += 1
+            for family in (els, els + [_combination(rng, els, p, n)]):
+                with pytest.raises(RankDeficientError):
+                    triangularize(family, p, n)
+            continue
+        full += 1
+        b = triangularize(els, p, n)
+        assert b.index_valuation == n * E - vp_frac(det, p)
+        vecs = [_coords(e, p, n) for e in b.elements]
+        for e in els:
+            target = _coords(e, p, n)
+            for k in range(n - 1, -1, -1):
+                coord = target[k] / vecs[k][k]
+                assert coord == 0 or vp_frac(coord, p) >= 0
+                target = [t - coord * v for t, v in zip(target, vecs[k])]
+            assert not any(target)
+        for family in (_mixed(rng, els, p, n), els + [_combination(rng, els, p, n)]):
+            same = triangularize(family, p, n)
+            assert (same.elements, same.index_valuation) == (b.elements, b.index_valuation)
+        # n + 1 elements of rank n - 1: drop one, add two combinations
+        if n > 1:
+            rest = els[1:]
+            family = rest + [_combination(rng, rest, p, n) for _ in range(2)]
+            with pytest.raises(RankDeficientError):
+                triangularize(family, p, n)
+    assert full > 100 and deficient > 30
 
 
 def test_basis_regular_examples():

@@ -134,18 +134,10 @@ def test_reused_parser_matches_fresh_parsers():
     assert reused[0] == reused[-1]
 
 
-def test_basis_json_factors_and_guards_once(monkeypatch):
+def _count_calls(monkeypatch, targets):
+    """Count the calls of each (owner, name) in targets, under the name,
+    wherever a pintbasis module has imported it."""
     import pintbasis
-    from pintbasis import factor, quartic
-    from pintbasis.basis import decomposition_type, p_integral_basis_regular
-    from pintbasis.intpoly import IntPoly, parse_poly
-
-    argv = ["basis", "-f", "x^4+x^2+50", "-p", "5", "--json"]
-    _, out = run(argv)
-    f = parse_poly("x^4+x^2+50")
-    expected = p_integral_basis_regular(f, 5).to_json(decomposition_type(f, 5))
-    expected["path"] = "generic"
-    assert json.loads(out) == expected
 
     calls = Counter()
 
@@ -157,15 +149,31 @@ def test_basis_json_factors_and_guards_once(monkeypatch):
         return counted
 
     modules = [m for m in vars(pintbasis).values() if type(m) is type(pintbasis)]
-    for owner, name in ((factor, "factor_mod_p"), (factor, "sanity_check_irreducible"),
-                        (quartic, "make_context")):
+    for owner, name in targets:
         original = getattr(owner, name)
         wrapper = counting(name, original)
+        monkeypatch.setattr(owner, name, wrapper)
         for mod in modules:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, wrapper)
-    monkeypatch.setattr(IntPoly, "discriminant",
-                        counting("discriminant", IntPoly.discriminant))
+    return calls
+
+
+def test_basis_json_factors_and_guards_once(monkeypatch):
+    from pintbasis import factor, quartic
+    from pintbasis.basis import decomposition_type, p_integral_basis_regular
+    from pintbasis.intpoly import IntPoly, parse_poly
+
+    argv = ["basis", "-f", "x^4+x^2+50", "-p", "5", "--json"]
+    _, out = run(argv)
+    f = parse_poly("x^4+x^2+50")
+    expected = p_integral_basis_regular(f, 5).to_json(decomposition_type(f, 5))
+    expected["path"] = "generic"
+    assert json.loads(out) == expected
+
+    calls = _count_calls(monkeypatch, [
+        (factor, "factor_mod_p"), (factor, "sanity_check_irreducible"),
+        (quartic, "make_context"), (IntPoly, "discriminant")])
     assert run(argv)[1] == out
     assert calls == {"factor_mod_p": 1, "sanity_check_irreducible": 1}
 
@@ -181,3 +189,46 @@ def test_basis_json_factors_and_guards_once(monkeypatch):
         assert calls["make_context"] == 1
         assert calls["discriminant"] == 1
         assert calls["factor_mod_p"] <= 2
+
+
+def test_verify_guards_once(monkeypatch):
+    from pintbasis import factor
+
+    calls = _count_calls(monkeypatch, [
+        (factor, "integer_roots"), (factor, "is_irreducible_quartic"),
+        (factor, "sanity_check_irreducible")])
+    # a quartic x^4+ax^2+bx+c, decided exactly, and an f of another shape
+    for f, p in (("x^4-148x^2+372x+180", "3"), ("x^5+2x+2", "2")):
+        calls.clear()
+        code, out = run(["verify", "-f", f, "-p", p])
+        assert code == 0 and ": ok (" in out, out
+        assert calls["integer_roots"] == 1, (f, calls)
+    # the corpus pre-filter proves each quartic irreducible, so the basis
+    # computation runs no guard of its own
+    calls.clear()
+    code, out = run(["verify", "--corpus", "3", "--seed", "1"])
+    assert code == 0 and "corpus: 3/3 ok" in out
+    assert calls["sanity_check_irreducible"] == 0
+    assert calls["integer_roots"] <= calls["is_irreducible_quartic"]
+
+
+def test_high_multiplicity_generic_inputs():
+    """(x-5)^7 (x+5)^7 (x-3)^m + 101^2 at p = 101: each lift x-a of
+    multiplicity k has the one-sided polygon (0, 2)-(k, 0), so the index is
+    the sum of floor(2(k-j)/k) over j = 1..k and the three lifts.  The
+    high multiplicities give large integer rows to triangularize."""
+    import time
+
+    from pintbasis.intpoly import IntPoly
+
+    X = IntPoly([0, 1])
+    for m in (3, 5):
+        f = (X - 5) ** 7 * (X + 5) ** 7 * (X - 3) ** m + 101**2
+        index = sum(2 * (k - j) // k for k in (7, 7, m) for j in range(1, k + 1))
+        start = time.perf_counter()
+        code, out = run(["basis", "-f", f.render("x"), "-p", "101", "--json"])
+        elapsed = time.perf_counter() - start
+        payload = json.loads(out)
+        assert code == 0 and payload["path"] == "generic"
+        assert payload["index_valuation"] == index == {3: 7, 5: 8}[m]
+        assert elapsed < 2.0, (f.degree, elapsed)

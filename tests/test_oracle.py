@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
-from pintbasis.intpoly import IntPoly
+import pytest
+
+from pintbasis.errors import NotIrreducibleError
+from pintbasis.intpoly import IntPoly, parse_poly
 from pintbasis.oracle import (
     basis_discriminant,
     char_poly_of_numerator,
@@ -160,3 +163,9 @@ def test_saturate_deterministic_and_stable():
             if num.is_zero():
                 continue
             assert not is_integral(f, BasisElement(num, den + 1), p)
+
+
+def test_saturate_rejects_repeated_factor():
+    # (x^2+x+1)^2 has disc 0, so v_p(disc) is infinite
+    with pytest.raises(NotIrreducibleError, match="has a repeated factor"):
+        saturate(parse_poly("x^4+2x^3+3x^2+2x+1"), 5)
