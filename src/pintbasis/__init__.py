@@ -17,7 +17,7 @@ from .errors import (
 )
 from .fq import FqElem, FqField, FqPoly, is_separable
 from .factor import factor_mod_p, is_irreducible_quartic
-from .intpoly import IntPoly, parse_poly, poly_vp
+from .intpoly import IntPoly, parse_poly
 from .newton import (
     NewtonPolygon,
     PhiExpansion,

@@ -12,7 +12,10 @@ Commands:
 All commands but polygon reject, with exit code 2, an f with a rational
 root or a repeated factor and any reducible x^4+ax^2+bx+c.
 
-Exit codes: 0 ok, 1 verification mismatch, 2 bad input or precondition.
+Exit codes: 0 ok, 1 verification mismatch, 2 bad input or precondition
+(message prefixed "error:"), 3 program fault: a broken internal invariant,
+reported as InconsistentError or as an ArithmeticError from the exact
+arithmetic (message prefixed "internal error:").
 """
 
 import argparse
@@ -21,7 +24,7 @@ import json
 import sys
 
 from .arith import check_prime
-from .errors import NotRegularError, PintbasisError
+from .errors import InconsistentError, NotRegularError, PintbasisError
 from .factor import (
     DEFAULT_SEED,
     check_squarefree,
@@ -309,10 +312,10 @@ def main(argv=None, stdout=None):
         if getattr(args, "p", None) is not None:
             check_prime(args.p)
         return args.func(args, out)
-    except PintbasisError as exc:
-        out(f"error: {exc}")
-        return 2
-    except ValueError as exc:
+    except (InconsistentError, ArithmeticError) as exc:
+        out(f"internal error: {exc}")
+        return 3
+    except (PintbasisError, ValueError) as exc:
         out(f"error: {exc}")
         return 2
 

@@ -30,9 +30,8 @@ def factor_mod_p(f, p, seed=DEFAULT_SEED):
     return [(IntPoly([symmetric_rep(c, p) for c in g]), m) for g, m in factors]
 
 
-def is_irreducible_mod_p(phi, p, seed=DEFAULT_SEED):
-    """True iff phi mod p is irreducible of degree >= 1 over F_p.  The test
-    is deterministic; seed is accepted for signature compatibility."""
+def is_irreducible_mod_p(phi, p):
+    """True iff phi mod p is irreducible of degree >= 1 over F_p."""
     check_prime(p)
     fp = FpArith(p)
     return fp.is_irreducible(fp.reduce(phi.coeffs))

@@ -604,17 +604,6 @@ class FqPoly:
     def gcd(self, other):
         return self._new(self.field.arith.gcd(self._c, other._c))
 
-    def pow_mod(self, n, modulus):
-        return self._new(self.field.arith.powmod(self._c, n, modulus._c))
-
-    def evaluate(self, x):
-        arith = self.field.arith
-        x = self.field.elem(x)._coeff()
-        acc = arith.zero
-        for c in reversed(self._c):
-            acc = arith.cadd(arith.cmul(acc, x), c)
-        return FqElem(self.field, arith.to_rep(acc))
-
     def __repr__(self):
         if self.is_zero():
             return "0"

@@ -6,8 +6,6 @@ ever need), and resultants are computed by the subresultant pseudo-remainder
 sequence, so no rounding can occur anywhere.
 """
 
-from fractions import Fraction
-
 from .arith import INFINITY, vp
 from .errors import ParseError
 
@@ -237,11 +235,6 @@ class IntPoly:
         return f"IntPoly({self.render()})"
 
 
-def poly_vp(P, p):
-    """min of vp over the coefficients of P; INFINITY iff P = 0."""
-    return P.vp(p)
-
-
 def parse_poly(text):
     """Parse 'x^4+2x^2-4x+2' style input: signed integer coefficients,
     optional '*', '^' powers, variable x, whitespace-insensitive."""
@@ -366,31 +359,3 @@ def _subresultant_resultant(P, Q):
             if num % den != 0:
                 raise ArithmeticError("subresultant final division not exact")
             return s * (num // den)
-
-
-def lagrange_interpolate_int(points):
-    """Exact interpolation through (x_i, y_i) with integer outputs expected.
-    Returns the coefficient list (ascending).  Raises if the interpolant is
-    not an integer polynomial."""
-    xs = [x for x, _ in points]
-    acc = [Fraction(0)] * len(points)
-    for xi, yi in points:
-        # numerator polynomial prod_{j != i} (x - xj), denominator prod (xi - xj)
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for xj in xs:
-            if xj == xi:
-                continue
-            num = [Fraction(0)] + num
-            for k in range(len(num) - 1):
-                num[k] -= xj * num[k + 1]
-            den *= xi - xj
-        scale = Fraction(yi) / den
-        for k, c in enumerate(num):
-            acc[k] += scale * c
-    out = []
-    for c in acc:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolant is not an integer polynomial")
-        out.append(int(c))
-    return out

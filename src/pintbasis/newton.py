@@ -274,7 +274,7 @@ def is_phi_regular(f, phi, p, seed=DEFAULT_SEED):
     """phi-regularity: every principal side carries a separable residual
     polynomial.  On failure the witnesses name each offending side together
     with its multiple irreducible residual factor."""
-    if not is_irreducible_mod_p(phi, p, seed):
+    if not is_irreducible_mod_p(phi, p):
         raise ValueError(f"{phi.render()} is not irreducible mod {p}")
     _, _, data = phi_polygon_data(f, phi, p)
     witnesses = []

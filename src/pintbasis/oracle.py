@@ -1,8 +1,12 @@
 """Independent verification of p-integral bases.
 
-Nothing here touches Newton polygons: integrality is decided through
-characteristic polynomials obtained as exact resultants, traces come from
-Newton's identities on f, and the p-maximal order is found by brute-force
+Nothing here touches Newton polygons.  One trace machinery serves every
+check: the power sums of the roots of f come from Newton's identities on
+its coefficients, the trace of any g(theta) is an integer combination of
+them, the characteristic polynomial of g(theta) follows from the traces of
+its powers by Newton's identities again, and the Gram matrix of the trace
+form is built from the same traces.  Integrality is read off the
+characteristic polynomial, and the p-maximal order is found by brute-force
 saturation.  This module is the ground truth the constructive modules are
 tested against.
 """
@@ -12,28 +16,31 @@ from itertools import product
 
 from .arith import vp, vp_frac
 from .errors import InconsistentError, NotIrreducibleError
-from .intpoly import IntPoly, lagrange_interpolate_int
+from .intpoly import IntPoly
 from .basis import BasisElement, PIntegralBasis, power_basis, triangularize
 
 
 def char_poly_of_numerator(f, g):
     """Characteristic polynomial of g(theta) on Q[x]/(f), theta a root of the
-    monic f: the monic-in-y resolvent Res_x(f(x), y - g(x)), computed exactly
-    by evaluating the resultant at deg(f)+1 integer points and interpolating."""
+    monic f of degree n, from the traces s_k = Tr(g(theta)^k), k = 1..n, by
+    Newton's identities k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} s_i (Cohen,
+    GTM 138).  The e_k are the elementary symmetric functions of the
+    conjugates of g(theta), an algebraic integer, so every division by k is
+    exact and a remainder is a broken invariant."""
     n = f.degree
-    pts = []
-    for t in range(n + 1):
-        h = IntPoly.const(t) - g
-        if h.is_zero():
-            pts.append((t, 0))
-        elif h.degree == 0:
-            pts.append((t, h.lc() ** n))
-        else:
-            pts.append((t, f.resultant(h)))
-    coeffs = lagrange_interpolate_int(pts)
-    if len(coeffs) != n + 1 or coeffs[-1] != 1:
-        raise InconsistentError("resolvent is not monic of degree n")
-    return IntPoly(coeffs)
+    ps = power_sums(f, n - 1)
+    traces = [n]
+    h = IntPoly.const(1)
+    for _ in range(n):
+        h = (h * g) % f
+        traces.append(trace_of_poly(f, h, ps))
+    e = [1]
+    for k in range(1, n + 1):
+        acc = sum((-1) ** (i - 1) * e[k - i] * traces[i] for i in range(1, k + 1))
+        if acc % k:
+            raise InconsistentError("Newton's identities gave a non-integral coefficient")
+        e.append(acc // k)
+    return IntPoly([(-1) ** k * e[k] for k in range(n, -1, -1)])
 
 
 def is_integral(f, elem, p):
@@ -93,7 +100,6 @@ def gram_matrix(f, basis):
     algebraic integers)."""
     n = f.degree
     ps = power_sums(f, 2 * n - 2)
-    prods = {}
     out = []
     for i, ei in enumerate(basis.elements):
         row = []
@@ -214,7 +220,7 @@ def _projective_tuples(dim, p):
             yield (0,) * lead + (1,) + tail
 
 
-def saturate(f, p, max_rounds=None):
+def saturate(f, p):
     """Brute-force p-saturation: starting from the power basis, adjoin
     alpha = (sum c_i w_i)/p whenever alpha is integral, re-triangularize and
     repeat until no candidate succeeds.
@@ -229,8 +235,7 @@ def saturate(f, p, max_rounds=None):
     disc = f.discriminant()
     if disc == 0:
         raise NotIrreducibleError(f"{f.render()} has a repeated factor")
-    if max_rounds is None:
-        max_rounds = vp(disc, p) // 2 + 2
+    max_rounds = vp(disc, p) // 2 + 2
     for _ in range(max_rounds + 1):
         gram = gram_matrix(f, basis)
         for row in gram:

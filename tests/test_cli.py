@@ -3,6 +3,7 @@ import json
 from collections import Counter
 
 from pintbasis.cli import build_parser, main
+from pintbasis.intpoly import IntPoly
 
 
 def run(argv):
@@ -232,3 +233,80 @@ def test_high_multiplicity_generic_inputs():
         assert code == 0 and payload["path"] == "generic"
         assert payload["index_valuation"] == index == {3: 7, 5: 8}[m]
         assert elapsed < 2.0, (f.degree, elapsed)
+
+
+def test_program_faults_exit_3(monkeypatch):
+    """A broken invariant is a program fault, not bad input: exit 3 with an
+    'internal error:' line, and no exception escapes main."""
+    from pintbasis import cli
+    from pintbasis.errors import InconsistentError
+
+    for fault in (InconsistentError("pivot is not a power of p"),
+                  ArithmeticError("subresultant h-update not exact")):
+        def broken(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(cli, "_regular_basis", broken)
+        for command in ("basis", "verify"):
+            code, out = run([command, "-f", "x^4+x^2+50", "-p", "5"])
+            assert code == 3, (command, fault, out)
+            assert out == f"internal error: {fault}\n"
+
+
+def test_oracle_scales_past_degree_8():
+    """Degree-8 inputs, x^5(x+1)^3+9 at p = 3 and x^8+4x+8 at p = 2, go
+    through the saturation oracle in seconds."""
+    import time
+
+    start = time.perf_counter()
+    code, out = run(["verify", "-f", "x^8+3x^7+3x^6+x^5+9", "-p", "3"])
+    assert code == 0 and ": ok (" in out and "ind=3" in out, out
+    assert time.perf_counter() - start < 5.0
+
+    start = time.perf_counter()
+    code, out = run(["oracle", "-f", "x^8+4x+8", "-p", "2", "--json"])
+    assert code == 0 and json.loads(out)["index_valuation"] == 5
+    assert time.perf_counter() - start < 2.0
+
+
+def _robustness_inputs(rng, count):
+    """Parseable inputs with small coefficients, each with a prime p:
+    random monic f, a power of a small phi perturbed by multiples of p^k,
+    and x^4+ax^2+bx+c with p-power coefficients."""
+    X = IntPoly([0, 1])
+    out = []
+    while len(out) < count:
+        p = rng.choice([2, 3, 5, 7])
+        shape = len(out) % 3
+        if shape == 0:
+            n = rng.randint(2, 6)
+            f = IntPoly([rng.randint(-50, 50) for _ in range(n)] + [1])
+        elif shape == 1:
+            if rng.random() < 0.6:
+                phi = X + rng.randint(-3, 3)
+            else:
+                phi = X**2 + rng.randint(-2, 2) * X + rng.randint(-2, 2)
+            # powers stop at degree 5: the brute-force oracle is exponential
+            # in its kernel dimension, and a degree-6 power at p = 7 costs a second
+            m = rng.randint(2, 5 // phi.degree)
+            pert = IntPoly([rng.randint(-3, 3) for _ in range(m * phi.degree)])
+            f = phi**m + p ** rng.randint(1, 3) * pert + p ** rng.randint(1, 4)
+        else:
+            a, b, c = (rng.choice([-1, 1]) * rng.randint(1, 3) * p ** rng.randint(0, 3)
+                       for _ in range(3))
+            f = IntPoly.monic_quartic(a, b, c)
+        out.append((f.render("x"), str(p)))
+    return out
+
+
+def test_no_parseable_input_faults():
+    """Seeded small-coefficient inputs, p-adically degenerate ones among
+    them, through basis, factor, verify and oracle: each command answers or
+    rejects the input (exit 0 or 2); none mismatches, faults or raises."""
+    import random
+
+    for f, p in _robustness_inputs(random.Random(5), 60):
+        for command in ("basis", "factor", "verify", "oracle"):
+            code, out = run([command, "-f", f, "-p", p])
+            assert code in (0, 2), (command, f, p, out)
+            assert "MISMATCH" not in out and "internal error" not in out, (command, f, p, out)

@@ -26,6 +26,24 @@ def test_char_poly_examples():
     # theta^2 has char poly (y^2-2)^2 = y^4 - 4y^2 + 4
     assert char_poly_of_numerator(f, X**2) == X**4 - 4 * X**2 + 4
     assert char_poly_of_numerator(f, IntPoly([5])) == (X - 5) ** 4
+    assert char_poly_of_numerator(f, IntPoly()) == X**4
+
+
+def test_char_poly_matches_resultants():
+    """C(t) = Res_x(f, t - g) for the monic f, and the n+1 values at
+    t = 0..n determine the monic C of degree n.  Random f up to degree 9
+    with coefficients up to 10^8, and g from zero up to degree n+1 with
+    coefficients up to 10^12, so its powers need reducing mod f."""
+    rng = random.Random(8)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        f = IntPoly([rng.randint(-10**8, 10**8) for _ in range(n)] + [1])
+        bound = rng.choice([9, 10**12])
+        g = IntPoly([rng.randint(-bound, bound) for _ in range(rng.randint(-1, n + 1) + 1)])
+        c = char_poly_of_numerator(f, g)
+        assert c.degree == n and c.monic, (f, g, c)
+        for t in range(n + 1):
+            assert c(t) == f.resultant(IntPoly.const(t) - g), (f, g, t)
 
 
 def test_power_sums():
