@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .arith import vp
 from .errors import InconsistentError, NotRegularError, RankDeficientError
-from .factor import DEFAULT_SEED, factor_mod_p, sanity_check_irreducible
+from .factor import factor_mod_p, sanity_check_irreducible
 from .fq import factor_fqpoly
 from .intpoly import IntPoly
 from .newton import is_p_regular, ordinates, phi_index, phi_polygon_data
@@ -88,7 +88,7 @@ def power_basis(p, n):
 # -- triangularization -----------------------------------------------------------
 
 
-def triangularize(elements, p, n=None, generators=None, meta=None):
+def triangularize(elements, p, n, generators=None, meta=None):
     """Canonical triangular basis of the Z_(p)-module spanned by the given
     elements.
 
@@ -104,8 +104,6 @@ def triangularize(elements, p, n=None, generators=None, meta=None):
     one element per degree with minimal denominator, and two families give
     the same result iff they span the same module."""
     elements = list(elements)
-    if n is None:
-        n = max(e.numerator.degree for e in elements) + 1
     E = max((e.denom_exp for e in elements), default=0)
     rows = []
     for e in elements:
@@ -194,17 +192,15 @@ class DecompositionType(Record):
         return [(en.e, en.f) for en in self.entries]
 
 
-def decomposition_type(f, p, lifts=None, seed=DEFAULT_SEED):
+def decomposition_type(f, p):
     """Slopes and residual factorizations for every lift; when every residual
     factor is simple the full list of (e, f) invariants of the primes above p
     is emitted and checked against deg f."""
     sanity_check_irreducible(f)
-    if lifts is None:
-        lifts = [phi for phi, _ in factor_mod_p(f, p, seed)]
-    return _decomposition(f, p, lifts, seed)
+    return _decomposition(f, p, [phi for phi, _ in factor_mod_p(f, p)])
 
 
-def _decomposition(f, p, lifts, seed=DEFAULT_SEED):
+def _decomposition(f, p, lifts):
     """decomposition_type for an f already checked by the irreducibility
     guard, with its lifts in hand."""
     entries = []
@@ -214,7 +210,7 @@ def _decomposition(f, p, lifts, seed=DEFAULT_SEED):
         if principal.length == 0:
             raise InconsistentError(f"lift {phi.render()} does not divide f mod {p}")
         for sd in data:
-            _, factors = factor_fqpoly(sd.residual, seed)
+            _, factors = factor_fqpoly(sd.residual)
             for g, m in factors:
                 if m == 1:
                     entries.append(
@@ -239,19 +235,17 @@ def _decomposition(f, p, lifts, seed=DEFAULT_SEED):
     return DecompositionType(tuple(entries), complete)
 
 
-def ind_p_lower_bound(f, p, lifts=None, seed=DEFAULT_SEED):
+def ind_p_lower_bound(f, p):
     """sum of ind_phi(f) over the lifts; equals ind_p(f) when f is p-regular."""
-    if lifts is None:
-        lifts = [phi for phi, _ in factor_mod_p(f, p, seed)]
-    return sum(phi_index(f, phi, p) for phi in lifts)
+    return sum(phi_index(f, phi, p) for phi, _ in factor_mod_p(f, p))
 
 
-def regular_basis_generators(f, p, lifts, seed=DEFAULT_SEED):
+def regular_basis_generators(f, p, lifts):
     """The n elements q_{i,j}(theta) theta^k / p^{floor(y_{i,j})} of the
     regular-case basis construction: quotients of the phi-adic developments
     over the floored polygon ordinates.  Raises NotRegularError when some
     residual polynomial is inseparable."""
-    reg = is_p_regular(f, p, lifts, seed)
+    reg = is_p_regular(f, p, lifts)
     if not reg.regular:
         phi, side, g, m = reg.first_witness()
         raise NotRegularError(phi, side, g, m)
@@ -280,23 +274,21 @@ def regular_basis_generators(f, p, lifts, seed=DEFAULT_SEED):
     return gens
 
 
-def p_integral_basis_regular(f, p, lifts=None, seed=DEFAULT_SEED, meta=None):
+def p_integral_basis_regular(f, p):
     """Triangularized p-integral basis for a p-regular monic irreducible f,
     from the quotients of the phi-adic developments and the polygon
     ordinates.  The index valuation is checked against the sum of the
     phi-indices (they must agree in the regular case) before returning."""
     sanity_check_irreducible(f)
-    if lifts is None:
-        lifts = [phi for phi, _ in factor_mod_p(f, p, seed)]
-    return _regular_basis(f, p, lifts, seed, meta)
+    return _regular_basis(f, p, [phi for phi, _ in factor_mod_p(f, p)])
 
 
-def _regular_basis(f, p, lifts, seed=DEFAULT_SEED, meta=None):
+def _regular_basis(f, p, lifts):
     """p_integral_basis_regular for an f already checked by the
     irreducibility guard, with its lifts in hand."""
-    gens = regular_basis_generators(f, p, lifts, seed)
+    gens = regular_basis_generators(f, p, lifts)
     expected = sum(phi_index(f, phi, p) for phi in lifts)
-    basis = triangularize(gens, p, f.degree, generators=gens, meta=meta)
+    basis = triangularize(gens, p, f.degree, generators=gens)
     if basis.index_valuation != expected:
         raise InconsistentError(
             f"index valuation {basis.index_valuation} != sum of phi-indices {expected}"

@@ -5,10 +5,11 @@ Commands:
   polygon   -f POLY -p P [--phi POLY] [--svg PATH] [--json]
   basis     -f POLY -p P [--method auto|generic|quartic|order2] [--json]
   factor    -f POLY -p P [--json]         decomposition type (e, f pairs)
-  verify    -f POLY -p P [--json]         construction vs saturation oracle
+  verify    -f POLY -p P                  construction vs saturation oracle
   verify    --corpus N [--seed S] [-p P]  reproducible random corpus check
   oracle    -f POLY -p P [--json]         saturation only
 
+(f, p) alone decides every answer; --seed only draws the --corpus sample.
 All commands but polygon reject, with exit code 2, an f with a rational
 root or a repeated factor and any reducible x^4+ax^2+bx+c.
 
@@ -26,7 +27,6 @@ import sys
 from .arith import check_prime
 from .errors import InconsistentError, NotRegularError, PintbasisError
 from .factor import (
-    DEFAULT_SEED,
     check_squarefree,
     factor_mod_p,
     is_irreducible,
@@ -43,7 +43,7 @@ from .newton import (
 )
 from .oracle import disc_identity_check, is_ring_closed, saturate
 from .basis import _decomposition, _regular_basis, decomposition_type
-from .quartic import _quartic_basis, classify, make_context, quartic_p_integral_basis
+from .quartic import _quartic_basis, classify, make_context
 
 
 def _parse_f(args):
@@ -75,7 +75,7 @@ def cmd_polygon(args, out):
     if args.phi:
         phis = [parse_poly(args.phi)]
     else:
-        phis = [phi for phi, _ in factor_mod_p(f, args.p, args.seed)]
+        phis = [phi for phi, _ in factor_mod_p(f, args.p)]
     payload = []
     for i, phi in enumerate(phis):
         polygon = newton_polygon(phi_expand(f, phi), args.p)
@@ -101,42 +101,41 @@ def cmd_polygon(args, out):
     return 0
 
 
-def _compute_basis(f, p, method, seed, guarded=False):
-    """(basis, path, lifts); lifts is None when the method did not need
-    the factorization of f mod p.  The factorization runs once per command,
-    shared by the generic route and the decomposition type, and the
-    irreducibility guard once, or not at all when the caller guarded f."""
+def _compute_basis(f, p, method):
+    """(basis, path, lifts) for an f the caller has passed through the
+    irreducibility guard; lifts is None when the method did not need the
+    factorization of f mod p.  The factorization runs once per command,
+    shared by the generic route and the decomposition type."""
     abc = _quartic_coeffs(f)
     if method == "quartic" or method == "order2":
         if abc is None:
             raise PintbasisError(f"--method {method} expects a quartic x^4+ax^2+bx+c")
-        basis = quartic_p_integral_basis(*abc, p, seed)
+        basis = _quartic_basis(make_context(*abc, p))
         if method == "order2" and not basis.meta.get("order2"):
             raise PintbasisError("input does not route through a second-order polygon")
         return basis, basis.meta.get("case", "quartic"), None
-    if not guarded:
-        sanity_check_irreducible(f)
-    lifts = [phi for phi, _ in factor_mod_p(f, p, seed)]
+    lifts = [phi for phi, _ in factor_mod_p(f, p)]
     # generic takes the p-regular path only; auto falls back to the quartic
     # pipeline, which covers the order-2 cases internally
     try:
-        return _regular_basis(f, p, lifts, seed), "generic", lifts
+        return _regular_basis(f, p, lifts), "generic", lifts
     except NotRegularError:
         if method == "generic" or abc is None:
             raise
-        basis = _quartic_basis(make_context(*abc, p), seed)
+        basis = _quartic_basis(make_context(*abc, p))
         path = "quartic+order2" if basis.meta.get("order2") else "quartic"
         return basis, path, lifts
 
 
 def cmd_basis(args, out):
     f = _parse_f(args)
-    basis, path, lifts = _compute_basis(f, args.p, args.method, args.seed)
+    sanity_check_irreducible(f)
+    basis, path, lifts = _compute_basis(f, args.p, args.method)
     if args.json:
-        if lifts is None:  # the quartic methods guarded f but did not factor it
-            lifts = [phi for phi, _ in factor_mod_p(f, args.p, args.seed)]
+        if lifts is None:  # the quartic methods did not factor f
+            lifts = [phi for phi, _ in factor_mod_p(f, args.p)]
         try:
-            dec = _decomposition(f, args.p, lifts, args.seed)
+            dec = _decomposition(f, args.p, lifts)
         except PintbasisError:
             dec = None
         payload = basis.to_json(dec)
@@ -152,7 +151,7 @@ def cmd_basis(args, out):
 
 def cmd_factor(args, out):
     f = _parse_f(args)
-    dec = decomposition_type(f, args.p, seed=args.seed)
+    dec = decomposition_type(f, args.p)
     if args.json:
         out(json.dumps({
             "complete": dec.complete,
@@ -171,8 +170,8 @@ def cmd_factor(args, out):
     return 0
 
 
-def _verify_one(f, p, seed, out, label=""):
-    basis, path, lifts = _compute_basis(f, p, "auto", seed, guarded=True)  # cmd_verify guarded f
+def _verify_one(f, p, out, label=""):
+    basis, path, lifts = _compute_basis(f, p, "auto")  # cmd_verify guarded f
     oracle = saturate(f, p)
     ok = basis.elements == oracle.elements
     checks = {
@@ -181,7 +180,7 @@ def _verify_one(f, p, seed, out, label=""):
         "ring closed": is_ring_closed(f, basis, p),
         "oracle disc identity": disc_identity_check(f, p, oracle),
     }
-    dec = _decomposition(f, p, lifts, seed)
+    dec = _decomposition(f, p, lifts)
     if dec.complete:
         checks["sum e*f = deg f"] = sum(e.e * e.f for e in dec.entries) == f.degree
     good = all(checks.values())
@@ -213,7 +212,7 @@ def cmd_verify(args, out):
             if f.discriminant() % p:
                 continue
             done += 1
-            if not _verify_one(f, p, args.seed, out, label=f"[{done}] "):
+            if not _verify_one(f, p, out, label=f"[{done}] "):
                 bad += 1
         out(f"corpus: {done - bad}/{done} ok")
         return 1 if bad else 0
@@ -223,7 +222,7 @@ def cmd_verify(args, out):
         raise PintbasisError("f is reducible over Q")
     if verdict is None:  # an irreducible f is squarefree; otherwise check
         check_squarefree(f)
-    return 0 if _verify_one(f, args.p, args.seed, out) else 1
+    return 0 if _verify_one(f, args.p, out) else 1
 
 
 def cmd_oracle(args, out):
@@ -248,13 +247,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_f=True, need_p=True):
-        if need_f:
-            sp.add_argument("-f", required=need_f, help="monic integer polynomial, e.g. 'x^4+2x^2-4x+2'")
-        if need_p:
-            sp.add_argument("-p", type=int, required=need_p, help="prime")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for the randomized finite-field splitting")
+    def common(sp):
+        sp.add_argument("-f", required=True, help="monic integer polynomial, e.g. 'x^4+2x^2-4x+2'")
+        sp.add_argument("-p", type=int, required=True, help="prime")
+
+    def common_json(sp):
+        common(sp)
         sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("classify", help="factorization case of a quartic mod p")
@@ -262,19 +260,19 @@ def build_parser():
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("polygon", help="Newton polygon data (text/JSON/SVG)")
-    common(sp)
+    common_json(sp)
     sp.add_argument("--phi", help="monic lift to use (default: all factors of f mod p)")
     sp.add_argument("--svg", help="write an SVG rendering to this path")
     sp.set_defaults(func=cmd_polygon)
 
     sp = sub.add_parser("basis", help="p-integral basis")
-    common(sp)
+    common_json(sp)
     sp.add_argument("--method", choices=["auto", "generic", "quartic", "order2"],
                     default="auto")
     sp.set_defaults(func=cmd_basis)
 
     sp = sub.add_parser("factor", help="decomposition type of p (e, f invariants)")
-    common(sp)
+    common_json(sp)
     sp.set_defaults(func=cmd_factor)
 
     sp = sub.add_parser("verify", help="construction vs the saturation oracle")
@@ -282,12 +280,11 @@ def build_parser():
     sp.add_argument("-p", type=int, help="prime (with --corpus: fix the prime)")
     sp.add_argument("--corpus", type=int, default=0,
                     help="verify N pseudorandom irreducible quartics")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--json", action="store_true")
+    sp.add_argument("--seed", type=int, default=20259, help="seed of the --corpus sample")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("oracle", help="brute-force saturation basis")
-    common(sp)
+    common_json(sp)
     sp.set_defaults(func=cmd_oracle)
     return parser
 
@@ -309,7 +306,7 @@ def main(argv=None, stdout=None):
         out("verify needs -p P")
         return 2
     try:
-        if getattr(args, "p", None) is not None:
+        if args.p is not None:
             check_prime(args.p)
         return args.func(args, out)
     except (InconsistentError, ArithmeticError) as exc:

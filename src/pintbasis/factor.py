@@ -9,13 +9,13 @@ from math import isqrt
 
 from .arith import check_prime, symmetric_rep
 from .errors import NotIrreducibleError
-from .fq import DEFAULT_SEED, FpArith
+from .fq import FpArith
 from .intpoly import IntPoly
 
 _X = IntPoly([0, 1])
 
 
-def factor_mod_p(f, p, seed=DEFAULT_SEED):
+def factor_mod_p(f, p):
     """Complete factorization of f mod p.
 
     Returns a list of (lift, multiplicity) pairs where each lift is a monic
@@ -26,7 +26,7 @@ def factor_mod_p(f, p, seed=DEFAULT_SEED):
     fbar = fp.reduce(f.coeffs)
     if not fbar:
         raise ValueError("f vanishes mod p")
-    _, factors = fp.factor(fbar, seed)
+    _, factors = fp.factor(fbar)
     return [(IntPoly([symmetric_rep(c, p) for c in g]), m) for g, m in factors]
 
 
@@ -100,10 +100,10 @@ def _splits_2_2(a, b, c):
     return False
 
 
-_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
-def is_irreducible(f, tries=10):
+def is_irreducible(f):
     """Best-effort irreducibility test for a monic integer polynomial.
 
     Returns True (proved irreducible), False (proved reducible), or None when
@@ -123,13 +123,9 @@ def is_irreducible(f, tries=10):
     if n == 4 and f[3] == 0:
         return not _splits_2_2(f[2], f[1], f[0])
     possible = set(range(1, n))
-    used = 0
-    for q in _WITNESS_PRIMES:
+    for q in _WITNESS_PRIMES:  # f is monic, so deg (f mod q) = n
         fq = FpArith(q)
-        fbar = fq.reduce(f.coeffs)
-        if len(fbar) - 1 != n:
-            continue
-        _, factors = fq.factor(fbar, DEFAULT_SEED)
+        _, factors = fq.factor(fq.reduce(f.coeffs))
         degs = []
         for g, m in factors:
             degs.extend([len(g) - 1] * m)
@@ -137,11 +133,8 @@ def is_irreducible(f, tries=10):
         for d in degs:
             sums |= {s + d for s in sums}
         possible &= sums
-        used += 1
         if not possible:
             return True
-        if used >= tries:
-            break
     return None
 
 

@@ -3,8 +3,9 @@
 Residual polynomials of Newton polygon sides live over F_phi = F_p[x]/(p, phi),
 so we need field arithmetic, gcds, separability tests and full factorization
 (squarefree split + distinct-degree + Cantor-Zassenhaus equal-degree) over
-these small fields.  Equal-degree splitting is randomized; the generator is
-seeded so every run is reproducible (see DEFAULT_SEED).
+these small fields.  Equal-degree splitting is randomized, but the
+factorization is unique and comes back sorted, so the fixed DEFAULT_SEED of
+the generator only keeps the work done the same from run to run.
 
 All arithmetic runs on one kernel over plain lists (FpArith, FqArith).  A
 coefficient of F_p is an int in [0, p); a coefficient of F_q = F_p[t]/(m)
@@ -121,12 +122,12 @@ class _Arith:
 
     # -- factorization -----------------------------------------------------
 
-    def factor(self, r, seed=DEFAULT_SEED):
+    def factor(self, r):
         """(unit, [(monic irreducible, multiplicity)]) for a nonzero r, the
         factors sorted by degree and then coefficients."""
         if not r:
             raise ValueError("cannot factor the zero polynomial")
-        return r[-1], self._squarefree(r, random.Random(seed))
+        return r[-1], self._squarefree(r, random.Random(DEFAULT_SEED))
 
     def _squarefree(self, r, rng):
         """[(irreducible monic, multiplicity)]; recursion on gcd with derivative."""
@@ -628,20 +629,20 @@ def is_separable(r):
     return len(arith.gcd(r._c, arith.deriv(r._c))) == 1
 
 
-def factor_fqpoly(r, seed=DEFAULT_SEED):
+def factor_fqpoly(r):
     """Complete factorization of a nonzero polynomial over F_q.
 
     Returns (unit, [(monic irreducible, multiplicity)]), deterministically
-    ordered; the randomized splitting uses its own seeded generator."""
+    ordered."""
     if r.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     field = r.field
-    unit, factors = field.arith.factor(r._c, seed)
+    unit, factors = field.arith.factor(r._c)
     return (FqElem(field, field.arith.to_rep(unit)),
             [(FqPoly._wrap(field, g), m) for g, m in factors])
 
 
-def multiple_factors(r, seed=DEFAULT_SEED):
+def multiple_factors(r):
     """Irreducible factors of r with multiplicity > 1."""
-    _, factors = factor_fqpoly(r, seed)
+    _, factors = factor_fqpoly(r)
     return [(g, m) for g, m in factors if m > 1]

@@ -34,13 +34,13 @@ class IntPoly:
         return IntPoly([c])
 
     @staticmethod
-    def x(power=1, coeff=1):
-        return IntPoly([0] * power + [coeff])
+    def x(power):
+        return IntPoly([0] * power + [1])
 
     @staticmethod
-    def monic_quartic(a, b, c, a3=0):
-        """x^4 + a3*x^3 + a*x^2 + b*x + c."""
-        return IntPoly([c, b, a, a3, 1])
+    def monic_quartic(a, b, c):
+        """x^4 + a*x^2 + b*x + c."""
+        return IntPoly([c, b, a, 0, 1])
 
     # -- basic structure ---------------------------------------------------
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .arith import is_finite
 from .errors import InconsistentError
-from .factor import DEFAULT_SEED, factor_mod_p, is_irreducible_mod_p
+from .factor import factor_mod_p, is_irreducible_mod_p
 from .fq import FqField, FqPoly, is_separable, multiple_factors
 from .intpoly import IntPoly
 from .record import Record
@@ -270,7 +270,7 @@ def phi_polygon_data(f, phi, p):
     return expansion, principal, data
 
 
-def is_phi_regular(f, phi, p, seed=DEFAULT_SEED):
+def is_phi_regular(f, phi, p):
     """phi-regularity: every principal side carries a separable residual
     polynomial.  On failure the witnesses name each offending side together
     with its multiple irreducible residual factor."""
@@ -280,7 +280,7 @@ def is_phi_regular(f, phi, p, seed=DEFAULT_SEED):
     witnesses = []
     for sd in data:
         if not sd.separable:
-            for g, m in multiple_factors(sd.residual, seed):
+            for g, m in multiple_factors(sd.residual):
                 witnesses.append((sd.side, g, m))
     return PhiRegularity(phi, not witnesses, tuple(data), tuple(witnesses))
 
@@ -297,14 +297,14 @@ class PRegularity(Record):
         return None
 
 
-def is_p_regular(f, p, lifts=None, seed=DEFAULT_SEED):
+def is_p_regular(f, p, lifts=None):
     """p-regularity with respect to the given lifts (default: symmetric lifts
     of the irreducible factors of f mod p).  Lifts whose factor appears with
     multiplicity one are vacuously regular; their polygons are still
     reported."""
     if lifts is None:
-        lifts = [phi for phi, _ in factor_mod_p(f, p, seed)]
-    reports = tuple(is_phi_regular(f, phi, p, seed) for phi in lifts)
+        lifts = [phi for phi, _ in factor_mod_p(f, p)]
+    reports = tuple(is_phi_regular(f, phi, p) for phi in lifts)
     return PRegularity(all(r.regular for r in reports), reports)
 
 
@@ -331,9 +331,10 @@ def polygon_to_json(polygon):
     }
 
 
-def polygon_to_svg(polygon, pitch=10):
+def polygon_to_svg(polygon):
     """Static SVG: a fixed 10-unit lattice pitch, dots at the finite input
     points, solid hull polyline."""
+    pitch = 10
     finite = [(i, u) for i, u in polygon.points if is_finite(u)]
     if not finite:
         finite = [(0, 0)]

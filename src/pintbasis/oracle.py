@@ -33,7 +33,7 @@ def char_poly_of_numerator(f, g):
     h = IntPoly.const(1)
     for _ in range(n):
         h = (h * g) % f
-        traces.append(trace_of_poly(f, h, ps))
+        traces.append(trace_of_poly(h, ps))
     e = [1]
     for k in range(1, n + 1):
         acc = sum((-1) ** (i - 1) * e[k - i] * traces[i] for i in range(1, k + 1))
@@ -78,21 +78,10 @@ def power_sums(f, kmax):
     return ps
 
 
-def trace_of_poly(f, g, ps=None):
-    """Trace of g(theta) as an exact integer combination of power sums."""
-    if ps is None:
-        ps = power_sums(f, max(g.degree, 0))
+def trace_of_poly(g, ps):
+    """Trace of g(theta) as an exact integer combination of the power sums
+    ps[k] = Tr(theta^k)."""
     return sum(c * ps[k] for k, c in enumerate(g.coeffs))
-
-
-def _element_vectors(basis):
-    """Power-basis coordinates of the basis elements as Fractions."""
-    n = basis.n
-    vecs = []
-    for e in basis.elements:
-        den = basis.p**e.denom_exp
-        vecs.append([Fraction(e.numerator[k], den) for k in range(n)])
-    return vecs
 
 
 def gram_matrix(f, basis):
@@ -108,7 +97,7 @@ def gram_matrix(f, basis):
                 row.append(out[j][i])
                 continue
             num = (ei.numerator * ej.numerator) % f
-            tr = trace_of_poly(f, num, ps)
+            tr = trace_of_poly(num, ps)
             row.append(Fraction(tr, basis.p ** (ei.denom_exp + ej.denom_exp)))
         out.append(row)
     return out
@@ -156,21 +145,38 @@ def disc_identity_check(f, p, basis):
 
 def is_ring_closed(f, basis, p):
     """Every product of two basis elements has p-integral coordinates in the
-    basis (triangular solve against the basis matrix)."""
-    vecs = _element_vectors(basis)
-    n = basis.n
+    basis.  Element k has top degree k, so a triangular back-substitution
+    finds them.  Every denominator is a power of p, so it runs on integers:
+    with E the largest denominator exponent, row k is element k times p^E
+    and the target is the product times p^(2E).  A pivot u*p^a with p-unit
+    u != 1 first multiplies the target by u, which multiplies the
+    coordinates still to be found by a p-unit."""
+    n, els = basis.n, basis.elements
+    E = max(e.denom_exp for e in els)
+    pE = p**E
+    rows = [[e.numerator[j] * p ** (E - e.denom_exp) for j in range(n)] for e in els]
+    pivots = []  # (p^(a+E), u) for the pivot u*p^a of row k
+    for k, row in enumerate(rows):
+        if not row[k]:
+            raise InconsistentError("basis is not triangular")
+        a = vp(row[k], p)
+        pivots.append((p**a * pE, row[k] // p**a))
     for i in range(n):
         for j in range(i, n):
-            num = (basis.elements[i].numerator * basis.elements[j].numerator) % f
-            den = p ** (basis.elements[i].denom_exp + basis.elements[j].denom_exp)
-            target = [Fraction(num[k], den) for k in range(n)]
-            # triangular back-substitution (element k has top degree k)
+            num = (els[i].numerator * els[j].numerator) % f
+            scale = p ** (2 * E - els[i].denom_exp - els[j].denom_exp)
+            target = [num[k] * scale for k in range(n)]
             for k in range(n - 1, -1, -1):
-                coord = target[k] / vecs[k][k]
-                if vp_frac(coord, p) < 0:
+                x = target[k]
+                if not x:
+                    continue
+                pk, u = pivots[k]
+                if x % pk:  # the coordinate x / (u p^(a+E)) is not p-integral
                     return False
-                if coord:
-                    target = [t - coord * v for t, v in zip(target, vecs[k])]
+                if u != 1:
+                    target = [t * u for t in target]
+                c = x // pk * pE
+                target = [t - c * r for t, r in zip(target, rows[k])]
             if any(target):
                 raise InconsistentError("basis failed to span a product")
     return True

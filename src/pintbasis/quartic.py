@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .arith import INFINITY, check_prime, inv_mod, is_finite, legendre, sqrt_mod_pk, symmetric_rep, vp
 from .errors import InconsistentError, IterationPreconditionError, NonIntegerSlopeError
-from .factor import DEFAULT_SEED, factor_mod_p, sanity_check_irreducible
+from .factor import factor_mod_p, sanity_check_irreducible
 from .intpoly import IntPoly
 from .newton import is_phi_regular, ordinates, phi_index, phi_polygon_data
 from .basis import BasisElement, PIntegralBasis, _regular_basis, triangularize
@@ -184,7 +184,7 @@ class IterationStep(Record):
     row: int
 
 
-def iterate_to_regular(F, s0, p, seed=DEFAULT_SEED, record=None):
+def iterate_to_regular(F, s0, p, record=None):
     """Shift s -> s + y p^delta until F is (x-s)-regular; delta is the slope
     of the unique inseparable side and y lifts its multiple residual root.
 
@@ -203,7 +203,7 @@ def iterate_to_regular(F, s0, p, seed=DEFAULT_SEED, record=None):
     steps = []
     while True:
         phi = IntPoly([-s, 1])
-        reg = is_phi_regular(F, phi, p, seed)
+        reg = is_phi_regular(F, phi, p)
         ind = phi_index(F, phi, p)
         if prev_ind is not None and not reg.regular and ind <= prev_ind:
             raise InconsistentError(
@@ -233,7 +233,7 @@ def iterate_to_regular(F, s0, p, seed=DEFAULT_SEED, record=None):
         cond = check_initial_conditions(F, profile, p)
         if cond is None:
             raise InconsistentError("iteration left the admissible patterns")
-        rows = match_table1(F, profile, p, cond)
+        rows = match_table1(profile, p, cond)
         if len(rows) != 1:
             raise InconsistentError(
                 f"irregular profile matches {len(rows)} rows of the iteration table"
@@ -273,10 +273,10 @@ def _lifts_with_override(factors, p, replacements):
     return out
 
 
-def _construct(ctx, lifts, display, meta, seed=DEFAULT_SEED):
+def _construct(ctx, lifts, display, meta):
     """Basis from the regular-case construction for the given lifts, with the
     table's display family retained as generators."""
-    basis = _regular_basis(ctx.f, ctx.p, lifts, seed)
+    basis = _regular_basis(ctx.f, ctx.p, lifts)
     return PIntegralBasis(
         ctx.p, basis.elements, basis.index_valuation,
         tuple(display) if display else basis.generators, dict(meta),
@@ -303,7 +303,7 @@ def _quartic_q2(F, s):
 # -- case A: square of a quadratic -----------------------------------------------
 
 
-def basis_case_A(ctx, seed=DEFAULT_SEED):
+def basis_case_A(ctx):
     a, b, c, p = ctx.a, ctx.b, ctx.c, ctx.p
     if p > 2:
         mprime = vp(4 * c - a * a, p)
@@ -358,9 +358,9 @@ def _hensel_root_of_derivative(f, s0, p, K):
     return symmetric_rep(s, m)
 
 
-def basis_case_B(ctx, seed=DEFAULT_SEED):
+def basis_case_B(ctx):
     f, p = ctx.f, ctx.p
-    factors = factor_mod_p(f, p, seed)
+    factors = factor_mod_p(f, p)
     doubles = [phi for phi, mult in factors if mult == 2 and phi.degree == 1]
     if len(doubles) != 1:
         raise InconsistentError("case B expects exactly one double linear factor")
@@ -379,7 +379,7 @@ def basis_case_B(ctx, seed=DEFAULT_SEED):
 # -- case C: two double roots ----------------------------------------------------
 
 
-def basis_case_C1(ctx, seed=DEFAULT_SEED):
+def basis_case_C1(ctx):
     a, b, c, p, f = ctx.a, ctx.b, ctx.c, ctx.p, ctx.f
     m = vp(b, p) if b else INFINITY
     mprime = vp(a * a - 4 * c, p)
@@ -389,17 +389,17 @@ def basis_case_C1(ctx, seed=DEFAULT_SEED):
     if s is None:
         raise InconsistentError("case C1 requires -a/2 to be a square mod p")
     iterated = False
-    reg_plus = is_phi_regular(f, IntPoly([-s, 1]), p, seed).regular
-    reg_minus = is_phi_regular(f, IntPoly([s, 1]), p, seed).regular
+    reg_plus = is_phi_regular(f, IntPoly([-s, 1]), p).regular
+    reg_minus = is_phi_regular(f, IntPoly([s, 1]), p).regular
     if not reg_plus or not reg_minus:
         if not reg_plus and not reg_minus:
             raise InconsistentError("both square-root lifts irregular in case C1")
         bad = s if not reg_plus else -s
-        bad = iterate_to_regular(f, bad, p, seed)
+        bad = iterate_to_regular(f, bad, p)
         s = bad if not reg_plus else -bad
         iterated = True
         for t in (s, -s):
-            if not is_phi_regular(f, IntPoly([-t, 1]), p, seed).regular:
+            if not is_phi_regular(f, IntPoly([-t, 1]), p).regular:
                 raise InconsistentError("iterate left an irregular companion lift")
     nu_plus = _ordinate_floor(f, s, p, 1)
     nu_minus = _ordinate_floor(f, -s, p, 1)
@@ -411,14 +411,14 @@ def basis_case_C1(ctx, seed=DEFAULT_SEED):
         BasisElement(IntPoly([s * s + a, 0, 1]), nu_minus),
         BasisElement(_quartic_q1(f, s), nu_plus),
     ]
-    lifts = _lifts_with_override(factor_mod_p(f, p, seed), p,
+    lifts = _lifts_with_override(factor_mod_p(f, p), p,
                                  [IntPoly([-s, 1]), IntPoly([s, 1])])
     return _construct(ctx, lifts, display,
                       {"case": "C1", "rows": ["eq14"], "s": s,
                        "iterated": iterated})
 
 
-def basis_case_C2(ctx, seed=DEFAULT_SEED):
+def basis_case_C2(ctx):
     a, b, c, p, f = ctx.a, ctx.b, ctx.c, ctx.p, ctx.f
     vc = vp(c, 2)
     vs1 = vp(a + b + c + 1, 2)
@@ -429,22 +429,22 @@ def basis_case_C2(ctx, seed=DEFAULT_SEED):
         display = [BasisElement(IntPoly.x(i), 0) for i in range(4)]
     elif vc == 1:
         t = 0
-        s = iterate_to_regular(f, 1, 2, seed)
+        s = iterate_to_regular(f, 1, 2)
         rows.append("eq15-r2")
         display = None
     elif vs1 == 1:
         t = 1
-        s = iterate_to_regular(f, 0, 2, seed)
+        s = iterate_to_regular(f, 0, 2)
         rows.append("eq15-r3")
         display = None
     else:
         rows.append("eq15-r4")
         if a % 4 == 1:
             t = 0
-            s = iterate_to_regular(f, 1, 2, seed)
+            s = iterate_to_regular(f, 1, 2)
         else:
             t = 1
-            s = iterate_to_regular(f, 0, 2, seed)
+            s = iterate_to_regular(f, 0, 2)
         display = None
     if display is None:
         nu = _ordinate_floor(f, s, 2, 1)
@@ -454,7 +454,7 @@ def basis_case_C2(ctx, seed=DEFAULT_SEED):
         else:
             display.append(BasisElement(_X**2, 0))
         display.append(BasisElement(_quartic_q1(f, s), nu))
-    if not is_phi_regular(f, IntPoly([-t, 1]), 2, seed).regular:
+    if not is_phi_regular(f, IntPoly([-t, 1]), 2).regular:
         raise InconsistentError(f"claimed-regular lift {t} is irregular in case C2")
     lifts = [IntPoly([-t, 1]), IntPoly([-s, 1])]
     return _construct(ctx, lifts, display,
@@ -490,7 +490,7 @@ def _deep_derivative_root(f, p, K, congruent_to):
     raise InconsistentError("no deep derivative root found")
 
 
-def basis_case_D(ctx, seed=DEFAULT_SEED):
+def basis_case_D(ctx):
     a, b, c, p, f = ctx.a, ctx.b, ctx.c, ctx.p, ctx.f
     rows = []
     meta = {"case": ctx.case.value}
@@ -511,7 +511,7 @@ def basis_case_D(ctx, seed=DEFAULT_SEED):
         )
         rows.append("L42-irregular" if irregular else
                     ("L42-one-side" if 2 * pr.u0 < 3 * pr.u1 else "L42-two-sides"))
-        s = iterate_to_regular(f, s0, p, seed) if irregular else s0
+        s = iterate_to_regular(f, s0, p) if irregular else s0
     else:
         if a % 9 == 3:
             k = ctx.Delta // 6 + 1
@@ -532,11 +532,11 @@ def basis_case_D(ctx, seed=DEFAULT_SEED):
             else:
                 y = 1 if (pr.sigma0 - b) % 3 == 0 else -1
                 s1 = s0 + y * 3 ** (pr.u0 // 3)
-                if is_phi_regular(f, IntPoly([-s1, 1]), 3, seed).regular:
+                if is_phi_regular(f, IntPoly([-s1, 1]), 3).regular:
                     s = s1
                     rows.append("L43-s1")
                 else:
-                    s = iterate_to_regular(f, s1, 3, seed)
+                    s = iterate_to_regular(f, s1, 3)
                     rows.append("L43-beyond-s1")
                     meta["beyond_s1"] = 1
         else:
@@ -546,7 +546,7 @@ def basis_case_D(ctx, seed=DEFAULT_SEED):
                 rows.append("L44-deep")
             else:
                 rows.append("L44-direct")
-            if not is_phi_regular(f, IntPoly([-s, 1]), 3, seed).regular:
+            if not is_phi_regular(f, IntPoly([-s, 1]), 3).regular:
                 raise InconsistentError("deep derivative root is irregular")
     nu2 = _ordinate_floor(f, s, p, 2)
     nu1 = _ordinate_floor(f, s, p, 1)
@@ -555,7 +555,7 @@ def basis_case_D(ctx, seed=DEFAULT_SEED):
         BasisElement(_quartic_q2(f, s), nu2),
         BasisElement(_quartic_q1(f, s), nu1),
     ]
-    lifts = _lifts_with_override(factor_mod_p(f, p, seed), p, [IntPoly([-s, 1])])
+    lifts = _lifts_with_override(factor_mod_p(f, p), p, [IntPoly([-s, 1])])
     meta.update({"rows": rows, "s": s})
     return _construct(ctx, lifts, display, meta)
 
@@ -598,15 +598,15 @@ def _transport(elements, p, scale_pow=0, shift=0):
 # -- top-level dispatch -----------------------------------------------------------
 
 
-def quartic_p_integral_basis(a, b, c, p, seed=DEFAULT_SEED):
+def quartic_p_integral_basis(a, b, c, p):
     """p-integral basis of Q[x]/(x^4+ax^2+bx+c) by the quartic fast path.
     The result records the case and every table row used in meta."""
     check_prime(p)
     sanity_check_irreducible(IntPoly.monic_quartic(a, b, c))
-    return _quartic_basis(make_context(a, b, c, p), seed)
+    return _quartic_basis(make_context(a, b, c, p))
 
 
-def _quartic_basis(ctx, seed=DEFAULT_SEED):
+def _quartic_basis(ctx):
     """quartic_p_integral_basis for an f already checked by the
     irreducibility guard, with its context in hand."""
     case = ctx.case
@@ -614,24 +614,24 @@ def _quartic_basis(ctx, seed=DEFAULT_SEED):
         els = tuple(BasisElement(IntPoly.x(i), 0) for i in range(4))
         return PIntegralBasis(ctx.p, els, 0, els, {"case": "SEPARABLE", "rows": []})
     if case in (QuarticCase.A1, QuarticCase.A2):
-        return basis_case_A(ctx, seed)
+        return basis_case_A(ctx)
     if case in (QuarticCase.B1, QuarticCase.B2, QuarticCase.B3, QuarticCase.B4):
-        return basis_case_B(ctx, seed)
+        return basis_case_B(ctx)
     if case == QuarticCase.C1:
-        return basis_case_C1(ctx, seed)
+        return basis_case_C1(ctx)
     if case == QuarticCase.C2:
-        return basis_case_C2(ctx, seed)
+        return basis_case_C2(ctx)
     if case in (QuarticCase.D1, QuarticCase.D2):
-        return basis_case_D(ctx, seed)
+        return basis_case_D(ctx)
     if case == QuarticCase.E2:
-        return basis_case_E2(ctx, seed)
+        return basis_case_E2(ctx)
     # E1: normalize, dispatch the reduced polynomial (irreducible, as it
     # generates the same field), transport back
     p = ctx.p
     a2, b2, c2, k = reduce_E1(ctx.a, ctx.b, ctx.c, p)
     if k == 0:
-        return basis_case_E1(ctx, seed)
-    inner = _quartic_basis(make_context(a2, b2, c2, p), seed)
+        return basis_case_E1(ctx)
+    inner = _quartic_basis(make_context(a2, b2, c2, p))
     els = _transport(list(inner.elements), p, scale_pow=k, shift=0)
     gens = _transport(list(inner.generators), p, scale_pow=k, shift=0)
     meta = dict(inner.meta)

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .arith import inv_mod, is_finite, symmetric_rep, vp
 from .basis import BasisElement, _regular_basis, triangularize
 from .errors import InconsistentError
-from .factor import DEFAULT_SEED
 from .intpoly import IntPoly
 from .newton import is_phi_regular
 from .quartic import (
@@ -53,7 +52,7 @@ def _order2_family(ctx, F, phi, tag, nu_table, rows, meta_extra=None):
     return list(o2.elements), meta
 
 
-def basis_case_E1(ctx, seed=DEFAULT_SEED):
+def basis_case_E1(ctx):
     """Reduced 4-tuple-root dispatch; the caller guarantees the reduction
     step has already been applied."""
     a, b, c, p, f = ctx.a, ctx.b, ctx.c, ctx.p, ctx.f
@@ -62,27 +61,27 @@ def basis_case_E1(ctx, seed=DEFAULT_SEED):
     meta = {"case": "E1", "rows": [row.rid]}
     if row.strategy == "power":
         display = [BasisElement(IntPoly.x(i), 0) for i in range(4)]
-        return _construct(ctx, [_X], display, meta, seed)
+        return _construct(ctx, [_X], display, meta)
     if row.strategy == "theta3":
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
                    BasisElement(_X**2, 0), BasisElement(_X**3, 1)]
-        return _construct(ctx, [_X], display, meta, seed)
+        return _construct(ctx, [_X], display, meta)
     if row.strategy == "x-reg":
-        return _construct(ctx, [_X], None, meta, seed)
+        return _construct(ctx, [_X], None, meta)
     if row.strategy == "iterate":
-        s = iterate_to_regular(f, 0, p, seed)
+        s = iterate_to_regular(f, 0, p)
         nu = _ordinate_floor(f, s, p, 1)
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
                    BasisElement(_X**2, 1), BasisElement(_quartic_q1(f, s), nu)]
         meta.update({"s": s, "nu": nu})
-        return _construct(ctx, [IntPoly([-s, 1])], display, meta, seed)
+        return _construct(ctx, [IntPoly([-s, 1])], display, meta)
     if row.strategy == "half-a":
         mprime = vp(a * a - 4 * c, p)
         if not is_finite(mprime):
             # a^2 = 4c: every m' > v_p(b) gives the same nu = v_p(b)/2
             mprime = vp(b, p) + 1
         if mprime == 2:
-            return _construct(ctx, [_X], None, meta, seed)
+            return _construct(ctx, [_X], None, meta)
         M = p ** (mprime // 2 + 2)
         s = symmetric_rep(a * inv_mod(2, M) % M, M)
         nu = Fraction(min(vp(b, p), mprime), 2)
@@ -105,7 +104,7 @@ def _scale_down(g, k):
     return g.scale_arg(2**k).divide_exact(2 ** (4 * k))
 
 
-def basis_case_E2(ctx, seed=DEFAULT_SEED):
+def basis_case_E2(ctx):
     f, p = ctx.f, ctx.p
     m = 1
     for _ in range(10):
@@ -133,15 +132,15 @@ def basis_case_E2(ctx, seed=DEFAULT_SEED):
         return basis
 
     if row.strategy == "direct":
-        constructed = _regular_basis(g, 2, [_X], seed)
+        constructed = _regular_basis(g, 2, [_X])
         denoms = E2_DIRECT_DENOMS[row.rid]
         display = [BasisElement(_ONE, 0)] + [
             BasisElement(_X ** (i + 1), denoms[i]) for i in range(3)
         ]
         return finish(list(constructed.elements), 0, display)
     if row.strategy == "iterate":
-        s = iterate_to_regular(g, 0, 2, seed)
-        constructed = _regular_basis(g, 2, [IntPoly([-s, 1])], seed)
+        s = iterate_to_regular(g, 0, 2)
+        constructed = _regular_basis(g, 2, [IntPoly([-s, 1])])
         nu = _ordinate_floor(g, s, 2, 1)
         pre = {"T4r5": (0, 1), "T4r18": (1, 3), "T4r24": (2, 4)}[row.rid]
         display = [BasisElement(_ONE, 0), BasisElement(_X, pre[0]),
@@ -171,16 +170,16 @@ def basis_case_E2(ctx, seed=DEFAULT_SEED):
         h = _scale_down(g, 1)
         Ap, Bp, Cp = h[2], h[1], h[0]
         phi, tag = order2.choose_phi("E2_row10", {"Ap": Ap, "Bp": Bp, "Cp": Cp})
-        constructed = _regular_basis(h, 2, [phi], seed)
+        constructed = _regular_basis(h, 2, [phi])
         return finish(list(constructed.elements), 1, None, extra_rows=[tag])
     if row.strategy == "twodouble":
         h = _scale_down(g, 1)
-        return _basis_e2_twodouble(ctx, h, finish, seed)
+        return _basis_e2_twodouble(h, finish)
     if row.strategy == "scale4":
         h = _scale_down(g, 2)
-        s = iterate_to_regular(h, 0, 2, seed)
+        s = iterate_to_regular(h, 0, 2)
         lifts = [IntPoly([-s, 1]), IntPoly([-1, 1])]
-        constructed = _regular_basis(h, 2, lifts, seed)
+        constructed = _regular_basis(h, 2, lifts)
         nu1 = _ordinate_floor(h, s, 2, 1)
         nu2 = _ordinate_floor(h, s, 2, 2)
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
@@ -191,7 +190,7 @@ def basis_case_E2(ctx, seed=DEFAULT_SEED):
     raise InconsistentError(f"unhandled strategy {row.strategy}")
 
 
-def _basis_e2_twodouble(ctx, h, finish, seed):
+def _basis_e2_twodouble(h, finish):
     """Expansion of the two-double-roots subcase of the shifted table:
     h = g(2x)/16 with h = x^2 (x+1)^2 mod 2."""
     Ap, Bp, Cp = h[2], h[1], h[0]
@@ -204,25 +203,25 @@ def _basis_e2_twodouble(ctx, h, finish, seed):
         display = [BasisElement(IntPoly.x(i), 0) for i in range(4)]
     elif vCp == 1:
         t = 0
-        s = iterate_to_regular(h, 1, 2, seed)
+        s = iterate_to_regular(h, 1, 2)
         rows = ["Tdd2-r2"]
         display = None
     elif vS == 1:
         t = 1
-        s = iterate_to_regular(h, 0, 2, seed)
+        s = iterate_to_regular(h, 0, 2)
         rows = ["Tdd2-r3"]
         display = None
     elif Ap % 4 == 3:
         t = 0
-        s = iterate_to_regular(h, 1, 2, seed)
+        s = iterate_to_regular(h, 1, 2)
         rows = ["Tdd2-r4"]
         nu_s = _ordinate_floor(h, s, 2, 1)
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
                    BasisElement(x2x, 1),
                    BasisElement(_quartic_q1(h, s), nu_s)]
     else:
-        s_even = iterate_to_regular(h, 0, 2, seed)
-        s_odd = iterate_to_regular(h, 1, 2, seed)
+        s_even = iterate_to_regular(h, 0, 2)
+        s_odd = iterate_to_regular(h, 1, 2)
         nu_even = _ordinate_floor(h, s_even, 2, 1)
         nu_odd = _ordinate_floor(h, s_odd, 2, 1)
         if nu_even > nu_odd:
@@ -239,8 +238,8 @@ def _basis_e2_twodouble(ctx, h, finish, seed):
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
                    BasisElement(_X**2, 0),
                    BasisElement(_quartic_q1(h, s), nu_s)]
-    if not is_phi_regular(h, IntPoly([-t, 1]), 2, seed).regular:
+    if not is_phi_regular(h, IntPoly([-t, 1]), 2).regular:
         raise InconsistentError("claimed-regular double-root lift is irregular")
     lifts = [IntPoly([-t, 1]), IntPoly([-s, 1])]
-    constructed = _regular_basis(h, 2, lifts, seed)
+    constructed = _regular_basis(h, 2, lifts)
     return finish(list(constructed.elements), 1, display, rows, {"s": s, "t": t})

@@ -87,7 +87,7 @@ TABLE1_ROWS = (
 )
 
 
-def match_table1(F, profile, p, cond):
+def match_table1(profile, p, cond):
     rows = []
     for row in TABLE1_ROWS:
         if row.cond != cond:

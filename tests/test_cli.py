@@ -120,7 +120,7 @@ def test_reused_parser_matches_fresh_parsers():
         ["basis", "-f", "x^4+2x^2+4", "-p", "2", "--method", "generic"],
         ["nonsense"],  # parse error: unknown command
         ["polygon", "-f", "x^4+2x+4", "-p", "2", "--phi", "x"],
-        ["basis", "-f", "x^4+x^2+50", "-p", "5", "--seed", "3"],
+        ["verify", "--corpus", "2", "--seed", "3"],
         ["verify", "-f", "x^4+2x^2+4", "-p", "2"],
         ["basis", "-f", "x^4+x^2+50", "-p", "5", "--json"],
     ]
@@ -310,3 +310,100 @@ def test_no_parseable_input_faults():
             code, out = run([command, "-f", f, "-p", p])
             assert code in (0, 2), (command, f, p, out)
             assert "MISMATCH" not in out and "internal error" not in out, (command, f, p, out)
+
+
+def _basis_json(f, p, *extra):
+    code, out = run(["basis", "-f", f.render("x"), "-p", str(p), "--json", *extra])
+    return code, json.loads(out) if code == 0 else out
+
+
+def test_basis_invariant_under_scaling_and_shift():
+    """The transforms the quartic tables rely on.  theta -> p*theta turns f
+    into x^4+ap^2x^2+bp^3x+cp^4, whose index valuation is exactly 6 more;
+    --method quartic reaches it through the E1 normalization.  The shift
+    x -> x+m keeps the index, and its basis, moved back to theta and
+    triangularized, is f's basis."""
+    import random
+
+    from pintbasis.basis import BasisElement, triangularize
+    from pintbasis.factor import is_irreducible_quartic
+    from pintbasis.intpoly import parse_poly
+
+    def elements(payload):
+        return [BasisElement(parse_poly(e["numerator"]), e["denom_exp"])
+                for e in payload["elements"]]
+
+    rng = random.Random(41)
+    done = shifted = 0
+    while done < 40:
+        p = rng.choice([2, 3, 5, 7])
+        a, b, c = (p ** rng.randint(0, 2) * rng.randint(-20, 20) for _ in range(3))
+        f = IntPoly.monic_quartic(a, b, c)
+        if not is_irreducible_quartic(a, b, c) or f.discriminant() % p:
+            continue
+        done += 1
+        code, base = _basis_json(f, p)
+        assert code == 0, (f.render(), p, base)
+        index = base["index_valuation"]
+        scaled = IntPoly.monic_quartic(a * p**2, b * p**3, c * p**4)
+        for method in ("auto", "quartic"):
+            code, payload = _basis_json(scaled, p, "--method", method)
+            assert code == 0, (scaled.render(), p, method, payload)
+            assert payload["index_valuation"] == index + 6, (f.render(), p, method)
+            if method == "quartic":
+                assert payload["path"].startswith("E1->"), payload["path"]
+        m = rng.choice([-1, 1]) * rng.randint(1, 2 * p)
+        g = f.shift(m)
+        code, payload = _basis_json(g, p)
+        if code == 2 and "inseparable residual polynomial" in payload:  # not p-regular
+            continue
+        assert code == 0, (g.render(), p, payload)
+        assert payload["index_valuation"] == index, (f.render(), m, p)
+        moved = [BasisElement(e.numerator.shift(-m), e.denom_exp) for e in elements(payload)]
+        assert triangularize(moved, p, 4).elements == tuple(elements(base)), (f.render(), m, p)
+        shifted += 1
+    assert shifted >= 30, shifted
+
+
+class _ReadRecorder:
+    """The values of a parsed Namespace, recording each name read."""
+
+    def __init__(self, namespace):
+        self.values = vars(namespace)
+        self.read = set()
+
+    def __getattr__(self, name):
+        if name not in self.values:
+            raise AttributeError(name)
+        self.read.add(name)
+        return self.values[name]
+
+
+def test_every_cli_option_is_read(tmp_path):
+    """Every option a subcommand defines is read by the function it runs on
+    at least one representative argument list, so no option is ignored."""
+    import argparse
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    argvs = {
+        "classify": [["classify", "-f", "x^4+x^2+50", "-p", "5"]],
+        "polygon": [["polygon", "-f", "x^4+2x+4", "-p", "2", "--json"],
+                    ["polygon", "-f", "x^4+2x+4", "-p", "2", "--phi", "x",
+                     "--svg", str(tmp_path / "polygon.svg")]],
+        "basis": [["basis", "-f", "x^4+x^2+50", "-p", "5", "--method", "generic", "--json"]],
+        "factor": [["factor", "-f", "x^4-2", "-p", "2", "--json"]],
+        "verify": [["verify", "-f", "x^4+x^2+50", "-p", "5"],
+                   ["verify", "--corpus", "2", "--seed", "3"]],
+        "oracle": [["oracle", "-f", "x^4-2", "-p", "2", "--json"]],
+    }
+    assert set(argvs) == set(subparsers)
+    for command, sp in subparsers.items():
+        dests = {a.dest for a in sp._actions if a.dest != "help"}
+        read = set()
+        for argv in argvs[command]:
+            args = _ReadRecorder(parser.parse_args(argv))
+            assert args.func(args, lambda line: None) == 0, argv
+            read |= args.read
+        assert dests <= read, (command, sorted(dests - read))

@@ -160,7 +160,7 @@ def _inseparable(fq, rng):
 
 
 @pytest.mark.parametrize("p,modulus", FACTOR_FIELDS)
-def test_factor_fqpoly_properties(p, modulus):
+def test_factor_fqpoly_properties(p, modulus, monkeypatch):
     fq = FqField(p, modulus)
     rng = random.Random(p * 1000 + len(modulus))
     tiny = fq.order <= 9
@@ -190,14 +190,31 @@ def test_factor_fqpoly_properties(p, modulus):
             assert all(is_irreducible_mod_p(lift(g), p) for g, _ in factors)
             single = len(factors) == 1 and factors[0][1] == 1
             assert is_irreducible_mod_p(lift(r), p) == (single and r.degree >= 1)
+        # the factorization is unique and sorted, so the random stream of
+        # the splitting cannot change it
         for seed in (0, 1, 12345):
-            assert factor_fqpoly(r, seed) == (unit, factors)
+            monkeypatch.setattr("pintbasis.fq.DEFAULT_SEED", seed)
+            assert factor_fqpoly(r) == (unit, factors)
+        monkeypatch.undo()
 
 
-def test_factor_fqpoly_default_seed_matches_explicit():
+def test_factor_fqpoly_default_seed_matches_explicit(monkeypatch):
+    # the splitting builds its generator from DEFAULT_SEED at call time, so
+    # setting the constant is how test_factor_fqpoly_properties varies it
     fq = FqField(5, (2, 0, 1))
     r = _random_poly(fq, random.Random(3), 6)
-    assert factor_fqpoly(r) == factor_fqpoly(r, DEFAULT_SEED)
+    expected = factor_fqpoly(r)
+    seeds = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Recording)
+    assert factor_fqpoly(r) == expected and seeds == [DEFAULT_SEED]
+    monkeypatch.setattr("pintbasis.fq.DEFAULT_SEED", 7)
+    assert factor_fqpoly(r) == expected and seeds == [DEFAULT_SEED, 7]
 
 
 def test_integer_roots():

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from pintbasis.arith import vp
 from pintbasis.errors import NotIrreducibleError
+from pintbasis.factor import is_irreducible
 from pintbasis.intpoly import IntPoly, parse_poly
 from pintbasis.oracle import (
     basis_discriminant,
@@ -15,7 +18,7 @@ from pintbasis.oracle import (
     power_sums,
     saturate,
 )
-from pintbasis.basis import BasisElement, p_integral_basis_regular, power_basis
+from pintbasis.basis import BasisElement, PIntegralBasis, p_integral_basis_regular, power_basis
 
 X = IntPoly([0, 1])
 
@@ -136,6 +139,75 @@ def test_ring_closed():
         [BasisElement(IntPoly([1]), 0), BasisElement(X, 1),
          BasisElement(X**2, 0), BasisElement(X**3, 0)], 2, 4)
     assert not is_ring_closed(f, fake, 2)
+
+
+def _ring_closed_fractions(f, basis, p):
+    """Reference for is_ring_closed: the back-substitution over Fractions."""
+    n = basis.n
+    vecs = [[Fraction(e.numerator[k], p**e.denom_exp) for k in range(n)]
+            for e in basis.elements]
+    for i in range(n):
+        for j in range(i, n):
+            ei, ej = basis.elements[i], basis.elements[j]
+            num = (ei.numerator * ej.numerator) % f
+            den = p ** (ei.denom_exp + ej.denom_exp)
+            target = [Fraction(num[k], den) for k in range(n)]
+            for k in range(n - 1, -1, -1):
+                coord = target[k] / vecs[k][k]
+                if coord and vp(coord.denominator, p) > 0:
+                    return False
+                target = [t - coord * v for t, v in zip(target, vecs[k])]
+            assert not any(target)
+    return True
+
+
+def _combine(terms, p):
+    """sum of r * (num / p^d) over (r, num, d) as one BasisElement."""
+    den = max(d for _, _, d in terms)
+    num = IntPoly()
+    for r, t, d in terms:
+        num = num + r * t * p ** (den - d)
+    return BasisElement(num, den)
+
+
+def test_ring_closed_matches_fraction_reference():
+    """Saturated bases are closed; mixing an element with a p-unit multiple
+    of itself and integer multiples of lower elements spans the same module,
+    and adjoining w_l/p to w_k (l < k) or dividing w_k by p usually leaves
+    the ring.  Every verdict must equal the Fraction back-substitution."""
+    rng = random.Random(29)
+    verdicts = Counter()
+    done = 0
+    while done < 30:
+        n = rng.choice([3, 4, 5])
+        p = rng.choice([2, 3, 5])
+        f = IntPoly([p ** rng.randint(0, 3) * rng.randint(-6, 6) for _ in range(n)] + [1])
+        if f.discriminant() == 0 or is_irreducible(f) is not True:
+            continue
+        done += 1
+        sat = saturate(f, p)
+        assert is_ring_closed(f, sat, p) is True
+        for _ in range(6):
+            els = list(sat.elements)
+            k = rng.randrange(1, n)
+            w = [(e.numerator, e.denom_exp) for e in els]
+            kind = rng.choice(["same", "adjoin", "divide"])
+            if kind == "same":
+                u = rng.choice([u for u in (-3, -2, -1, 1, 2, 3, 7) if u % p])
+                terms = [(u, *w[k])] + [(rng.randint(-5, 5), *w[l]) for l in range(k)]
+                els[k] = _combine(terms, p)
+            elif kind == "adjoin":
+                l = rng.randrange(k)
+                els[k] = _combine([(1, *w[k]), (rng.randint(1, p - 1), w[l][0], w[l][1] + 1)], p)
+            else:
+                els[k] = BasisElement(w[k][0], w[k][1] + 1)
+            basis = PIntegralBasis(p, tuple(els), 0)
+            verdict = is_ring_closed(f, basis, p)
+            assert verdict is _ring_closed_fractions(f, basis, p), (f.render(), p, kind)
+            if kind == "same":
+                assert verdict is True
+            verdicts[verdict] += 1
+    assert verdicts[True] >= 20 and verdicts[False] >= 20, verdicts
 
 
 def test_saturate_degree_5_and_6():
