@@ -1,7 +1,7 @@
 """Exact computation of p-integral bases of number fields via Newton
 polygons: the generic regular-case construction, a complete explicit
 quartic pipeline, second-order polygons for the leftover cases, and an
-independent brute-force saturation oracle."""
+independent Round 2 oracle with brute-force saturation as its reference."""
 
 from .arith import INFINITY, legendre, sqrt_mod_pk, vp
 from .errors import (
@@ -34,7 +34,7 @@ from .newton import (
     residual_coefficients,
     residual_polynomial,
 )
-from .oracle import disc_identity_check, is_integral, is_ring_closed, saturate
+from .oracle import disc_identity_check, is_integral, is_ring_closed, round2, saturate
 from .order2 import basis_order2, choose_phi, second_order_polygon, v2p
 from .quartic import QuarticCase, classify, iterate_to_regular, quartic_p_integral_basis, reduce_E1
 from .basis import (

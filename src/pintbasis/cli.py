@@ -5,9 +5,9 @@ Commands:
   polygon   -f POLY -p P [--phi POLY] [--svg PATH] [--json]
   basis     -f POLY -p P [--method auto|generic|quartic|order2] [--json]
   factor    -f POLY -p P [--json]         decomposition type (e, f pairs)
-  verify    -f POLY -p P                  construction vs saturation oracle
+  verify    -f POLY -p P                  construction vs the Round 2 oracle
   verify    --corpus N [--seed S] [-p P]  reproducible random corpus check
-  oracle    -f POLY -p P [--json]         saturation only
+  oracle    -f POLY -p P [--json]         Round 2 oracle only
 
 (f, p) alone decides every answer; --seed only draws the --corpus sample.
 All commands but polygon reject, with exit code 2, an f with a rational
@@ -41,7 +41,7 @@ from .newton import (
     polygon_to_svg,
     principal_part,
 )
-from .oracle import disc_identity_check, is_ring_closed, saturate
+from .oracle import _disc_identity, _round2, is_ring_closed, round2
 from .basis import _decomposition, _regular_basis, decomposition_type
 from .quartic import _quartic_basis, classify, make_context
 
@@ -172,13 +172,14 @@ def cmd_factor(args, out):
 
 def _verify_one(f, p, out, label=""):
     basis, path, lifts = _compute_basis(f, p, "auto")  # cmd_verify guarded f
-    oracle = saturate(f, p)
+    disc = f.discriminant()
+    oracle = _round2(f, p, disc)
     ok = basis.elements == oracle.elements
     checks = {
         "construction == oracle": ok,
-        "disc identity": disc_identity_check(f, p, basis),
+        "disc identity": _disc_identity(f, p, basis, disc),
         "ring closed": is_ring_closed(f, basis, p),
-        "oracle disc identity": disc_identity_check(f, p, oracle),
+        "oracle disc identity": _disc_identity(f, p, oracle, disc),
     }
     dec = _decomposition(f, p, lifts)
     if dec.complete:
@@ -228,7 +229,7 @@ def cmd_verify(args, out):
 def cmd_oracle(args, out):
     f = _parse_f(args)
     sanity_check_irreducible(f)
-    basis = saturate(f, args.p)
+    basis = round2(f, args.p)
     if args.json:
         out(json.dumps(basis.to_json(), indent=2))
     else:
@@ -275,7 +276,7 @@ def build_parser():
     common_json(sp)
     sp.set_defaults(func=cmd_factor)
 
-    sp = sub.add_parser("verify", help="construction vs the saturation oracle")
+    sp = sub.add_parser("verify", help="construction vs the Round 2 oracle")
     sp.add_argument("-f", help="polynomial (omit with --corpus)")
     sp.add_argument("-p", type=int, help="prime (with --corpus: fix the prime)")
     sp.add_argument("--corpus", type=int, default=0,
@@ -283,7 +284,7 @@ def build_parser():
     sp.add_argument("--seed", type=int, default=20259, help="seed of the --corpus sample")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("oracle", help="brute-force saturation basis")
+    sp = sub.add_parser("oracle", help="p-maximal order by Round 2 (Pohst-Zassenhaus)")
     common_json(sp)
     sp.set_defaults(func=cmd_oracle)
     return parser

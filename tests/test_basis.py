@@ -6,7 +6,6 @@ import pytest
 from pintbasis.arith import vp_frac
 from pintbasis.errors import NotRegularError, RankDeficientError
 from pintbasis.intpoly import IntPoly
-from pintbasis.oracle import _det_fraction
 from pintbasis.basis import (
     BasisElement,
     decomposition_type,
@@ -15,6 +14,8 @@ from pintbasis.basis import (
     power_basis,
     triangularize,
 )
+
+from test_oracle import _det_fraction
 
 X = IntPoly([0, 1])
 

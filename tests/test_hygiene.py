@@ -64,3 +64,27 @@ def test_every_parameter_is_read():
             unread += [f"{name}:{fn.lineno} {fn.name}({a.arg})" for a in params
                        if a.arg not in read]
     assert not unread, unread
+
+
+def test_oracle_shares_no_newton_polygon_code():
+    """The oracle is the independent check of the constructions: it imports
+    nothing from the Newton-polygon modules, and from basis only the
+    element and basis types, the power basis and triangularize."""
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    allowed = {"basis": {"BasisElement", "PIntegralBasis", "power_basis", "triangularize"}}
+    banned = {"newton", "quartic", "quartic_e", "order2", "tables"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module is None:  # from . import newton
+                bad = names & (banned | set(allowed))
+            else:
+                module = node.module.split(".")[-1]
+                bad = names - allowed.get(module, names) if module not in banned else names
+            if bad:
+                found.append(f"oracle.py:{node.lineno} imports {sorted(bad)} from {node.module}")
+        elif isinstance(node, ast.Import):
+            found += [f"oracle.py:{node.lineno} import {alias.name}" for alias in node.names
+                      if alias.name.split(".")[-1] in banned | set(allowed)]
+    assert not found, found

@@ -16,6 +16,7 @@ from pintbasis.oracle import (
     is_integral,
     is_ring_closed,
     power_sums,
+    round2,
     saturate,
 )
 from pintbasis.basis import BasisElement, PIntegralBasis, p_integral_basis_regular, power_basis
@@ -119,6 +120,51 @@ def test_disc_identity():
     assert basis_discriminant(f, power_basis(2, 4)) == f.discriminant()
 
 
+def _det_fraction(m):
+    """Reference determinant: Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in m]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c] != 0:
+                factor = m[r][c] / m[c][c]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[c])]
+    return det
+
+
+def test_basis_discriminant_matches_fraction_determinant():
+    """The integer determinant of the numerators' traces over p^(2 sum e_i)
+    equals the Fraction determinant of the Gram matrix: on random families
+    of n elements with denominators (some of rank < n), on the power basis
+    and on the oracle's basis."""
+    rng = random.Random(31)
+    zero = 0
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        p = rng.choice([2, 3, 5, 101])
+        f = IntPoly([rng.randint(-20, 20) for _ in range(n)] + [1])
+        els = [BasisElement(IntPoly([rng.randint(-p * p, p * p) for _ in range(n)]),
+                            rng.randint(0, 3)) for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:  # a repeated element: rank < n
+            els[-1] = els[0]
+        families = [PIntegralBasis(p, tuple(els), 0), power_basis(p, n)]
+        if f.discriminant():
+            families.append(round2(f, p))
+        for basis in families:
+            d = basis_discriminant(f, basis)
+            assert d == _det_fraction(gram_matrix(f, basis)), (f.render(), p, basis)
+            zero += d == 0
+    assert zero >= 20
+
+
 def test_gram_is_integral_on_orders():
     f = X**4 + 2 * X**2 + 4
     for basis in (power_basis(2, 4), saturate(f, 2)):
@@ -159,6 +205,45 @@ def _ring_closed_fractions(f, basis, p):
                 target = [t - coord * v for t, v in zip(target, vecs[k])]
             assert not any(target)
     return True
+
+
+def test_coordinates_match_fraction_solve():
+    """The integer back-substitution gives the residues mod p of the
+    coordinates a Fraction solve finds, or None exactly when one of them is
+    not p-integral, in triangular bases whose pivots carry p-units."""
+    from pintbasis.oracle import _coordinates
+
+    rng = random.Random(37)
+    verdicts = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        p = rng.choice([2, 3, 5, 7])
+        els = []
+        for k in range(n):
+            unit = rng.choice([u for u in (1, 1, -1, 2, 3, -5, 7, 11) if u % p])
+            lower = [rng.randint(-p**2, p**2) for _ in range(k)]
+            els.append(BasisElement(IntPoly(lower + [unit * p ** rng.randint(0, 2)]),
+                                    rng.randint(0, 3)))
+        basis = PIntegralBasis(p, tuple(els), 0)
+        vecs = [[Fraction(e.numerator[k], p**e.denom_exp) for k in range(n)] for e in els]
+        if rng.random() < 0.5:  # an element of the span: every coordinate p-integral
+            w = _combine([(rng.randint(-9, 9), e.numerator, e.denom_exp) for e in els], p)
+            num, d = w.numerator, w.denom_exp
+        else:
+            num, d = IntPoly([rng.randint(-p**3, p**3) for _ in range(n)]), rng.randint(0, 4)
+        target = [Fraction(num[k], p**d) for k in range(n)]
+        expected = [0] * n
+        for k in range(n - 1, -1, -1):
+            coord = target[k] / vecs[k][k]
+            target = [t - coord * v for t, v in zip(target, vecs[k])]
+            if coord and vp(coord.denominator, p) > 0:
+                expected = None
+                break
+            expected[k] = coord.numerator * pow(coord.denominator, -1, p) % p
+        got = _coordinates(basis, p)(num, d)
+        assert got == expected, (basis, num, d)
+        verdicts[got is None] += 1
+    assert verdicts[True] >= 50 and verdicts[False] >= 50, verdicts
 
 
 def _combine(terms, p):
