@@ -197,19 +197,20 @@ def decomposition_type(f, p):
     factor is simple the full list of (e, f) invariants of the primes above p
     is emitted and checked against deg f."""
     sanity_check_irreducible(f)
-    return _decomposition(f, p, [phi for phi, _ in factor_mod_p(f, p)])
+    return _decomposition(f, p, is_p_regular(f, p))
 
 
-def _decomposition(f, p, lifts):
+def _decomposition(f, p, report):
     """decomposition_type for an f already checked by the irreducibility
-    guard, with its lifts in hand."""
+    guard, read from the p-regularity report of its lifts (is_p_regular),
+    which holds the residual polynomial of every principal side."""
     entries = []
     complete = True
-    for phi in lifts:
-        _, principal, data = phi_polygon_data(f, phi, p)
-        if principal.length == 0:
+    for reg in report.by_phi:
+        phi = reg.phi
+        if not reg.sides:  # an empty principal polygon
             raise InconsistentError(f"lift {phi.render()} does not divide f mod {p}")
-        for sd in data:
+        for sd in reg.sides:
             _, factors = factor_fqpoly(sd.residual)
             for g, m in factors:
                 if m == 1:
@@ -240,19 +241,19 @@ def ind_p_lower_bound(f, p):
     return sum(phi_index(f, phi, p) for phi, _ in factor_mod_p(f, p))
 
 
-def regular_basis_generators(f, p, lifts):
+def regular_basis_generators(f, p, report):
     """The n elements q_{i,j}(theta) theta^k / p^{floor(y_{i,j})} of the
     regular-case basis construction: quotients of the phi-adic developments
-    over the floored polygon ordinates.  Raises NotRegularError when some
-    residual polynomial is inseparable."""
-    reg = is_p_regular(f, p, lifts)
-    if not reg.regular:
-        phi, side, g, m = reg.first_witness()
+    over the floored polygon ordinates, for the lifts of the p-regularity
+    report (is_p_regular).  Raises NotRegularError when the report names an
+    inseparable residual polynomial."""
+    if not report.regular:
+        phi, side, g, m = report.first_witness()
         raise NotRegularError(phi, side, g, m)
     n = f.degree
     gens = []
     total_m = 0
-    for phi in lifts:
+    for phi in (reg.phi for reg in report.by_phi):
         expansion, principal, _ = phi_polygon_data(f, phi, p)
         ell = principal.length
         if ell == 0:
@@ -280,14 +281,15 @@ def p_integral_basis_regular(f, p):
     ordinates.  The index valuation is checked against the sum of the
     phi-indices (they must agree in the regular case) before returning."""
     sanity_check_irreducible(f)
-    return _regular_basis(f, p, [phi for phi, _ in factor_mod_p(f, p)])
+    return _regular_basis(f, p, is_p_regular(f, p))
 
 
-def _regular_basis(f, p, lifts):
+def _regular_basis(f, p, report):
     """p_integral_basis_regular for an f already checked by the
-    irreducibility guard, with its lifts in hand."""
-    gens = regular_basis_generators(f, p, lifts)
-    expected = sum(phi_index(f, phi, p) for phi in lifts)
+    irreducibility guard, with the p-regularity report of its lifts in
+    hand."""
+    gens = regular_basis_generators(f, p, report)
+    expected = sum(phi_index(f, reg.phi, p) for reg in report.by_phi)
     basis = triangularize(gens, p, f.degree, generators=gens)
     if basis.index_valuation != expected:
         raise InconsistentError(

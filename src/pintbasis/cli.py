@@ -25,9 +25,8 @@ import json
 import sys
 
 from .arith import check_prime
-from .errors import InconsistentError, NotRegularError, PintbasisError
+from .errors import InconsistentError, NotIrreducibleError, NotRegularError, PintbasisError
 from .factor import (
-    check_squarefree,
     factor_mod_p,
     is_irreducible,
     is_irreducible_quartic,
@@ -35,6 +34,7 @@ from .factor import (
 )
 from .intpoly import IntPoly, parse_poly
 from .newton import (
+    is_p_regular,
     newton_polygon,
     phi_expand,
     polygon_to_json,
@@ -102,10 +102,11 @@ def cmd_polygon(args, out):
 
 
 def _compute_basis(f, p, method):
-    """(basis, path, lifts) for an f the caller has passed through the
-    irreducibility guard; lifts is None when the method did not need the
-    factorization of f mod p.  The factorization runs once per command,
-    shared by the generic route and the decomposition type."""
+    """(basis, path, report) for an f the caller has passed through the
+    irreducibility guard; report is the p-regularity report of the lifts of
+    f mod p (is_p_regular), None when the method did not need it.  The
+    factorization and the report run once per command, shared by the
+    generic route and the decomposition type."""
     abc = _quartic_coeffs(f)
     if method == "quartic" or method == "order2":
         if abc is None:
@@ -114,28 +115,26 @@ def _compute_basis(f, p, method):
         if method == "order2" and not basis.meta.get("order2"):
             raise PintbasisError("input does not route through a second-order polygon")
         return basis, basis.meta.get("case", "quartic"), None
-    lifts = [phi for phi, _ in factor_mod_p(f, p)]
+    report = is_p_regular(f, p)
     # generic takes the p-regular path only; auto falls back to the quartic
     # pipeline, which covers the order-2 cases internally
     try:
-        return _regular_basis(f, p, lifts), "generic", lifts
+        return _regular_basis(f, p, report), "generic", report
     except NotRegularError:
         if method == "generic" or abc is None:
             raise
         basis = _quartic_basis(make_context(*abc, p))
         path = "quartic+order2" if basis.meta.get("order2") else "quartic"
-        return basis, path, lifts
+        return basis, path, report
 
 
 def cmd_basis(args, out):
     f = _parse_f(args)
     sanity_check_irreducible(f)
-    basis, path, lifts = _compute_basis(f, args.p, args.method)
+    basis, path, report = _compute_basis(f, args.p, args.method)
     if args.json:
-        if lifts is None:  # the quartic methods did not factor f
-            lifts = [phi for phi, _ in factor_mod_p(f, args.p)]
-        try:
-            dec = _decomposition(f, args.p, lifts)
+        try:  # report is None when the quartic methods did not factor f
+            dec = _decomposition(f, args.p, report or is_p_regular(f, args.p))
         except PintbasisError:
             dec = None
         payload = basis.to_json(dec)
@@ -170,18 +169,24 @@ def cmd_factor(args, out):
     return 0
 
 
-def _verify_one(f, p, out, label=""):
-    basis, path, lifts = _compute_basis(f, p, "auto")  # cmd_verify guarded f
-    disc = f.discriminant()
+def _verify_one(f, p, disc, out, label=""):
+    """Check the construction against Round 2 on an f that has passed the
+    irreducibility guard, with disc f in hand.  When the two bases are
+    equal, the checks that would run twice run once: the disc identity is
+    the same call for both, and Round 2 built the multiplication table of
+    its order, which raises on a product that is not p-integral, so the
+    basis spans a ring.  Otherwise every check runs on the construction."""
+    basis, path, report = _compute_basis(f, p, "auto")
     oracle = _round2(f, p, disc)
     ok = basis.elements == oracle.elements
+    identity = _disc_identity(f, p, basis, disc)
     checks = {
         "construction == oracle": ok,
-        "disc identity": _disc_identity(f, p, basis, disc),
-        "ring closed": is_ring_closed(f, basis, p),
-        "oracle disc identity": _disc_identity(f, p, oracle, disc),
+        "disc identity": identity,
+        "ring closed": ok or is_ring_closed(f, basis, p),
+        "oracle disc identity": identity if ok else _disc_identity(f, p, oracle, disc),
     }
-    dec = _decomposition(f, p, lifts)
+    dec = _decomposition(f, p, report)
     if dec.complete:
         checks["sum e*f = deg f"] = sum(e.e * e.f for e in dec.entries) == f.degree
     good = all(checks.values())
@@ -197,33 +202,44 @@ def _verify_one(f, p, out, label=""):
     return good
 
 
+def _corpus_quartic(rng, p):
+    """An irreducible x^4+ax^2+bx+c that is (x-r)^2 (x^2+2rx+t) mod p, so
+    p divides disc f; r and t are drawn mod p and each coefficient lifted to
+    [-B, B], B = max(200, p//2), which keeps the exact quartic guard cheap."""
+    bound = max(200, p // 2)
+
+    def lift(residue):
+        low = -bound + (residue + bound) % p  # the least lift in [-B, B]
+        return low + p * rng.randint(0, (bound - low) // p)
+
+    while True:
+        r, t = rng.randrange(p), rng.randrange(p)
+        a, b, c = (lift(x % p) for x in (t - 3 * r * r, 2 * r * (r * r - t), r * r * t))
+        if is_irreducible_quartic(a, b, c):
+            return IntPoly.monic_quartic(a, b, c)
+
+
 def cmd_verify(args, out):
     if args.corpus:
         import random
 
         rng = random.Random(args.seed)
         bad = 0
-        done = 0
-        while done < args.corpus:
-            a, b, c = (rng.randint(-200, 200) for _ in range(3))
+        for done in range(1, args.corpus + 1):
             p = args.p or rng.choice([2, 3, 5, 7, 13])
-            if not is_irreducible_quartic(a, b, c):
-                continue
-            f = IntPoly.monic_quartic(a, b, c)
-            if f.discriminant() % p:
-                continue
-            done += 1
-            if not _verify_one(f, p, out, label=f"[{done}] "):
+            f = _corpus_quartic(rng, p)
+            if not _verify_one(f, p, f.discriminant(), out, label=f"[{done}] "):
                 bad += 1
-        out(f"corpus: {done - bad}/{done} ok")
+        out(f"corpus: {args.corpus - bad}/{args.corpus} ok")
         return 1 if bad else 0
     f = _parse_f(args)
     verdict = is_irreducible(f)
     if verdict is False:
         raise PintbasisError("f is reducible over Q")
-    if verdict is None:  # an irreducible f is squarefree; otherwise check
-        check_squarefree(f)
-    return 0 if _verify_one(f, args.p, out) else 1
+    disc = f.discriminant()
+    if verdict is None and disc == 0:  # an irreducible f is squarefree
+        raise NotIrreducibleError(f"{f.render()} has a repeated factor")
+    return 0 if _verify_one(f, args.p, disc, out) else 1
 
 
 def cmd_oracle(args, out):

@@ -1,17 +1,20 @@
 """Independent verification of p-integral bases.
 
-Nothing here touches Newton polygons.  One trace machinery serves every
-check: the power sums of the roots of f come from Newton's identities on
-its coefficients, the trace of any g(theta) is an integer combination of
-them, the characteristic polynomial of g(theta) follows from the traces of
-its powers by Newton's identities again, and the Gram matrix of the trace
-form is built from the same traces.  Integrality is read off the
-characteristic polynomial.  The p-maximal order is found by the Round 2
-algorithm (round2), linear algebra over F_p on the multiplication table of
-each order; brute-force saturation (saturate) is its reference.  Both share
-one F_p kernel routine, and coordinates in a triangular basis come from one
-integer back-substitution, which also decides ring closure.  This module is
-the ground truth the constructive modules are tested against.
+Nothing here touches Newton polygons or the constructions' mod-p kernel.
+One trace machinery serves every check: the power sums of the roots of f
+come from Newton's identities on its coefficients, the trace of any
+g(theta) is an integer combination of them, the characteristic polynomial
+of g(theta) follows from the traces of its powers by Newton's identities
+again, and the Gram matrix of the trace form is built from the same traces.
+Integrality is read off the characteristic polynomial.  The p-maximal
+order is found by the Round 2 algorithm (round2), linear algebra over F_p:
+the p-radical is the kernel of the trace form mod p when p > n and of a
+power of the Frobenius otherwise; brute-force saturation (saturate) is its
+reference.  Products are plain integer lists reduced mod f, coordinates in
+a triangular basis come from one integer back-substitution, and one
+multiplication table decides ring closure for is_ring_closed and for the
+order Round 2 returns.  This module is the ground truth the constructive
+modules are tested against.
 """
 
 from fractions import Fraction
@@ -93,7 +96,7 @@ def _numerator_traces(f, basis):
     Tr(theta^(k+l))."""
     n = f.degree
     ps = power_sums(f, 2 * n - 2)
-    nums = [[e.numerator[k] for k in range(n)] for e in basis.elements]
+    nums = _numerators(basis.elements, n)
     hg = [[sum(ps[k + l] * g[l] for l in range(n) if g[l]) for k in range(n)] for g in nums]
     out = [[0] * len(nums) for _ in nums]
     for i, gi in enumerate(nums):
@@ -153,9 +156,25 @@ def _disc_identity(f, p, basis, d_f):
     return vp(d_f, p) == 2 * basis.index_valuation + vp_frac(d_b, p)
 
 
-def _product(a, b, f):
-    """a * b for two basis elements, as (numerator, denominator exponent)."""
-    return (a.numerator * b.numerator) % f, a.denom_exp + b.denom_exp
+def _numerators(elements, n):
+    """The integer numerators of the elements as coefficient lists of
+    length n, lowest degree first."""
+    return [[e.numerator[k] for k in range(n)] for e in elements]
+
+
+def _mulmod(a, b, f):
+    """a * b mod the monic f on coefficient lists (lowest degree first):
+    a and b have length n = deg f, and so has the result."""
+    n = len(a)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            prod[i:i + n] = [x + ai * y for x, y in zip(prod[i:i + n], b)]
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod.pop()
+        if c:
+            prod[k - n:] = [x - c * y for x, y in zip(prod[k - n:], f)]
+    return prod
 
 
 def _coordinates(basis, p):
@@ -164,7 +183,8 @@ def _coordinates(basis, p):
     p-integral.  Element k has top degree k, and every denominator is a
     power of p, so it runs on integers: with E the largest denominator
     exponent, row k is element k times p^E and the target is scaled to p^S,
-    S = max(E, d).  A pivot u*p^a with p-unit u != 1 first multiplies the
+    S = max(E, d).  Each step clears the top entry of the target, which then
+    shrinks by one.  A pivot u*p^a with p-unit u != 1 first multiplies the
     target by u, which multiplies the coordinates still to be found by a
     p-unit; their residues divide it back out."""
     n, els = basis.n, basis.elements
@@ -172,19 +192,19 @@ def _coordinates(basis, p):
     rows = [[e.numerator[j] * p ** (E - e.denom_exp) for j in range(n)] for e in els]
     pivots = []  # (p^a, u) for the pivot u*p^a of row k
     for k, row in enumerate(rows):
-        if not row[k]:
+        if not row[k] or any(row[k + 1:]):
             raise InconsistentError("basis is not triangular")
         pa = p ** vp(row[k], p)
         pivots.append((pa, row[k] // pa))
 
     def coordinates(num, d):
         S = max(E, d)
-        pS = p ** (S - E)
-        target = [num[k] * p ** (S - d) for k in range(n)]
+        pS, scale = p ** (S - E), p ** (S - d)
+        target = [num[k] * scale for k in range(n)]
         out = [0] * n
         unit = 1
         for k in range(n - 1, -1, -1):
-            x = target[k]
+            x = target.pop()
             if not x:
                 continue
             pa, u = pivots[k]
@@ -194,54 +214,62 @@ def _coordinates(basis, p):
                 target = [t * u for t in target]
                 unit = unit * u % p
             c = x // (pa * pS)
-            out[k] = c * pow(unit, -1, p) % p
-            target = [t - c * pS * r for t, r in zip(target, rows[k])]
-        if any(target):
-            raise InconsistentError("basis failed to span an element")
+            out[k] = c % p if unit == 1 else c * pow(unit, -1, p) % p
+            m = c * pS
+            target = [t - m * r for t, r in zip(target, rows[k])]
         return out
 
     return coordinates
 
 
+def _table(f, basis, p):
+    """The multiplication table of a triangular basis: table[i][j] holds the
+    coordinates mod p of w_i w_j, found by integer back-substitution.  None
+    when some product is not p-integral, that is when the basis spans no
+    ring."""
+    n, els = basis.n, basis.elements
+    coordinates, nums = _coordinates(basis, p), _numerators(els, n)
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            c = coordinates(_mulmod(nums[i], nums[j], f.coeffs),
+                            els[i].denom_exp + els[j].denom_exp)
+            if c is None:
+                return None
+            table[i][j] = table[j][i] = c
+    return table
+
+
 def is_ring_closed(f, basis, p):
     """Every product of two basis elements has p-integral coordinates in the
-    basis, found by integer back-substitution (any triangular basis)."""
-    coordinates, els = _coordinates(basis, p), basis.elements
-    return all(coordinates(*_product(a, b, f)) is not None
-               for i, a in enumerate(els) for b in els[i:])
+    basis (any triangular basis)."""
+    return _table(f, basis, p) is not None
 
 
 def _kernel_mod_p(rows, p):
     """Basis of the left null space {c : sum c_i rows_i = 0} of the matrix
-    mod p; for the symmetric Gram matrix it is also the right one."""
-    m = len(rows)
-    mat = [[int(row[c]) % p for row in rows] for c in range(len(rows[0]))]
-    where = [-1] * m
+    mod p; for the symmetric Gram matrix it is also the right one.  Row
+    echelon reduction of [rows | I] leaves, beside the rows that reduce to
+    0, the combinations that give them."""
+    m, width = len(rows), len(rows[0])
+    aug = [[int(x) % p for x in row] + [int(i == j) for j in range(m)]
+           for i, row in enumerate(rows)]
     r = 0
-    for c in range(m):
-        piv = next((rr for rr in range(r, len(mat)) if mat[rr][c]), None)
+    for c in range(width):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if aug[i][c]), None)
         if piv is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for rr, row in enumerate(mat):
-            if rr != r and row[c]:
-                fac = row[c]
-                mat[rr] = [(x - fac * y) % p for x, y in zip(row, mat[r])]
-        where[c] = r
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = pow(aug[r][c], -1, p)
+        top = aug[r] = [x * inv % p for x in aug[r]]
+        for i in range(r + 1, m):
+            fac = aug[i][c]
+            if fac:
+                aug[i] = [(x - fac * y) % p for x, y in zip(aug[i], top)]
         r += 1
-    free_basis = []
-    for c in range(m):
-        if where[c] != -1:
-            continue
-        vec = [0] * m
-        vec[c] = 1
-        for c2 in range(m):
-            if where[c2] != -1:
-                vec[c2] = -mat[where[c2]][c] % p
-        free_basis.append(vec)
-    return free_basis
+    return [row[width:] for row in aug[r:]]
 
 
 def _lift(c, elements, p):
@@ -307,12 +335,16 @@ def round2(f, p):
     """The p-maximal order by the Round 2 algorithm of Pohst and Zassenhaus
     (Cohen, GTM 138, 6.1), as the same triangular basis saturate returns.
 
-    Starting from the power basis O, each round takes the p-radical I_p of O
-    as the kernel of x -> x^q on O/pO, q = p^j >= n, and replaces O by the
-    multiplier ring {x : x I_p in I_p} = (1/p)U, where U/pO is the kernel of
-    O/pO -> End(I_p/pI_p).  O is p-maximal exactly when that kernel is 0.
-    Each round raises the index, which v_p(disc f) bounds, so a round past
-    that bound is a broken invariant.  An f with a repeated factor raises
+    Starting from the power basis O, each round takes the p-radical I_p of
+    O and replaces O by the multiplier ring {x : x I_p in I_p} = (1/p)U,
+    where U/pO is the kernel of I_p/pO -> End(I_p/pI_p).  O is p-maximal
+    exactly when that kernel is 0.  I_p/pO is the kernel of the trace form
+    mod p when p > n, and otherwise the kernel of x -> x^q on O/pO, q = p^j
+    >= n.  Each round raises the index, which v_p(disc f) bounds, so a round
+    past that bound is a broken invariant.  The run ends by building the
+    multiplication table of the order it returns, which raises
+    InconsistentError on a product that is not p-integral, so the returned
+    basis spans a ring.  An f with a repeated factor raises
     NotIrreducibleError."""
     return _round2(f, p, f.discriminant())
 
@@ -322,66 +354,83 @@ def _round2(f, p, disc):
     if disc == 0:
         raise NotIrreducibleError(f"{f.render()} has a repeated factor")
     n, v = f.degree, vp(disc, p)
-    q = p
-    while q < n:
-        q *= p
     order = power_basis(p, n)
     for _ in range(v // 2 + 2):
-        els = order.elements
-        grow = _multipliers(f, order, _radical(f, order, p, q), p) if v >= 2 else []
+        # the Frobenius radical reads the table; the trace form needs none
+        table = _ring_table(f, order, p) if p <= n else None
+        grow = _multipliers(f, *_radical(f, order, p, table), p) if v >= 2 else []
         if not grow:
+            if table is None:
+                _ring_table(f, order, p)
+            els = order.elements
             return PIntegralBasis(p, els, order.index_valuation, els, {"method": "round2"})
-        order = triangularize(list(els) + grow, p, n)
+        order = triangularize(list(order.elements) + grow, p, n)
     raise InconsistentError("Round 2 failed to terminate")
 
 
-def _radical(f, order, p, q):
-    """The p-radical of the order: pO plus the lifts of the kernel of
-    x -> x^q on O/pO, with the powers taken in its multiplication table mod p."""
+def _ring_table(f, order, p):
+    """_table of a Round 2 order, which must be a ring."""
+    table = _table(f, order, p)
+    if table is None:
+        raise InconsistentError("Round 2 order is not a ring")
+    return table
+
+
+def _radical(f, order, p, table):
+    """The p-radical I of the order O: the lifts of a basis of I/pO, and
+    the triangular basis of I.  I/pO is a kernel mod p.  With no table
+    (p > n) it is the kernel of the trace form Tr(w_i w_j) (Cohen, GTM 138,
+    6.1.6), integral on an order.  Otherwise it is the kernel of x -> x^q on O/pO,
+    q = p^j >= n: x -> x^p is F_p-linear, so its matrix comes from the
+    powers w_i^p in the table, and x -> x^q is its j-th power."""
     n, els = order.n, order.elements
-    coordinates = _coordinates(order, p)
-    table = [[None] * n for _ in range(n)]  # w_i w_j in coordinates mod p
-    for i in range(n):
-        for j in range(i, n):
-            table[i][j] = table[j][i] = coordinates(*_product(els[i], els[j], f))
-            if table[i][j] is None:
-                raise InconsistentError("Round 2 order is not a ring")
-
-    def mul(a, b):
-        out = [0] * n
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        c = ai * bj
-                        out = [o + c * t for o, t in zip(out, table[i][j])]
-        return [o % p for o in out]
-
-    powers = []  # the coordinates of w_i^q
-    for i in range(n):
-        x = w = [int(k == i) for k in range(n)]
-        for bit in bin(q)[3:]:
-            x = mul(x, x)
-            if bit == "1":
-                x = mul(x, w)
-        powers.append(x)
-    return triangularize([BasisElement(e.numerator * p, e.denom_exp) for e in els]
-                         + [_lift(c, els, p) for c in _kernel_mod_p(powers, p)], p, n)
+    if table is None:
+        rows = gram_matrix(f, order)
+        if any(x.denominator != 1 for row in rows for x in row):
+            raise InconsistentError("non-integral trace in Round 2")
+    else:
+        frob = []  # row i: the coordinates of w_i^p
+        for i in range(n):
+            x = table[i][i]
+            for _ in range(p - 2):  # x -> x w_i
+                x = _combination(x, table[i], p)
+            frob.append(x)
+        rows, q = frob, p
+        while q < n:  # rows of the power of the Frobenius matrix
+            rows = [_combination(row, frob, p) for row in rows]
+            q *= p
+    lifts = [_lift(c, els, p) for c in _kernel_mod_p(rows, p)]
+    return lifts, triangularize([BasisElement(e.numerator * p, e.denom_exp) for e in els]
+                                + lifts, p, n)
 
 
-def _multipliers(f, order, radical, p):
+def _combination(c, rows, p):
+    """sum c_i rows_i mod p."""
+    out = [0] * len(rows[0])
+    for ci, row in zip(c, rows):
+        if ci:
+            out = [o + ci * x for o, x in zip(out, row)]
+    return [o % p for o in out]
+
+
+def _multipliers(f, lifts, radical, p):
     """Elements u/p, u in O, that together with O span the multiplier ring
-    of the radical I: U/pO is the kernel of O/pO -> End(I/pI), so none when
-    O is p-maximal."""
+    of the radical I = pO + (lifts): U = {x in O : xI in pI} lies in I,
+    since xp is in pI, and x in I multiplies pO into pI, so x is in U
+    exactly when x times each lift is in pI.  U/pO is the kernel of that
+    map on the lifts; none when O is p-maximal."""
+    if not lifts:
+        return []
     in_radical = _coordinates(radical, p)
-    action = []  # row i: w_i times each radical element, in coordinates mod p
-    for w in order.elements:
-        row = []
-        for b in radical.elements:
-            c = in_radical(*_product(w, b, f))
+    nums, r = _numerators(lifts, radical.n), len(lifts)
+    products = [[None] * r for _ in lifts]  # l_i l_k in coordinates mod p
+    for i in range(r):
+        for k in range(i, r):
+            c = in_radical(_mulmod(nums[i], nums[k], f.coeffs),
+                           lifts[i].denom_exp + lifts[k].denom_exp)
             if c is None:
                 raise InconsistentError("Round 2 radical is not an ideal")
-            row += c
-        action.append(row)
-    lifts = [_lift(c, order.elements, p) for c in _kernel_mod_p(action, p)]
-    return [BasisElement(e.numerator, e.denom_exp + 1) for e in lifts]
+            products[i][k] = products[k][i] = c
+    action = [[x for c in row for x in c] for row in products]
+    return [BasisElement(e.numerator, e.denom_exp + 1)
+            for e in (_lift(c, lifts, p) for c in _kernel_mod_p(action, p))]

@@ -17,7 +17,7 @@ from .arith import INFINITY, check_prime, inv_mod, is_finite, legendre, sqrt_mod
 from .errors import InconsistentError, IterationPreconditionError, NonIntegerSlopeError
 from .factor import factor_mod_p, sanity_check_irreducible
 from .intpoly import IntPoly
-from .newton import is_phi_regular, ordinates, phi_index, phi_polygon_data
+from .newton import is_p_regular, is_phi_regular, ordinates, phi_index, phi_polygon_data
 from .basis import BasisElement, PIntegralBasis, _regular_basis, triangularize
 from .record import Record
 from .tables import match_table1
@@ -276,7 +276,7 @@ def _lifts_with_override(factors, p, replacements):
 def _construct(ctx, lifts, display, meta):
     """Basis from the regular-case construction for the given lifts, with the
     table's display family retained as generators."""
-    basis = _regular_basis(ctx.f, ctx.p, lifts)
+    basis = _regular_basis(ctx.f, ctx.p, is_p_regular(ctx.f, ctx.p, lifts))
     return PIntegralBasis(
         ctx.p, basis.elements, basis.index_valuation,
         tuple(display) if display else basis.generators, dict(meta),

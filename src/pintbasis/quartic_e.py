@@ -15,7 +15,7 @@ from .arith import inv_mod, is_finite, symmetric_rep, vp
 from .basis import BasisElement, _regular_basis, triangularize
 from .errors import InconsistentError
 from .intpoly import IntPoly
-from .newton import is_phi_regular
+from .newton import is_p_regular, is_phi_regular
 from .quartic import (
     _ONE,
     _X,
@@ -132,7 +132,7 @@ def basis_case_E2(ctx):
         return basis
 
     if row.strategy == "direct":
-        constructed = _regular_basis(g, 2, [_X])
+        constructed = _regular_basis(g, 2, is_p_regular(g, 2, [_X]))
         denoms = E2_DIRECT_DENOMS[row.rid]
         display = [BasisElement(_ONE, 0)] + [
             BasisElement(_X ** (i + 1), denoms[i]) for i in range(3)
@@ -140,7 +140,7 @@ def basis_case_E2(ctx):
         return finish(list(constructed.elements), 0, display)
     if row.strategy == "iterate":
         s = iterate_to_regular(g, 0, 2)
-        constructed = _regular_basis(g, 2, [IntPoly([-s, 1])])
+        constructed = _regular_basis(g, 2, is_p_regular(g, 2, [IntPoly([-s, 1])]))
         nu = _ordinate_floor(g, s, 2, 1)
         pre = {"T4r5": (0, 1), "T4r18": (1, 3), "T4r24": (2, 4)}[row.rid]
         display = [BasisElement(_ONE, 0), BasisElement(_X, pre[0]),
@@ -170,7 +170,7 @@ def basis_case_E2(ctx):
         h = _scale_down(g, 1)
         Ap, Bp, Cp = h[2], h[1], h[0]
         phi, tag = order2.choose_phi("E2_row10", {"Ap": Ap, "Bp": Bp, "Cp": Cp})
-        constructed = _regular_basis(h, 2, [phi])
+        constructed = _regular_basis(h, 2, is_p_regular(h, 2, [phi]))
         return finish(list(constructed.elements), 1, None, extra_rows=[tag])
     if row.strategy == "twodouble":
         h = _scale_down(g, 1)
@@ -179,7 +179,7 @@ def basis_case_E2(ctx):
         h = _scale_down(g, 2)
         s = iterate_to_regular(h, 0, 2)
         lifts = [IntPoly([-s, 1]), IntPoly([-1, 1])]
-        constructed = _regular_basis(h, 2, lifts)
+        constructed = _regular_basis(h, 2, is_p_regular(h, 2, lifts))
         nu1 = _ordinate_floor(h, s, 2, 1)
         nu2 = _ordinate_floor(h, s, 2, 2)
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
@@ -241,5 +241,5 @@ def _basis_e2_twodouble(h, finish):
     if not is_phi_regular(h, IntPoly([-t, 1]), 2).regular:
         raise InconsistentError("claimed-regular double-root lift is irregular")
     lifts = [IntPoly([-t, 1]), IntPoly([-s, 1])]
-    constructed = _regular_basis(h, 2, lifts)
+    constructed = _regular_basis(h, 2, is_p_regular(h, 2, lifts))
     return finish(list(constructed.elements), 1, display, rows, {"s": s, "t": t})

@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the report lines.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -358,12 +359,14 @@ def _round2_corpus(rng, size):
     return out
 
 
-def _ore_family(rng, p, max_degree):
-    """f = prod phi^m + c p^k, p not dividing c, with distinct phi of degree
-    1 or 2 irreducible mod p and with symmetric coefficients (the lifts the
-    program develops f in), gcd(m, k) = 1 and m >= 2 for linear phi.  Each
-    phi-polygon is one side with a linear residual polynomial, so f is
-    p-regular of index sum deg(phi) (m-1)(k-1)/2 (Ore)."""
+def _ore_family(rng, p, max_degree, tail=IntPoly.const(1)):
+    """f = prod phi^m + c p^k tail, p not dividing c, with distinct phi of
+    degree 1 or 2 irreducible mod p and with symmetric coefficients (the
+    lifts the program develops f in), gcd(m, k) = 1 and m >= 2 for linear
+    phi.  With tail 1, or x when no phi is x, each phi-polygon is one side
+    with a linear residual polynomial, so f is p-regular of index
+    sum deg(phi) (m-1)(k-1)/2 (Ore).  The tail x keeps f(0) small at
+    large p^k."""
     k = rng.randint(1, 3 if p < 100 else 2)
     lo, hi = max(-5, -((p - 1) // 2)), min(5, p // 2)
     factors, seen, degree = [], set(), 0
@@ -381,22 +384,26 @@ def _ore_family(rng, p, max_degree):
     f = IntPoly.const(1)
     for phi, m in factors:
         f = f * phi**m
-    f = f + rng.choice([-1, 1]) * rng.randint(1, max(1, p - 1)) * p**k
+    f = f + rng.choice([-1, 1]) * rng.randint(1, max(1, p - 1)) * p**k * tail
     return f, sum(phi.degree * (m - 1) * (k - 1) // 2 for phi, m in factors)
 
 
 def test_criterion_9_round2_oracle():
     """Round 2 returns the saturation basis element for element on a seeded
     corpus of degree 2-6, and the generic route equals Round 2 and Ore's
-    index on closed-form p-regular families up to degree 12 and p = 10^4+7."""
+    index on closed-form p-regular families up to degree 12 and p = 10^4+7,
+    and up to degree 20 at p in {101, 10^4+7, 10^6+3}.  The corpus reaches
+    both radicals of Round 2: the trace form for p > n and the Frobenius
+    for p <= n; the large families take the trace form."""
     corpus = _round2_corpus(random.Random(91), 80)
-    nontrivial = 0
+    by_radical = Counter()  # index > 0 by radical: trace form (p > n) or Frobenius
     for f, p in corpus:
         r2 = round2(f, p)
         assert r2 == saturate(f, p), (f.render(), p)
         assert r2.meta == {"method": "round2"}
-        nontrivial += r2.index_valuation > 0
-    assert nontrivial >= 30
+        by_radical[p > f.degree] += r2.index_valuation > 0
+    assert sum(by_radical.values()) >= 30, by_radical
+    assert min(by_radical[True], by_radical[False]) >= 10, by_radical
     rng = random.Random(92)
     families = 0
     while families < 40:
@@ -408,5 +415,24 @@ def test_criterion_9_round2_oracle():
         r2 = round2(f, p)
         assert p_integral_basis_regular(f, p).elements == r2.elements, (f.render(), p)
         assert r2.index_valuation == index, (f.render(), p)
-    print(f"\nACCEPT-9 Round 2 oracle: PASS ({len(corpus)} inputs equal saturation; "
-          f"{families} Ore families up to degree 12 equal the generic route)")
+    # the irreducibility guard trial-divides up to sqrt|f(0)|, so the tail x
+    # keeps f(0) a product of the phi(0) and the bound keeps it moderate
+    rng = random.Random(93)
+    large, nontrivial, degrees, primes = 0, 0, [], set()
+    while large < 12 or nontrivial < 6:
+        p = rng.choice([101, 10007, 1000003])
+        f, index = _ore_family(rng, p, 20, X)
+        if abs(f[0]) > 10**12 or is_irreducible(f) is not True:
+            continue
+        large += 1
+        nontrivial += index > 0
+        degrees.append(f.degree)
+        primes.add(p)
+        r2 = round2(f, p)
+        assert p_integral_basis_regular(f, p).elements == r2.elements, (f.render(), p)
+        assert r2.index_valuation == index, (f.render(), p)
+    assert max(degrees) >= 19 and primes == {101, 10007, 1000003}, (degrees, primes)
+    print(f"\nACCEPT-9 Round 2 oracle: PASS ({len(corpus)} inputs equal saturation, "
+          f"{by_radical[True]} of index > 0 at p > n and {by_radical[False]} at p <= n; "
+          f"{families} Ore families up to degree 12 and {large} up to degree "
+          f"{max(degrees)}, {nontrivial} of index > 0, equal the generic route)")

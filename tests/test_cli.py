@@ -3,7 +3,7 @@ import json
 from collections import Counter
 
 from pintbasis.cli import build_parser, main
-from pintbasis.intpoly import IntPoly
+from pintbasis.intpoly import IntPoly, parse_poly
 
 
 def run(argv):
@@ -211,6 +211,82 @@ def test_verify_guards_once(monkeypatch):
     assert code == 0 and "corpus: 3/3 ok" in out
     assert calls["sanity_check_irreducible"] == 0
     assert calls["integer_roots"] <= calls["is_irreducible_quartic"]
+
+
+def test_verify_corpus_at_large_p():
+    """verify --corpus draws each quartic with a repeated factor mod p, so
+    p divides disc f by construction, with coefficients bounded by
+    max(200, p/2): one draw per input, even at p = 10^6+3."""
+    import re
+    import time
+
+    start = time.perf_counter()
+    code, out = run(["verify", "--corpus", "1", "-p", "1000003"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and "corpus: 1/1 ok" in out, out
+    for p, seed in ((1000003, "2"), (10007, "3"), (13, "4"), (2, "5")):
+        code, out = run(["verify", "--corpus", "4", "-p", str(p), "--seed", seed])
+        assert code == 0 and "corpus: 4/4 ok" in out, out
+        drawn = re.findall(r"verify (\S+) at p=(\d+): ok", out)
+        assert len(drawn) == 4
+        for f, q in drawn:
+            f = parse_poly(f)
+            assert int(q) == p and f.discriminant() % p == 0
+            assert max(abs(c) for c in f.coeffs) <= max(200, p // 2)
+
+
+def test_verify_mismatch_reports_the_construction(monkeypatch):
+    """A construction that differs from Round 2 makes verify exit 1 with
+    MISMATCH and a FAILED line per failing check, and every other check is
+    evaluated on the construction itself: a basis that spans no ring fails
+    ring closure, and a wrong index fails the disc identity, while Round 2's
+    own disc identity holds."""
+    from pintbasis import cli
+    from pintbasis.basis import BasisElement, PIntegralBasis, power_basis
+
+    power = power_basis(5, 4).elements
+    not_a_ring = (power[0], BasisElement(IntPoly([0, 1]), 1), power[2], power[3])
+    cases = [
+        (PIntegralBasis(5, power, 0), {"construction == oracle"}),
+        (PIntegralBasis(5, not_a_ring, 1), {"construction == oracle", "ring closed"}),
+        (PIntegralBasis(5, power, 1), {"construction == oracle", "disc identity"}),
+    ]
+    for wrong, failed in cases:
+        monkeypatch.setattr(cli, "_regular_basis", lambda f, p, report, wrong=wrong: wrong)
+        code, out = run(["verify", "-f", "x^4+x^2+50", "-p", "5"])
+        assert code == 1 and ": MISMATCH (path generic" in out, out
+        lines = out.splitlines()
+        assert {line[len("  FAILED: "):] for line in lines
+                if line.startswith("  FAILED: ")} == failed, out
+        assert lines[-1] == "  oracle:      1, θ, θ², (θ³+θ)/5", out
+
+
+def test_verify_develops_each_lift_three_times(monkeypatch):
+    """On agreeing bases verify runs one p-regularity report per (f, p),
+    which serves the generic route and the decomposition type: three
+    developments per lift (the report, the generators and the phi-index;
+    a separate decomposition made four), and ring closure comes from Round
+    2's final table with no is_ring_closed call.  disc f is computed once,
+    also for the degree-8 f whose degree patterns mod small primes leave
+    is_irreducible undecided, where the repeated-factor check reads it."""
+    from pintbasis import factor, newton, oracle
+
+    inputs = [(f, p, len(factor.factor_mod_p(parse_poly(f), int(p))))
+              for f, p in (("x^4+x^2+50", "5"), ("x^8+3x^7+3x^6+x^5+9", "3"),
+                           ("x^5+2x+2", "2"), ("x^8-40x^6+352x^4-960x^2+576", "5"))]
+    assert [lifts for _, _, lifts in inputs] == [3, 2, 1, 2]
+    assert factor.is_irreducible(parse_poly(inputs[-1][0])) is None
+    calls = _count_calls(monkeypatch, [
+        (newton, "phi_expand"), (newton, "is_p_regular"), (oracle, "is_ring_closed"),
+        (factor, "factor_mod_p"), (IntPoly, "discriminant")])
+    for f, p, lifts in inputs:
+        calls.clear()
+        code, out = run(["verify", "-f", f, "-p", p])
+        assert code == 0 and ": ok (path generic" in out, out
+        assert calls["phi_expand"] == 3 * lifts, (f, calls)
+        assert calls["is_p_regular"] == calls["factor_mod_p"] == 1, (f, calls)
+        assert calls["is_ring_closed"] == 0, (f, calls)
+        assert calls["discriminant"] == 1, (f, calls)
 
 
 def test_high_multiplicity_generic_inputs():

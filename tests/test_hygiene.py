@@ -68,11 +68,12 @@ def test_every_parameter_is_read():
 
 def test_oracle_shares_no_newton_polygon_code():
     """The oracle is the independent check of the constructions: it imports
-    nothing from the Newton-polygon modules, and from basis only the
-    element and basis types, the power basis and triangularize."""
+    nothing from the Newton-polygon modules or from the constructions'
+    mod-p kernel (factor, fq), and from basis only the element and basis
+    types, the power basis and triangularize."""
     tree = ast.parse((SRC / "oracle.py").read_text())
     allowed = {"basis": {"BasisElement", "PIntegralBasis", "power_basis", "triangularize"}}
-    banned = {"newton", "quartic", "quartic_e", "order2", "tables"}
+    banned = {"newton", "quartic", "quartic_e", "order2", "tables", "factor", "fq"}
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):

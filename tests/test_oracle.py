@@ -344,3 +344,84 @@ def test_saturate_rejects_repeated_factor():
     # (x^2+x+1)^2 has disc 0, so v_p(disc) is infinite
     with pytest.raises(NotIrreducibleError, match="has a repeated factor"):
         saturate(parse_poly("x^4+2x^3+3x^2+2x+1"), 5)
+
+
+def test_mulmod_matches_intpoly():
+    """The flat product a * b mod f equals the IntPoly product reduced mod
+    f, for monic f up to degree 9 and coefficients up to 10^12."""
+    from pintbasis.oracle import _mulmod
+
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        f = IntPoly([rng.randint(-10**6, 10**6) for _ in range(n)] + [1])
+        a, b = ([rng.choice([0, rng.randint(-10**12, 10**12)]) for _ in range(n)]
+                for _ in range(2))
+        expected = (IntPoly(a) * IntPoly(b)) % f
+        assert _mulmod(a, b, f.coeffs) == [expected[k] for k in range(n)], (f, a, b)
+
+
+def test_trace_form_radical_equals_frobenius_radical():
+    """For p > n the p-radical is the kernel of the trace form mod p and
+    also the kernel of x -> x^q, q = p^j >= n.  Both routes give the same
+    radical, and the same multipliers, on the power basis and on the
+    p-maximal order of seeded inputs, most of them with a nonzero index."""
+    from pintbasis.oracle import _multipliers, _radical, _table
+
+    rng = random.Random(43)
+    done = nontrivial = 0
+    while done < 25:
+        p = rng.choice([5, 7, 11, 13])
+        n = rng.randint(2, 4)
+        phi = X + rng.randint(-2, 2)
+        pert = IntPoly([rng.randint(-3, 3) for _ in range(n)])
+        f = phi**n + p ** rng.randint(1, 2) * pert + p ** rng.randint(2, 4)
+        if f.discriminant() == 0 or is_irreducible(f) is not True:
+            continue
+        done += 1
+        maximal = round2(f, p)
+        nontrivial += maximal.index_valuation > 0
+        for order in (power_basis(p, n), maximal):
+            trace = _radical(f, order, p, None)
+            frobenius = _radical(f, order, p, _table(f, order, p))
+            assert trace[1].elements == frobenius[1].elements, (f.render(), p)
+            grow = [_multipliers(f, *rad, p) for rad in (trace, frobenius)]
+            assert (order.elements == maximal.elements) == (grow[0] == []), (f.render(), p)
+            assert bool(grow[0]) == bool(grow[1])
+    assert nontrivial >= 10, nontrivial
+
+
+def test_round2_degree_19():
+    """Round 2 on (x-5)^7 (x+5)^7 (x-3)^5 + 101^2 at p = 101, where the
+    radical is the kernel of the trace form, finishes in 0.2 s with the
+    generic route's basis and index 8."""
+    import time
+
+    f = (X - 5) ** 7 * (X + 5) ** 7 * (X - 3) ** 5 + 101**2
+    start = time.perf_counter()
+    basis = round2(f, 101)
+    elapsed = time.perf_counter() - start
+    assert basis.index_valuation == 8
+    assert basis.elements == p_integral_basis_regular(f, 101).elements
+    assert elapsed < 0.2, elapsed
+
+
+def test_round2_checks_its_final_order(monkeypatch):
+    """Round 2 ends by building the multiplication table of the order it
+    returns, on both radical routes: an order that is not a ring, here a
+    fake starting order of x^3+x+1 (disc -31, so no round runs), is a
+    broken invariant."""
+    from pintbasis import oracle
+    from pintbasis.errors import InconsistentError
+
+    def fake_start(p, n):
+        els = (BasisElement(IntPoly([1]), 0), BasisElement(X, 1), BasisElement(X**2, 0))
+        return PIntegralBasis(p, els, 1, els)
+
+    f = X**3 + X + 1
+    for p in (2, 5):  # the Frobenius radical (p <= n) and the trace form
+        assert round2(f, p).elements == power_basis(p, 3).elements
+        monkeypatch.setattr(oracle, "power_basis", fake_start)
+        with pytest.raises(InconsistentError, match="not a ring"):
+            round2(f, p)
+        monkeypatch.undo()
