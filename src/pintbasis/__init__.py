@@ -1,7 +1,11 @@
 """Exact computation of p-integral bases of number fields via Newton
 polygons: the generic regular-case construction, a complete explicit
 quartic pipeline, second-order polygons for the leftover cases, and an
-independent Round 2 oracle with brute-force saturation as its reference."""
+independent Round 2 oracle with brute-force saturation as its reference.
+
+Residual polynomials are plain coefficient lists of the finite-field kernel
+in fq, lowest degree first; FqField is their residue field, which reduces
+coefficients into it and renders the lists as text."""
 
 from .arith import INFINITY, legendre, sqrt_mod_pk, vp
 from .errors import (
@@ -15,7 +19,7 @@ from .errors import (
     ParseError,
     RankDeficientError,
 )
-from .fq import FqElem, FqField, FqPoly, is_separable
+from .fq import FqField, factor_fqpoly
 from .factor import factor_mod_p, is_irreducible_quartic
 from .intpoly import IntPoly, parse_poly
 from .newton import (

@@ -174,11 +174,13 @@ def triangularize(elements, p, n, generators=None, meta=None):
 
 class PrimeEntry(Record):
     """One p-adic prime (or unresolved cluster) attached to an irreducible
-    residual factor: e and f are None when the factor is multiple."""
+    residual factor, a kernel polynomial over field (the residue field of
+    phi): e and f are None when the factor is multiple."""
 
     phi: IntPoly
     slope: object
-    residual_factor: object
+    field: object
+    residual_factor: list
     multiplicity: int
     e: int | None
     f: int | None
@@ -211,22 +213,24 @@ def _decomposition(f, p, report):
         if not reg.sides:  # an empty principal polygon
             raise InconsistentError(f"lift {phi.render()} does not divide f mod {p}")
         for sd in reg.sides:
-            _, factors = factor_fqpoly(sd.residual)
+            _, factors = factor_fqpoly(sd.field, sd.residual)
             for g, m in factors:
                 if m == 1:
                     entries.append(
                         PrimeEntry(
                             phi,
                             sd.side.slope,
+                            sd.field,
                             g,
                             1,
                             sd.side.ramification,
-                            phi.degree * g.degree,
+                            phi.degree * (len(g) - 1),
                         )
                     )
                 else:
                     complete = False
-                    entries.append(PrimeEntry(phi, sd.side.slope, g, m, None, None))
+                    entries.append(
+                        PrimeEntry(phi, sd.side.slope, sd.field, g, m, None, None))
     if complete:
         total = sum(en.e * en.f for en in entries)
         if total != f.degree:
@@ -248,8 +252,7 @@ def regular_basis_generators(f, p, report):
     report (is_p_regular).  Raises NotRegularError when the report names an
     inseparable residual polynomial."""
     if not report.regular:
-        phi, side, g, m = report.first_witness()
-        raise NotRegularError(phi, side, g, m)
+        raise NotRegularError(*report.first_witness())
     n = f.degree
     gens = []
     total_m = 0

@@ -25,13 +25,8 @@ import json
 import sys
 
 from .arith import check_prime
-from .errors import InconsistentError, NotIrreducibleError, NotRegularError, PintbasisError
-from .factor import (
-    factor_mod_p,
-    is_irreducible,
-    is_irreducible_quartic,
-    sanity_check_irreducible,
-)
+from .errors import InconsistentError, NotRegularError, PintbasisError
+from .factor import factor_mod_p, is_irreducible_quartic, sanity_check_irreducible
 from .intpoly import IntPoly, parse_poly
 from .newton import (
     is_p_regular,
@@ -156,7 +151,7 @@ def cmd_factor(args, out):
             "complete": dec.complete,
             "entries": [
                 {"phi": e.phi.render("x"), "slope": str(e.slope),
-                 "residual_factor": repr(e.residual_factor),
+                 "residual_factor": e.field.render(e.residual_factor),
                  "multiplicity": e.multiplicity, "e": e.e, "f": e.f}
                 for e in dec.entries
             ]}, indent=2))
@@ -164,7 +159,7 @@ def cmd_factor(args, out):
         for e in dec.entries:
             ef = f"e={e.e} f={e.f}" if e.e else "e,f unknown (multiple residual factor)"
             out(f"phi={e.phi.render('x')}  slope {e.slope}  "
-                f"residual factor {e.residual_factor!r}^{e.multiplicity}  {ef}")
+                f"residual factor {e.field.render(e.residual_factor)}^{e.multiplicity}  {ef}")
         out("complete" if dec.complete else "incomplete")
     return 0
 
@@ -233,12 +228,9 @@ def cmd_verify(args, out):
         out(f"corpus: {args.corpus - bad}/{args.corpus} ok")
         return 1 if bad else 0
     f = _parse_f(args)
-    verdict = is_irreducible(f)
-    if verdict is False:
-        raise PintbasisError("f is reducible over Q")
-    disc = f.discriminant()
-    if verdict is None and disc == 0:  # an irreducible f is squarefree
-        raise NotIrreducibleError(f"{f.render()} has a repeated factor")
+    disc = sanity_check_irreducible(f)
+    if disc is None:  # the exact quartic test decided without disc f
+        disc = f.discriminant()
     return 0 if _verify_one(f, args.p, disc, out) else 1
 
 

@@ -18,15 +18,18 @@ class NotIrreducibleError(PintbasisError):
 
 
 class NotRegularError(PintbasisError):
-    """A residual polynomial failed separability; carries the witness."""
+    """A residual polynomial failed separability; carries the witness: the
+    multiple irreducible factor, a polynomial over the residue field of phi."""
 
-    def __init__(self, phi, side, factor, multiplicity):
+    def __init__(self, phi, side, field, factor, multiplicity):
         super().__init__(
             f"inseparable residual polynomial on side of slope {side.slope} "
-            f"for phi={phi}; multiple factor {factor} with multiplicity {multiplicity}"
+            f"for phi={phi.render()}; multiple factor {field.render(factor)} "
+            f"with multiplicity {multiplicity}"
         )
         self.phi = phi
         self.side = side
+        self.field = field
         self.factor = factor
         self.multiplicity = multiplicity
 

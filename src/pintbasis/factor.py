@@ -141,20 +141,18 @@ def is_irreducible(f):
 def sanity_check_irreducible(f):
     """Raise NotIrreducibleError when a rational root, (for shape
     x^4+ax^2+bx+c) a quadratic factor, or (for any other f) a repeated
-    factor is detected; silent otherwise.  A quartic of that shape with a
-    repeated factor is reducible, so the exact test covers it."""
+    factor is detected.  A quartic of that shape with a repeated factor is
+    reducible, so the exact test covers it.  Returns disc f when the
+    repeated-factor test computed it, None otherwise."""
     if f.degree < 2 or not f.monic:
-        return
+        return None
     if f[0] == 0 or integer_roots(f):
         raise NotIrreducibleError(f"{f.render()} has a rational root")
     if f.degree == 4 and f[3] == 0:
         if _splits_2_2(f[2], f[1], f[0]):
             raise NotIrreducibleError(f"{f.render()} factors over Q")
-    else:
-        check_squarefree(f)
-
-
-def check_squarefree(f):
-    """Raise NotIrreducibleError when f has a repeated factor (disc f = 0)."""
-    if f.discriminant() == 0:
+        return None
+    disc = f.discriminant()
+    if disc == 0:
         raise NotIrreducibleError(f"{f.render()} has a repeated factor")
+    return disc

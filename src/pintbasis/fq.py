@@ -11,8 +11,10 @@ All arithmetic runs on one kernel over plain lists (FpArith, FqArith).  A
 coefficient of F_p is an int in [0, p); a coefficient of F_q = F_p[t]/(m)
 with deg m >= 2 is a tuple of ints, reduced mod m, with no trailing zero.
 A polynomial over either is a list of coefficients, lowest degree first,
-with no trailing zero coefficient; [] is the zero polynomial.  FqField,
-FqElem and FqPoly are thin boundary types whose methods call the kernel.
+with no trailing zero coefficient; [] is the zero polynomial.  Residual
+polynomials are such lists.  FqField is the residue field F_p[x]/(p, phi)
+of one lift phi: it holds the kernel for that field, reduces integer
+polynomials into coefficients and renders polynomials as text.
 """
 
 import random
@@ -223,12 +225,6 @@ class FpArith(_Arith):
         p = self.p
         return _trim([c % p for c in coeffs])
 
-    def from_rep(self, rep):
-        return rep[0] if rep else 0
-
-    def to_rep(self, c):
-        return (c,) if c else ()
-
     def cadd(self, a, b):
         return (a + b) % self.p
 
@@ -302,12 +298,6 @@ class FqArith(_Arith):
         self.q = p**self.k
         self.fp = FpArith(p)
 
-    def from_rep(self, rep):
-        return rep
-
-    def to_rep(self, c):
-        return c
-
     def cadd(self, a, b):
         return tuple(self.fp.add(a, b))
 
@@ -380,12 +370,14 @@ class FqArith(_Arith):
         return _trim(quot), _trim(rem[:db])
 
 
-# -- boundary types --------------------------------------------------------------
+# -- the residue field ------------------------------------------------------------
 
 
 class FqField:
-    """F_p[x]/(modulus); modulus is a monic polynomial irreducible mod p.
-    When deg(modulus) = 1 this is just F_p with scalar representatives."""
+    """F_p[t]/(modulus) for a monic modulus irreducible mod p, given as an
+    IntPoly or as integer coefficients: the residue field F_p[x]/(p, phi) of
+    a lift phi.  Its elements and polynomials are values of the kernel arith,
+    FpArith when deg(modulus) = 1 and FqArith otherwise."""
 
     def __init__(self, p, modulus):
         check_prime(p)
@@ -397,252 +389,39 @@ class FqField:
             raise ValueError("modulus must have degree >= 1")
         if self.modulus[-1] != 1:
             raise ValueError("modulus must be monic")
-        self.degree = len(self.modulus) - 1
-        self.order = p**self.degree
         self._fp = FpArith(p)
-        self.arith = self._fp if self.degree == 1 else FqArith(p, self.modulus)
+        self.arith = self._fp if len(self.modulus) == 2 else FqArith(p, self.modulus)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqField)
-            and self.p == other.p
-            and self.modulus == other.modulus
-        )
+    def elem(self, a):
+        """The coefficient of the field that the IntPoly a reduces to."""
+        c = self._fp.rem(self._fp.reduce(a.coeffs), self.modulus)
+        if self.arith is self._fp:
+            return c[0] if c else 0
+        return tuple(c)
 
-    def __hash__(self):
-        return hash((self.p, self.modulus))
-
-    def __repr__(self):
-        if self.degree == 1:
-            return f"F_{self.p}"
-        return f"F_{self.p}^{self.degree}"
-
-    def elem(self, rep):
-        """Coerce an int, coefficient sequence, or IntPoly into the field."""
-        if isinstance(rep, FqElem):
-            if rep.field != self:
-                raise ValueError("element of a different field")
-            return rep
-        if isinstance(rep, int):
-            rep = (rep,)
-        elif isinstance(rep, IntPoly):
-            rep = rep.coeffs
-        return FqElem(self, tuple(self._fp.rem([c % self.p for c in rep], self.modulus)))
-
-    def zero(self):
-        return FqElem(self, ())
-
-    def one(self):
-        return FqElem(self, (1,))
-
-    def elements(self):
-        """All field elements (small fields only; used by tests)."""
-        from itertools import product
-
-        for rep in product(range(self.p), repeat=self.degree):
-            yield FqElem(self, tuple(_trim(list(rep))))
-
-
-class FqElem:
-    """An element of an FqField; rep is its trimmed tuple of F_p
-    coefficients in t."""
-
-    __slots__ = ("field", "rep")
-
-    def __init__(self, field, rep):
-        self.field = field
-        self.rep = rep
-
-    def _coeff(self):
-        return self.field.arith.from_rep(self.rep)
-
-    def _new(self, c):
-        return FqElem(self.field, self.field.arith.to_rep(c))
-
-    def is_zero(self):
-        return not self.rep
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqElem)
-            and self.field == other.field
-            and self.rep == other.rep
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.modulus, self.rep))
-
-    def __add__(self, other):
-        return self._new(self.field.arith.cadd(self._coeff(), self.field.elem(other)._coeff()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._new(self.field.arith.csub(self.field.arith.zero, self._coeff()))
-
-    def __sub__(self, other):
-        return self._new(self.field.arith.csub(self._coeff(), self.field.elem(other)._coeff()))
-
-    def __rsub__(self, other):
-        return self.field.elem(other) - self
-
-    def __mul__(self, other):
-        return self._new(self.field.arith.cmul(self._coeff(), self.field.elem(other)._coeff()))
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        return self._new(self.field.arith.cinv(self._coeff()))
-
-    def __truediv__(self, other):
-        return self * self.field.elem(other).inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return self._new(self.field.arith.cpow(self._coeff(), n))
-
-    def frobenius(self):
-        return self ** self.field.p
-
-    def pth_root(self):
-        """Inverse of Frobenius: c^(q/p); exact in a perfect field."""
-        return self ** (self.field.order // self.field.p)
-
-    def scalar(self):
-        """Value as an int when the field is F_p."""
-        if self.field.degree != 1:
-            raise ValueError("not a prime-field element")
-        return self.rep[0] if self.rep else 0
-
-    def __repr__(self):
-        if not self.rep:
-            return "0"
-        if len(self.rep) == 1:
-            return str(self.rep[0])
-        return "(" + IntPoly(self.rep).render("t") + ")"
-
-
-class FqPoly:
-    """Univariate polynomial over an FqField, used for residual polynomials.
-    The coefficients are held as a kernel list (see FpArith, FqArith)."""
-
-    __slots__ = ("field", "_c")
-
-    def __init__(self, field, coeffs=()):
-        self.field = field
-        from_rep = field.arith.from_rep
-        self._c = _trim([from_rep(field.elem(c).rep) for c in coeffs])
-
-    @classmethod
-    def _wrap(cls, field, c):
-        poly = cls.__new__(cls)
-        poly.field = field
-        poly._c = c
-        return poly
-
-    def _new(self, c):
-        return FqPoly._wrap(self.field, c)
-
-    @property
-    def coeffs(self):
-        to_rep = self.field.arith.to_rep
-        return tuple(FqElem(self.field, to_rep(c)) for c in self._c)
-
-    @property
-    def degree(self):
-        return len(self._c) - 1
-
-    def is_zero(self):
-        return not self._c
-
-    def lc(self):
-        return self[len(self._c) - 1]
-
-    def __getitem__(self, i):
-        c = self._c[i] if 0 <= i < len(self._c) else self.field.arith.zero
-        return FqElem(self.field, self.field.arith.to_rep(c))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqPoly)
-            and self.field == other.field
-            and self._c == other._c
-        )
-
-    def __hash__(self):
-        return hash((self.field, tuple(self._c)))
-
-    def __add__(self, other):
-        return self._new(self.field.arith.add(self._c, other._c))
-
-    def __sub__(self, other):
-        return self._new(self.field.arith.sub(self._c, other._c))
-
-    def __mul__(self, other):
-        arith = self.field.arith
-        if isinstance(other, FqElem):
-            c = self.field.elem(other)._coeff()
-            return self._new(arith.scale(self._c, c) if c else [])
-        return self._new(arith.mul(self._c, other._c))
-
-    def __divmod__(self, other):
-        q, r = self.field.arith.divmod(self._c, other._c)
-        return self._new(q), self._new(r)
-
-    def __mod__(self, other):
-        return self._new(self.field.arith.rem(self._c, other._c))
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def monic(self):
-        return self._new(self.field.arith.monic(self._c))
-
-    def derivative(self):
-        return self._new(self.field.arith.deriv(self._c))
-
-    def gcd(self, other):
-        return self._new(self.field.arith.gcd(self._c, other._c))
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if c.is_zero():
+    def render(self, r):
+        """A polynomial over the field as text, highest degree first, with
+        the coefficients of F_{p^k} written in t: y^2 + y + 2, y + (2*t)."""
+        terms = []
+        for i in range(len(r) - 1, -1, -1):
+            c = r[i]
+            if not c:
                 continue
-            ys = "" if i == 0 else ("y" if i == 1 else f"y^{i}")
-            cs = repr(c)
-            if i > 0 and cs == "1":
-                cs = ""
-            parts.append((cs + ("*" if cs and ys else "") + ys) or "1")
-        return " + ".join(parts)
+            if isinstance(c, tuple):
+                c = c[0] if len(c) == 1 else f"({IntPoly(c).render('t')})"
+            text = str(c)
+            if i:
+                y = "y" if i == 1 else f"y^{i}"
+                text = y if text == "1" else f"{text}*{y}"
+            terms.append(text)
+        return " + ".join(terms) or "0"
 
 
-def is_separable(r):
-    """True iff gcd(r, r') has degree 0 over the coefficient field."""
-    if r.is_zero():
-        raise ValueError("separability of the zero polynomial is undefined")
-    arith = r.field.arith
-    return len(arith.gcd(r._c, arith.deriv(r._c))) == 1
+def factor_fqpoly(field, r):
+    """(unit, [(monic irreducible, multiplicity)]) for a nonzero polynomial r
+    over field, the factors sorted by degree and then coefficients.
 
-
-def factor_fqpoly(r):
-    """Complete factorization of a nonzero polynomial over F_q.
-
-    Returns (unit, [(monic irreducible, multiplicity)]), deterministically
-    ordered."""
-    if r.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    field = r.field
-    unit, factors = field.arith.factor(r._c)
-    return (FqElem(field, field.arith.to_rep(unit)),
-            [(FqPoly._wrap(field, g), m) for g, m in factors])
-
-
-def multiple_factors(r):
-    """Irreducible factors of r with multiplicity > 1."""
-    _, factors = factor_fqpoly(r)
-    return [(g, m) for g, m in factors if m > 1]
+    Every residual polynomial is factored through this one function, so a
+    count of its calls is a count of residual factorizations; the benchmark
+    tracer (perfbench/tracer.py) wraps it by this name."""
+    return field.arith.factor(r)

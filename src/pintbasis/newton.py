@@ -12,7 +12,7 @@ from fractions import Fraction
 from .arith import is_finite
 from .errors import InconsistentError
 from .factor import factor_mod_p, is_irreducible_mod_p
-from .fq import FqField, FqPoly, is_separable, multiple_factors
+from .fq import FqField, factor_fqpoly
 from .intpoly import IntPoly
 from .record import Record
 
@@ -210,33 +210,28 @@ def phi_index(f, phi, p):
     return phi.degree * total
 
 
-def residue_field(phi, p):
-    return FqField(p, phi)
-
-
-def residual_coefficients(principal, expansion, p):
-    """c_i for 0 <= i <= ell: zero off the polygon, red(a_i / p^{u_i}) on it."""
-    fq = residue_field(expansion.phi, p)
-    ell = principal.length
+def residual_coefficients(principal, expansion, field):
+    """c_i for 0 <= i <= ell, coefficients of the residue field of phi: zero
+    off the polygon, red(a_i / p^{u_i}) on it."""
+    p = field.p
     out = []
-    for i in range(ell + 1):
+    for i in range(principal.length + 1):
         a = expansion.coefficients[i]
         u = a.vp(p)
         if not is_finite(u) or not principal.on_polygon(i, u):
-            out.append(fq.zero())
+            out.append(field.arith.zero)
         else:
-            out.append(fq.elem(a.divide_exact(p**u)))
+            out.append(field.elem(a.divide_exact(p**u)))
     return out
 
 
 def residual_polynomial(side, coefficients):
-    """R(y) = c_s + c_{s+e} y + ... + c_{s+de} y^d for a principal side."""
+    """R(y) = c_s + c_{s+e} y + ... + c_{s+de} y^d for a principal side, as a
+    kernel polynomial (lowest degree first)."""
     s = side.start[0]
     e = side.ramification
-    d = side.degree
-    field = coefficients[0].field
-    r = FqPoly(field, [coefficients[s + k * e] for k in range(d + 1)])
-    if r.degree != d or r[0].is_zero():
+    r = [coefficients[s + k * e] for k in range(side.degree + 1)]
+    if not r[0] or not r[-1]:
         raise InconsistentError(
             "residual polynomial must have degree d(S) and nonzero constant term"
         )
@@ -245,15 +240,18 @@ def residual_polynomial(side, coefficients):
 
 class SideData(Record):
     side: Side
-    residual: FqPoly
+    residual: list  # kernel polynomial over field
+    field: FqField
 
     @property
     def separable(self):
-        return is_separable(self.residual)
+        arith = self.field.arith
+        return len(arith.gcd(self.residual, arith.deriv(self.residual))) == 1
 
 
 class PhiRegularity(Record):
     phi: IntPoly
+    field: FqField  # the residue field of phi
     regular: bool
     sides: tuple  # SideData for every principal side
     witnesses: tuple  # (side, multiple irreducible factor, multiplicity)
@@ -265,24 +263,27 @@ def phi_polygon_data(f, phi, p):
     principal = principal_part(newton_polygon(expansion, p))
     if principal.length < 1:
         return expansion, principal, []
-    cs = residual_coefficients(principal, expansion, p)
-    data = [SideData(s, residual_polynomial(s, cs)) for s in principal.sides]
+    field = FqField(p, phi)
+    cs = residual_coefficients(principal, expansion, field)
+    data = [SideData(s, residual_polynomial(s, cs), field) for s in principal.sides]
     return expansion, principal, data
 
 
 def is_phi_regular(f, phi, p):
     """phi-regularity: every principal side carries a separable residual
     polynomial.  On failure the witnesses name each offending side together
-    with its multiple irreducible residual factor."""
+    with its multiple irreducible residual factor, read from the
+    factorization of its residual polynomial."""
     if not is_irreducible_mod_p(phi, p):
         raise ValueError(f"{phi.render()} is not irreducible mod {p}")
     _, _, data = phi_polygon_data(f, phi, p)
     witnesses = []
     for sd in data:
         if not sd.separable:
-            for g, m in multiple_factors(sd.residual):
-                witnesses.append((sd.side, g, m))
-    return PhiRegularity(phi, not witnesses, tuple(data), tuple(witnesses))
+            _, factors = factor_fqpoly(sd.field, sd.residual)
+            witnesses += [(sd.side, g, m) for g, m in factors if m > 1]
+    field = data[0].field if data else FqField(p, phi)
+    return PhiRegularity(phi, field, not witnesses, tuple(data), tuple(witnesses))
 
 
 class PRegularity(Record):
@@ -290,10 +291,11 @@ class PRegularity(Record):
     by_phi: tuple  # PhiRegularity per lift, same order as the input
 
     def first_witness(self):
+        """(phi, side, field, factor, multiplicity) of the first witness."""
         for reg in self.by_phi:
             if not reg.regular:
                 side, g, m = reg.witnesses[0]
-                return reg.phi, side, g, m
+                return reg.phi, side, reg.field, g, m
         return None
 
 

@@ -224,9 +224,9 @@ def iterate_to_regular(F, s0, p, record=None):
                 f"inseparable side of slope {side.slope}: use a second-order polygon"
             )
         delta = -int(side.slope)
-        if factor.degree != 1:
+        if len(factor) != 2:
             raise InconsistentError("multiple residual factor of degree > 1")
-        root = (-factor[0].scalar()) % p
+        root = (-factor[0]) % p
         if root == 0:
             raise InconsistentError("residual polynomial divisible by y")
         profile = valuation_profile(F, s, p)

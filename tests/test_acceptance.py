@@ -238,8 +238,8 @@ def test_criterion_6_polygon_property_suite():
             assert phi_index(f, phi, p) == phi.degree * lattice_point_count(pp)
             assert phi.degree * index_from_ordinates(ys) == phi_index(f, phi, p)
             for sd in phi_polygon_data(f, phi, p)[2]:
-                assert sd.residual.degree == sd.side.degree
-                assert not sd.residual[0].is_zero()
+                assert len(sd.residual) - 1 == sd.side.degree and sd.residual[-1]
+                assert sd.residual[0]
     print(f"\nACCEPT-6 polygon property suite: PASS ({checked} random (f, phi, p), "
           "zero violations)")
 

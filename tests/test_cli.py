@@ -68,6 +68,45 @@ def test_factor_command():
     assert payload["entries"][0]["e"] == 4 and payload["entries"][0]["f"] == 1
 
 
+# factor text for residuals over F_p and over F_{p^k}, k = 2 and 4: linear
+# factors with a t-coefficient, an irreducible quadratic over F_9, a
+# multiple factor, and an (f, p) with three lifts
+FACTOR_GOLDEN = {
+    ("x^4+2x^2+10", "3"): [
+        ("x^2+1", "-1", "y + (t)", 1, 1, 2),
+        ("x^2+1", "-1", "y + (2*t)", 1, 1, 2),
+    ],
+    ("x^4+3x^2+18", "3"): [("x", "-1/2", "y^2 + y + 2", 1, 2, 2)],
+    ("x^4+6x^3+5x^2+24x+13", "3"): [("x^2+1", "-1", "y^2 + (2*t+1)*y + (2*t+1)", 1, 1, 4)],
+    ("x^4-50x^2-55x-1", "2"): [
+        ("x^4+x+1", "-1", "y + (t^2+1)", 1, 1, 4),
+    ],
+    ("x^4+x^2+50", "5"): [
+        ("x", "-1", "y^2 + 2", 1, 1, 2),
+        ("x+2", "-1", "y + 1", 1, 1, 1),
+        ("x-2", "-1", "y + 4", 1, 1, 1),
+    ],
+    ("x^6+4", "2"): [("x", "-1/3", "y + 1", 2, None, None)],
+}
+
+
+def test_factor_renders_residuals_golden():
+    for (f, p), entries in FACTOR_GOLDEN.items():
+        complete = all(e is not None for *_, e, _ in entries)
+        lines = []
+        for phi, slope, factor, m, e, deg in entries:
+            ef = f"e={e} f={deg}" if e else "e,f unknown (multiple residual factor)"
+            lines.append(f"phi={phi}  slope {slope}  residual factor {factor}^{m}  {ef}")
+        lines.append("complete" if complete else "incomplete")
+        assert run(["factor", "-f", f, "-p", p]) == (0, "\n".join(lines) + "\n"), (f, p)
+        payload = {"complete": complete, "entries": [
+            {"phi": phi, "slope": slope, "residual_factor": factor,
+             "multiplicity": m, "e": e, "f": deg}
+            for phi, slope, factor, m, e, deg in entries]}
+        expected = json.dumps(payload, indent=2) + "\n"
+        assert run(["factor", "-f", f, "-p", p, "--json"]) == (0, expected), (f, p)
+
+
 def test_verify_single():
     code, out = run(["verify", "-f", "x^4+2x^2+4", "-p", "2"])
     assert code == 0
@@ -97,8 +136,24 @@ def test_error_paths():
     assert code == 2
     code, out = run(["classify", "-f", "x^4-2x^2+1", "-p", "3"])
     assert code == 2  # reducible
-    code, out = run(["verify", "-f", "x^4+4x^2+4", "-p", "2"])
-    assert code == 2  # reducible
+    # verify rejects reducible f with the guard's messages, as the other
+    # commands do
+    for command in ("basis", "factor", "verify", "oracle"):
+        assert run([command, "-f", "x^4+4x^2+4", "-p", "2"]) == (
+            2, "error: x^4+4*x^2+4 factors over Q\n"), command
+        assert run([command, "-f", "x^5-3x^4+x^2-2x-3", "-p", "2"]) == (
+            2, "error: x^5-3*x^4+x^2-2*x-3 has a rational root\n"), command
+
+
+def test_not_regular_error_message():
+    """The witness of an inseparable residual: phi rendered as a polynomial,
+    the multiple factor over F_2 and over F_9 = F_3[t]/(t^2+1)."""
+    prefix = "error: inseparable residual polynomial on side of slope"
+    assert run(["basis", "-f", "x^6+4", "-p", "2"]) == (2, (
+        f"{prefix} -1/3 for phi=x; multiple factor y + 1 with multiplicity 2\n"))
+    # (x^2+1)^2 + 6x(x^2+1) - 9: residual y^2 + 2ty - 1 = (y + t)^2
+    assert run(["basis", "-f", "x^4+6x^3+2x^2+6x-8", "-p", "3"]) == (2, (
+        f"{prefix} -1 for phi=x^2+1; multiple factor y + (t) with multiplicity 2\n"))
 
 
 def test_repeated_factors_are_rejected():
@@ -266,9 +321,11 @@ def test_verify_develops_each_lift_three_times(monkeypatch):
     which serves the generic route and the decomposition type: three
     developments per lift (the report, the generators and the phi-index;
     a separate decomposition made four), and ring closure comes from Round
-    2's final table with no is_ring_closed call.  disc f is computed once,
-    also for the degree-8 f whose degree patterns mod small primes leave
-    is_irreducible undecided, where the repeated-factor check reads it."""
+    2's final table with no is_ring_closed call.  disc f is computed once:
+    by verify for the quartic x^4+ax^2+bx+c, which the guard decides
+    exactly, and by the guard's repeated-factor check for the other shapes,
+    among them a degree-8 f whose degree patterns mod small primes leave
+    is_irreducible undecided."""
     from pintbasis import factor, newton, oracle
 
     inputs = [(f, p, len(factor.factor_mod_p(parse_poly(f), int(p))))

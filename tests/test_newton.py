@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from pintbasis.factor import factor_mod_p, is_irreducible_mod_p, ord_mod_p
+from pintbasis.fq import FqField
 from pintbasis.intpoly import IntPoly
 from pintbasis.newton import (
     index_from_ordinates,
@@ -105,18 +106,24 @@ def test_phi_index_examples():
 def test_residual_polynomials():
     f = IntPoly.monic_quartic(1, 0, 50)
     e, pp, data = phi_polygon_data(f, X, 5)
-    cs = residual_coefficients(pp, e, 5)
-    assert [c.rep for c in cs] == [(2,), (), (1,)]
+    cs = residual_coefficients(pp, e, FqField(5, X))
+    assert cs == [2, 0, 1]
     assert len(data) == 1
     r = data[0].residual
-    assert r.degree == 2 and [c.rep for c in r.coeffs] == [(2,), (), (1,)]  # y^2+2
+    assert r == [2, 0, 1]  # y^2+2
     assert data[0].separable
 
     f = X**4 + 2 * X**2 + 4
     e, pp, data = phi_polygon_data(f, X, 2)
     r = data[0].residual
-    assert [c.rep for c in r.coeffs] == [(1,), (1,), (1,)]  # y^2+y+1
+    assert r == [1, 1, 1]  # y^2+y+1
     assert data[0].separable
+
+    # over F_9 = F_3[t]/(t^2+1): y^2+1 = (y+t)(y+2t), coefficients as tuples
+    f = IntPoly.monic_quartic(2, 0, 10)  # (x^2+1)^2 + 9
+    e, pp, data = phi_polygon_data(f, X**2 + 1, 3)
+    assert [sd.residual for sd in data] == [[(1,), (), (1,)]]
+    assert data[0].separable and data[0].field.render(data[0].residual) == "y^2 + 1"
 
 
 def test_regularity_examples():
@@ -126,7 +133,7 @@ def test_regularity_examples():
     assert not rep.regular
     side, g, m = rep.witnesses[0]
     assert side.slope == Fraction(-1, 2)
-    assert m == 2 and g.degree == 1  # (y+1)^2
+    assert m == 2 and g == [1, 1]  # (y+1)^2
 
     assert is_p_regular(X**4 + 2 * X**2 + 4, 2).regular
     assert not is_p_regular(X**4 + 4 * X**2 + 4, 2).regular
@@ -169,10 +176,11 @@ def test_polygon_property_suite_small():
             assert ys[-1] == 0
             assert phi.degree * index_from_ordinates(ys) == phi.degree * lattice_point_count(pp)
             assert phi_index(f, phi, p) == phi.degree * lattice_point_count(pp)
-            cs = residual_coefficients(pp, e, p)
+            cs = residual_coefficients(pp, e, FqField(p, phi))
+            assert len(cs) == pp.length + 1 and cs[0] and cs[-1]
             for sd in phi_polygon_data(f, phi, p)[2]:
-                assert sd.residual.degree == sd.side.degree
-                assert not sd.residual[0].is_zero()
+                assert len(sd.residual) - 1 == sd.side.degree and sd.residual[-1]
+                assert sd.residual[0]
 
 
 def test_serialization():
