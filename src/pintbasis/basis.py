@@ -210,6 +210,9 @@ def _decomposition(f, p, report):
     complete = True
     for reg in report.by_phi:
         phi = reg.phi
+        if phi == f:  # f mod p is irreducible: one side of slope -infinity
+            entries.append(PrimeEntry(phi, "-inf", reg.field, [0, 1], 1, 1, phi.degree))
+            continue
         if not reg.sides:  # an empty principal polygon
             raise InconsistentError(f"lift {phi.render()} does not divide f mod {p}")
         for sd in reg.sides:

@@ -158,8 +158,11 @@ def cmd_factor(args, out):
     else:
         for e in dec.entries:
             ef = f"e={e.e} f={e.f}" if e.e else "e,f unknown (multiple residual factor)"
+            factor = e.field.render(e.residual_factor)
+            if sum(1 for c in e.residual_factor if c) > 1:
+                factor = f"({factor})"
             out(f"phi={e.phi.render('x')}  slope {e.slope}  "
-                f"residual factor {e.field.render(e.residual_factor)}^{e.multiplicity}  {ef}")
+                f"residual factor {factor}^{e.multiplicity}  {ef}")
         out("complete" if dec.complete else "incomplete")
     return 0
 
@@ -215,7 +218,7 @@ def _corpus_quartic(rng, p):
 
 
 def cmd_verify(args, out):
-    if args.corpus:
+    if args.corpus is not None:
         import random
 
         rng = random.Random(args.seed)
@@ -287,7 +290,7 @@ def build_parser():
     sp = sub.add_parser("verify", help="construction vs the Round 2 oracle")
     sp.add_argument("-f", help="polynomial (omit with --corpus)")
     sp.add_argument("-p", type=int, help="prime (with --corpus: fix the prime)")
-    sp.add_argument("--corpus", type=int, default=0,
+    sp.add_argument("--corpus", type=int,
                     help="verify N pseudorandom irreducible quartics")
     sp.add_argument("--seed", type=int, default=20259, help="seed of the --corpus sample")
     sp.set_defaults(func=cmd_verify)
@@ -308,10 +311,13 @@ def main(argv=None, stdout=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if args.command == "verify" and not args.corpus and not args.f:
+    if args.command == "verify" and args.corpus is not None and args.corpus < 1:
+        out("verify --corpus N needs N >= 1")
+        return 2
+    if args.command == "verify" and args.corpus is None and not args.f:
         out("verify needs -f POLY or --corpus N")
         return 2
-    if args.command == "verify" and not args.corpus and args.p is None:
+    if args.command == "verify" and args.corpus is None and args.p is None:
         out("verify needs -p P")
         return 2
     try:

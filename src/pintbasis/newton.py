@@ -9,7 +9,7 @@ enter the hull; they contribute zero residual coefficients.
 
 from fractions import Fraction
 
-from .arith import is_finite
+from .arith import INFINITY, is_finite
 from .errors import InconsistentError
 from .factor import factor_mod_p, is_irreducible_mod_p
 from .fq import FqField, factor_fqpoly
@@ -19,43 +19,28 @@ from .record import Record
 
 class PhiExpansion(Record):
     """phi-adic development f = sum a_i phi^i with deg a_i < deg phi,
-    together with the quotients q_j and residues r_j of division by phi^j."""
+    together with the quotients q_j = sum_{i>=j} a_i phi^(i-j) of f by
+    phi^j, for j >= 1."""
 
-    f: IntPoly
-    phi: IntPoly
     coefficients: tuple
     quotients: tuple
-    residues: tuple
-
-    def reconstruct(self):
-        acc = IntPoly()
-        power = IntPoly.const(1)
-        for a in self.coefficients:
-            acc = acc + a * power
-            power = power * self.phi
-        return acc
 
 
 def phi_expand(f, phi):
-    """Compute the phi-adic development by repeated exact division."""
+    """Compute the phi-adic development by repeated exact division: one
+    division by phi per coefficient, each quotient feeding the next."""
     if phi.degree < 1 or not phi.monic:
         raise ValueError("phi must be monic of degree >= 1")
     coeffs = []
     quotients = []
-    residues = []
     q = f
-    residue = IntPoly()
-    phi_pow = IntPoly.const(1)
     while True:
         q, a = divmod(q, phi)
-        residue = residue + a * phi_pow
         coeffs.append(a)
         if q.is_zero():
             break
         quotients.append(q)
-        phi_pow = phi_pow * phi
-        residues.append(residue)
-    return PhiExpansion(f, phi, tuple(coeffs), tuple(quotients), tuple(residues))
+    return PhiExpansion(tuple(coeffs), tuple(quotients))
 
 
 class Side(Record):
@@ -169,13 +154,16 @@ def principal_part(polygon):
 
 def ordinates(principal):
     """y_0 .. y_ell: exact ordinates of the principal polygon at the integer
-    abscissas; strictly decreasing with y_ell = 0."""
+    abscissas; strictly decreasing with y_ell = 0.  y_0 is INFINITY when
+    a_0 = 0: phi divides f, which for an irreducible f means phi = f, and
+    the polygon is one side of slope -infinity from abscissa 0 to 1."""
     ell = principal.length
     if ell < 1:
         raise ValueError("principal polygon must have positive length")
-    if principal.start_abscissa() != 0:
-        raise InconsistentError("principal polygon does not start at abscissa 0")
-    return [principal.ordinate_at(j) for j in range(ell + 1)]
+    start = principal.start_abscissa()
+    if start > 1:
+        raise InconsistentError(f"phi^{start} divides f: principal polygon starts at {start}")
+    return [INFINITY] * start + [principal.ordinate_at(j) for j in range(start, ell + 1)]
 
 
 def index_from_ordinates(ys):

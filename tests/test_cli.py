@@ -70,23 +70,28 @@ def test_factor_command():
 
 # factor text for residuals over F_p and over F_{p^k}, k = 2 and 4: linear
 # factors with a t-coefficient, an irreducible quadratic over F_9, a
-# multiple factor, and an (f, p) with three lifts
+# multiple factor, an (f, p) with three lifts, and an f that is its own lift
+# (a side of slope -infinity).  The factor column is the text form, where a
+# factor of more than one term is parenthesized; factor --json omits the
+# parentheses.
 FACTOR_GOLDEN = {
     ("x^4+2x^2+10", "3"): [
-        ("x^2+1", "-1", "y + (t)", 1, 1, 2),
-        ("x^2+1", "-1", "y + (2*t)", 1, 1, 2),
+        ("x^2+1", "-1", "(y + (t))", 1, 1, 2),
+        ("x^2+1", "-1", "(y + (2*t))", 1, 1, 2),
     ],
-    ("x^4+3x^2+18", "3"): [("x", "-1/2", "y^2 + y + 2", 1, 2, 2)],
-    ("x^4+6x^3+5x^2+24x+13", "3"): [("x^2+1", "-1", "y^2 + (2*t+1)*y + (2*t+1)", 1, 1, 4)],
+    ("x^4+3x^2+18", "3"): [("x", "-1/2", "(y^2 + y + 2)", 1, 2, 2)],
+    ("x^4+6x^3+5x^2+24x+13", "3"): [
+        ("x^2+1", "-1", "(y^2 + (2*t+1)*y + (2*t+1))", 1, 1, 4)],
     ("x^4-50x^2-55x-1", "2"): [
-        ("x^4+x+1", "-1", "y + (t^2+1)", 1, 1, 4),
+        ("x^4+x+1", "-1", "(y + (t^2+1))", 1, 1, 4),
     ],
     ("x^4+x^2+50", "5"): [
-        ("x", "-1", "y^2 + 2", 1, 1, 2),
-        ("x+2", "-1", "y + 1", 1, 1, 1),
-        ("x-2", "-1", "y + 4", 1, 1, 1),
+        ("x", "-1", "(y^2 + 2)", 1, 1, 2),
+        ("x+2", "-1", "(y + 1)", 1, 1, 1),
+        ("x-2", "-1", "(y + 4)", 1, 1, 1),
     ],
-    ("x^6+4", "2"): [("x", "-1/3", "y + 1", 2, None, None)],
+    ("x^6+4", "2"): [("x", "-1/3", "(y + 1)", 2, None, None)],
+    ("x^2+1", "3"): [("x^2+1", "-inf", "y", 1, 1, 2)],
 }
 
 
@@ -100,7 +105,8 @@ def test_factor_renders_residuals_golden():
         lines.append("complete" if complete else "incomplete")
         assert run(["factor", "-f", f, "-p", p]) == (0, "\n".join(lines) + "\n"), (f, p)
         payload = {"complete": complete, "entries": [
-            {"phi": phi, "slope": slope, "residual_factor": factor,
+            {"phi": phi, "slope": slope,
+             "residual_factor": factor.removeprefix("(").removesuffix(")"),
              "multiplicity": m, "e": e, "f": deg}
             for phi, slope, factor, m, e, deg in entries]}
         expected = json.dumps(payload, indent=2) + "\n"
@@ -143,6 +149,9 @@ def test_error_paths():
             2, "error: x^4+4*x^2+4 factors over Q\n"), command
         assert run([command, "-f", "x^5-3x^4+x^2-2x-3", "-p", "2"]) == (
             2, "error: x^5-3*x^4+x^2-2*x-3 has a rational root\n"), command
+    # a corpus needs at least one input
+    for n in ("0", "-1"):
+        assert run(["verify", "--corpus", n]) == (2, "verify --corpus N needs N >= 1\n"), n
 
 
 def test_not_regular_error_message():
@@ -458,6 +467,25 @@ def test_no_parseable_input_faults():
             code, out = run([command, "-f", f, "-p", p])
             assert code in (0, 2), (command, f, p, out)
             assert "MISMATCH" not in out and "internal error" not in out, (command, f, p, out)
+
+
+def test_unramified_prime_where_f_is_its_own_lift():
+    """f mod p irreducible with coefficients in (-p/2, p/2]: the only lift is
+    phi = f, whose development is 0 + 1*phi, a principal polygon of one side
+    of slope -infinity.  p is inert, the power basis is p-maximal, and
+    Round 2 agrees."""
+    for f, p in (("x^2+1", 3), ("x^2+1", 7), ("x^2+1", 2**61 - 1), ("x^2-2", 5),
+                 ("x^2+x+1", 2), ("x^2+x+1", 5), ("x^3+x+1", 2), ("x^4+x+1", 2)):
+        n = parse_poly(f).degree
+        power = ", ".join(["1", "θ", "θ²", "θ³"][:n]) + "\n"
+        assert run(["basis", "-f", f, "-p", str(p)]) == (
+            0, power + "index valuation: 0   (path: generic)\n"), (f, p)
+        assert run(["oracle", "-f", f, "-p", str(p)]) == (
+            0, power + "index valuation: 0\n"), (f, p)
+        assert run(["verify", "-f", f, "-p", str(p)]) == (
+            0, f"verify {f} at p={p}: ok (path generic, ind=0)\n"), (f, p)
+        assert run(["factor", "-f", f, "-p", str(p)]) == (0, (
+            f"phi={f}  slope -inf  residual factor y^1  e=1 f={n}\ncomplete\n")), (f, p)
 
 
 def _basis_json(f, p, *extra):

@@ -42,24 +42,49 @@ def test_phi_expand_examples():
 
 
 def test_phi_expand_invariants_random():
+    """The reference is computed here from the coefficients: the partial sums
+    r_j = sum_{i<j} a_i phi^i and the tails sum_{i>=j} a_i phi^(i-j)."""
     rng = random.Random(10)
     for _ in range(200):
         f = IntPoly([rng.randint(-30, 30) for _ in range(rng.randint(1, 7))] + [1])
         phi = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [1])
         e = phi_expand(f, phi)
-        assert e.reconstruct() == f
         assert all(a.degree < phi.degree for a in e.coefficients)
-        for j, (q, r) in enumerate(zip(e.quotients, e.residues), start=1):
-            assert r + q * phi**j == f
+        assert len(e.quotients) == len(e.coefficients) - 1
+        powers = [phi**i for i in range(len(e.coefficients))]
+        assert sum((a * w for a, w in zip(e.coefficients, powers)), IntPoly()) == f
+        for j, q in enumerate(e.quotients, start=1):
+            r = sum((a * w for a, w in zip(e.coefficients[:j], powers)), IntPoly())
+            assert r + q * powers[j] == f
             assert r.degree < j * phi.degree
-        # q_j = a_j + a_{j+1} phi + ... exactly
-        for j in range(1, len(e.quotients) + 1):
-            acc = IntPoly()
-            power = IntPoly([1])
-            for a in e.coefficients[j:]:
-                acc = acc + a * power
-                power = power * phi
-            assert acc == e.quotients[j - 1]
+            tail = zip(e.coefficients[j:], powers)
+            assert sum((a * w for a, w in tail), IntPoly()) == q
+
+
+def test_phi_expand_divides_once_per_coefficient(monkeypatch):
+    """The development is one division by phi per coefficient and nothing
+    else: no products of polynomials (no partial sums or powers of phi)."""
+    counts = {"__divmod__": 0, "__mul__": 0, "__add__": 0}
+
+    def counting(name):
+        method = getattr(IntPoly, name)
+
+        def wrapper(self, other):
+            counts[name] += 1
+            return method(self, other)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(IntPoly, name, counting(name))
+    monkeypatch.setattr(IntPoly, "__rmul__", IntPoly.__mul__)
+    monkeypatch.setattr(IntPoly, "__radd__", IntPoly.__add__)
+    f = IntPoly([7, -3, 12, 5, -9, 2, 4, -1, 6, 3, 1])
+    for phi in (IntPoly([3, 1]), IntPoly([1, 1, 1]), IntPoly([2, 0, 1, 1])):
+        for name in counts:
+            counts[name] = 0
+        e = phi_expand(f, phi)
+        assert counts == {"__divmod__": len(e.coefficients), "__mul__": 0, "__add__": 0}
+        assert len(e.coefficients) == f.degree // phi.degree + 1
 
 
 def test_newton_polygon_examples():
