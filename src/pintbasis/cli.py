@@ -101,12 +101,12 @@ def _compute_basis(f, p, method):
     irreducibility guard; report is the p-regularity report of the lifts of
     f mod p (is_p_regular), None when the method did not need it.  The
     factorization and the report run once per command, shared by the
-    generic route and the decomposition type."""
+    generic route, the quartic fallback and the decomposition type."""
     abc = _quartic_coeffs(f)
     if method == "quartic" or method == "order2":
         if abc is None:
             raise PintbasisError(f"--method {method} expects a quartic x^4+ax^2+bx+c")
-        basis = _quartic_basis(make_context(*abc, p))
+        basis = _quartic_basis(make_context(*abc, p, ()))
         if method == "order2" and not basis.meta.get("order2"):
             raise PintbasisError("input does not route through a second-order polygon")
         return basis, basis.meta.get("case", "quartic"), None
@@ -118,7 +118,7 @@ def _compute_basis(f, p, method):
     except NotRegularError:
         if method == "generic" or abc is None:
             raise
-        basis = _quartic_basis(make_context(*abc, p))
+        basis = _quartic_basis(make_context(*abc, p, report.by_phi))
         path = "quartic+order2" if basis.meta.get("order2") else "quartic"
         return basis, path, report
 
@@ -312,13 +312,13 @@ def main(argv=None, stdout=None):
     except SystemExit as exc:
         return 2 if exc.code else 0
     if args.command == "verify" and args.corpus is not None and args.corpus < 1:
-        out("verify --corpus N needs N >= 1")
+        out("error: verify --corpus N needs N >= 1")
         return 2
     if args.command == "verify" and args.corpus is None and not args.f:
-        out("verify needs -f POLY or --corpus N")
+        out("error: verify needs -f POLY or --corpus N")
         return 2
     if args.command == "verify" and args.corpus is None and args.p is None:
-        out("verify needs -p P")
+        out("error: verify needs -p P")
         return 2
     try:
         if args.p is not None:

@@ -141,12 +141,10 @@ def newton_polygon(expansion, p):
 
 
 def principal_part(polygon):
-    """Restriction to the sides of negative slope."""
+    """Restriction to the sides of negative slope, with every point up to
+    the last vertex they reach (the first vertex when there are none)."""
     neg = tuple(s for s in polygon.sides if s.slope < 0)
-    if not neg:
-        first = polygon.vertices[:1]
-        return NewtonPolygon(polygon.points[:1], tuple(first), ())
-    end = neg[-1].end[0]
+    end = neg[-1].end[0] if neg else polygon.vertices[0][0]
     vertices = tuple(v for v in polygon.vertices if v[0] <= end)
     points = tuple(pt for pt in polygon.points if pt[0] <= end)
     return NewtonPolygon(points, vertices, neg)
@@ -189,13 +187,13 @@ def lattice_point_count(principal):
 
 def phi_index(f, phi, p):
     """deg(phi) times the lattice-point count under the principal polygon."""
-    expansion = phi_expand(f, phi)
-    principal = principal_part(newton_polygon(expansion, p))
+    return _index(phi, principal_part(newton_polygon(phi_expand(f, phi), p)))
+
+
+def _index(phi, principal):
     if principal.length < 1:
         return 0
-    ys = ordinates(principal)
-    total = index_from_ordinates(ys)
-    return phi.degree * total
+    return phi.degree * index_from_ordinates(ordinates(principal))
 
 
 def residual_coefficients(principal, expansion, field):
@@ -238,11 +236,26 @@ class SideData(Record):
 
 
 class PhiRegularity(Record):
+    """The first-order analysis of f at one lift phi: its development,
+    principal polygon and residual data, and the regularity verdict."""
+
     phi: IntPoly
     field: FqField  # the residue field of phi
     regular: bool
     sides: tuple  # SideData for every principal side
     witnesses: tuple  # (side, multiple irreducible factor, multiplicity)
+    expansion: PhiExpansion
+    principal: NewtonPolygon
+
+    @property
+    def ordinates(self):
+        """y_0 .. y_ell of the principal polygon (see ordinates)."""
+        return ordinates(self.principal)
+
+    @property
+    def index(self):
+        """ind_phi(f), as phi_index computes it."""
+        return _index(self.phi, self.principal)
 
 
 def phi_polygon_data(f, phi, p):
@@ -264,19 +277,23 @@ def is_phi_regular(f, phi, p):
     factorization of its residual polynomial."""
     if not is_irreducible_mod_p(phi, p):
         raise ValueError(f"{phi.render()} is not irreducible mod {p}")
-    _, _, data = phi_polygon_data(f, phi, p)
+    expansion, principal, data = phi_polygon_data(f, phi, p)
     witnesses = []
     for sd in data:
         if not sd.separable:
             _, factors = factor_fqpoly(sd.field, sd.residual)
             witnesses += [(sd.side, g, m) for g, m in factors if m > 1]
     field = data[0].field if data else FqField(p, phi)
-    return PhiRegularity(phi, field, not witnesses, tuple(data), tuple(witnesses))
+    return PhiRegularity(phi, field, not witnesses, tuple(data), tuple(witnesses),
+                         expansion, principal)
 
 
 class PRegularity(Record):
-    regular: bool
     by_phi: tuple  # PhiRegularity per lift, same order as the input
+
+    @property
+    def regular(self):
+        return all(r.regular for r in self.by_phi)
 
     def first_witness(self):
         """(phi, side, field, factor, multiplicity) of the first witness."""
@@ -287,15 +304,33 @@ class PRegularity(Record):
         return None
 
 
-def is_p_regular(f, p, lifts=None):
-    """p-regularity with respect to the given lifts (default: symmetric lifts
-    of the irreducible factors of f mod p).  Lifts whose factor appears with
-    multiplicity one are vacuously regular; their polygons are still
-    reported."""
-    if lifts is None:
-        lifts = [phi for phi, _ in factor_mod_p(f, p)]
-    reports = tuple(is_phi_regular(f, phi, p) for phi in lifts)
-    return PRegularity(all(r.regular for r in reports), reports)
+def is_p_regular(f, p):
+    """p-regularity with respect to the symmetric lifts of the irreducible
+    factors of f mod p.  Lifts whose factor appears with multiplicity one
+    are vacuously regular; their polygons are still reported."""
+    return PRegularity(tuple(is_phi_regular(f, phi, p) for phi, _ in factor_mod_p(f, p)))
+
+
+class LocalAnalysis:
+    """The first-order analyses of one f at one p: the PhiRegularity of each
+    lift phi, made the first time a route asks for it and then shared by
+    every route and check of that computation.  Each computation starts its
+    own, from the records it already holds, so no analysis outlives it."""
+
+    def __init__(self, f, p, records):
+        self.f, self.p = f, p
+        self._by_phi = {reg.phi: reg for reg in records}
+
+    def of(self, phi):
+        """The PhiRegularity of f at phi, analysed on first use."""
+        reg = self._by_phi.get(phi)
+        if reg is None:
+            reg = self._by_phi[phi] = is_phi_regular(self.f, phi, self.p)
+        return reg
+
+    def report(self, lifts):
+        """The p-regularity report for the given lifts, in their order."""
+        return PRegularity(tuple(self.of(phi) for phi in lifts))
 
 
 # -- serialization --------------------------------------------------------------
@@ -306,18 +341,25 @@ def _slope_str(slope):
 
 
 def polygon_to_json(polygon):
+    """Points, vertices and sides.  A polygon whose first vertex lies at
+    abscissa k > 0 (phi^k divides f) starts with a side of slope -infinity
+    and length k, as ordinates reads it."""
+    sides = [
+        {
+            "slope": _slope_str(s.slope),
+            "length": s.length,
+            "degree": s.degree,
+            "ramification": s.ramification,
+        }
+        for s in polygon.sides
+    ]
+    start = polygon.start_abscissa()
+    if start:
+        sides.insert(0, {"slope": "-inf", "length": start, "degree": start, "ramification": 1})
     return {
         "points": [[i, None if not is_finite(u) else u] for i, u in polygon.points],
         "vertices": [list(v) for v in polygon.vertices],
-        "sides": [
-            {
-                "slope": _slope_str(s.slope),
-                "length": s.length,
-                "degree": s.degree,
-                "ramification": s.ramification,
-            }
-            for s in polygon.sides
-        ],
+        "sides": sides,
     }
 
 

@@ -64,6 +64,7 @@ class SecondOrderPolygon(Record):
     points: tuple  # ((0, v2(a0)), (1, v2(a1 phi)), (2, 4))
     Y: Fraction  # ordinate of the polygon at abscissa 1
     one_sided: bool
+    Q: IntPoly  # first quotient of the development, phi + a1
 
     @property
     def ind2(self):
@@ -79,7 +80,8 @@ class SecondOrderPolygon(Record):
 
 def second_order_polygon(ctx):
     """Polygon over (i, v2(a_i(x) phi(x)^i)) for the development
-    F = phi^2 + a1 phi + a0; the point at abscissa 2 has ordinate 4."""
+    F = phi^2 + a1 phi + a0; the point at abscissa 2 has ordinate 4.  It
+    keeps the first quotient Q = phi + a1, which the basis reads."""
     expansion = phi_expand(ctx.F, ctx.phi)
     if len(expansion.coefficients) != 3 or expansion.coefficients[2] != IntPoly([1]):
         raise HypothesisViolatedError("development must be phi^2 + a1 phi + a0")
@@ -94,7 +96,8 @@ def second_order_polygon(ctx):
         Y = Fraction(v0 + 4, 2)
     else:
         Y = Fraction(pt1)
-    return SecondOrderPolygon(((0, v0), (1, pt1), (2, 4)), Y, one_sided)
+    return SecondOrderPolygon(((0, v0), (1, pt1), (2, 4)), Y, one_sided,
+                              expansion.quotients[0])
 
 
 class Order2Basis(Record):
@@ -115,8 +118,7 @@ def basis_order2(ctx):
             "phi was not certified second-order regular by any table row"
         )
     polygon = second_order_polygon(ctx)
-    expansion = phi_expand(ctx.F, ctx.phi)
-    Q = ctx.phi + expansion.coefficients[1]
+    Q = polygon.Q
     nu = polygon.Y / 2 - 1
     e2 = int(nu // 1)
     e3 = int((nu + Fraction(1, 2)) // 1)

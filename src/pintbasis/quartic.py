@@ -17,7 +17,7 @@ from .arith import INFINITY, check_prime, inv_mod, is_finite, legendre, sqrt_mod
 from .errors import InconsistentError, IterationPreconditionError, NonIntegerSlopeError
 from .factor import factor_mod_p, sanity_check_irreducible
 from .intpoly import IntPoly
-from .newton import is_p_regular, is_phi_regular, ordinates, phi_index, phi_polygon_data
+from .newton import LocalAnalysis
 from .basis import BasisElement, PIntegralBasis, _regular_basis, triangularize
 from .record import Record
 from .tables import match_table1
@@ -44,7 +44,8 @@ class QuarticCase(Enum):
 
 class QuarticContext(Record):
     """What the case constructions read about (f, p), computed once: f, its
-    discriminant, Delta = v_p(disc) and the factorization case mod p."""
+    discriminant, Delta = v_p(disc), the factorization case mod p and the
+    first-order analysis of f at p, which holds one record per lift."""
 
     a: int
     b: int
@@ -54,9 +55,12 @@ class QuarticContext(Record):
     disc: int
     Delta: int
     case: QuarticCase
+    analysis: LocalAnalysis
 
 
-def make_context(a, b, c, p):
+def make_context(a, b, c, p, records):
+    """The context of x^4+ax^2+bx+c at p; records are the PhiRegularity
+    records of f at p already in hand, such as the generic route's report."""
     f = IntPoly.monic_quartic(a, b, c)
     disc = (
         16 * a**4 * c - 128 * a**2 * c**2 + 144 * a * b**2 * c
@@ -65,14 +69,14 @@ def make_context(a, b, c, p):
     if disc != f.discriminant():
         raise InconsistentError("closed-form discriminant disagrees with resultant")
     return QuarticContext(a, b, c, p, f, disc, vp(disc, p) if disc else 0,
-                          _case(a, b, c, p, disc))
+                          _case(a, b, c, p, disc), LocalAnalysis(f, p, records))
 
 
 def classify(a, b, c, p):
     """The factorization shape of x^4+ax^2+bx+c mod p, assuming f irreducible
     over Q.  Exactly one case applies; Inconsistent would indicate a bug."""
     check_prime(p)
-    return make_context(a, b, c, p).case
+    return make_context(a, b, c, p, ()).case
 
 
 def _case(a, b, c, p, disc):
@@ -150,10 +154,11 @@ def valuation_profile(F, s, p):
     return ValuationProfile(s, *us, *sigmas)
 
 
-def check_initial_conditions(F, profile, p):
-    """Which admissible starting pattern the integer s satisfies: 'I', 'II',
-    'III', or None.  Pattern III also demands a separable residual on the
-    right part [2,4] of the polygon."""
+def check_initial_conditions(profile, reg):
+    """Which admissible starting pattern the integer s = profile.s
+    satisfies: 'I', 'II', 'III', or None.  Pattern III also demands a
+    separable residual on the right part [2,4] of the polygon, read from
+    reg, the analysis of the lift x - s."""
     u0, u1, u2, u3 = profile.us()
     if u2 == 0 and u1 > 0 and u0 > 0:
         return "I"
@@ -165,15 +170,15 @@ def check_initial_conditions(F, profile, p):
         and u0 > 2 * u2
         and 2 * u1 > 3 * u2
         and 2 * u3 >= u2
-        and _right_part_separable(F, profile.s, p)
+        and all(sd.separable for sd in reg.sides if sd.side.start[0] >= 2)
     ):
         return "III"
     return None
 
 
-def _right_part_separable(F, s, p):
-    _, _, data = phi_polygon_data(F, IntPoly([-s, 1]), p)
-    return all(sd.separable for sd in data if sd.side.start[0] >= 2)
+def _lift_at(analysis, s):
+    """The analysis record of the lift x - s."""
+    return analysis.of(IntPoly([-s, 1]))
 
 
 class IterationStep(Record):
@@ -184,35 +189,26 @@ class IterationStep(Record):
     row: int
 
 
-def iterate_to_regular(F, s0, p, record=None):
-    """Shift s -> s + y p^delta until F is (x-s)-regular; delta is the slope
-    of the unique inseparable side and y lifts its multiple residual root.
+def iterate_to_regular(analysis, s0, record=None):
+    """Shift s -> s + y p^delta until F = analysis.f is (x-s)-regular at
+    p = analysis.p, and return the analysis record of that final x - s;
+    delta is the slope of the unique inseparable side and y lifts its
+    multiple residual root.  Each s is analysed and profiled once.
 
     The phi-index strictly increases across irregular steps (asserted), so
     the loop ends within v_p(disc F)/2 + 1 steps.  A fractional inseparable
     slope cannot be repaired by shifts and raises NonIntegerSlopeError."""
+    F, p = analysis.f, analysis.p
     profile = valuation_profile(F, s0, p)
-    cond = check_initial_conditions(F, profile, p)
+    reg = _lift_at(analysis, s0)
+    cond = check_initial_conditions(profile, reg)
     if cond is None:
         raise IterationPreconditionError(
             f"s={s0} matches no admissible starting pattern at p={p}"
         )
     bound = vp(F.discriminant(), p) // 2 + 1
-    s = s0
-    prev_ind = None
     steps = []
-    while True:
-        phi = IntPoly([-s, 1])
-        reg = is_phi_regular(F, phi, p)
-        ind = phi_index(F, phi, p)
-        if prev_ind is not None and not reg.regular and ind <= prev_ind:
-            raise InconsistentError(
-                f"phi-index did not grow across the iteration ({prev_ind} -> {ind})"
-            )
-        if reg.regular:
-            if record is not None:
-                record.extend(steps)
-            return s
+    while not reg.regular:
         if len(steps) > bound:
             raise InconsistentError("iteration exceeded its index bound")
         bad_sides = {w[0] for w in reg.witnesses}
@@ -229,8 +225,6 @@ def iterate_to_regular(F, s0, p, record=None):
         root = (-factor[0]) % p
         if root == 0:
             raise InconsistentError("residual polynomial divisible by y")
-        profile = valuation_profile(F, s, p)
-        cond = check_initial_conditions(F, profile, p)
         if cond is None:
             raise InconsistentError("iteration left the admissible patterns")
         rows = match_table1(profile, p, cond)
@@ -250,9 +244,20 @@ def iterate_to_regular(F, s0, p, record=None):
                 raise InconsistentError("accelerated shift does not lift the root")
         else:
             y = symmetric_rep(root, p)
-        steps.append(IterationStep(s, ind, delta, y, row.rid))
-        s = s + y * p**delta
-        prev_ind = ind
+        steps.append(IterationStep(profile.s, reg.index, delta, y, row.rid))
+        s = profile.s + y * p**delta
+        prev_ind = reg.index
+        reg = _lift_at(analysis, s)
+        if not reg.regular:
+            if reg.index <= prev_ind:
+                raise InconsistentError(
+                    f"phi-index did not grow across the iteration ({prev_ind} -> {reg.index})"
+                )
+            profile = valuation_profile(F, s, p)
+            cond = check_initial_conditions(profile, reg)
+    if record is not None:
+        record.extend(steps)
+    return reg
 
 
 # -- shared construction helpers -------------------------------------------------
@@ -274,30 +279,31 @@ def _lifts_with_override(factors, p, replacements):
 
 
 def _construct(ctx, lifts, display, meta):
-    """Basis from the regular-case construction for the given lifts, with the
-    table's display family retained as generators."""
-    basis = _regular_basis(ctx.f, ctx.p, is_p_regular(ctx.f, ctx.p, lifts))
+    """Basis from the regular-case construction for the given lifts, read
+    from the records of ctx.analysis, with the table's display family
+    retained as generators."""
+    basis = _regular_basis(ctx.f, ctx.p, ctx.analysis.report(lifts))
     return PIntegralBasis(
         ctx.p, basis.elements, basis.index_valuation,
         tuple(display) if display else basis.generators, dict(meta),
     )
 
 
-def _ordinate_floor(f, s, p, abscissa):
-    """floor of the principal-polygon ordinate of f w.r.t. x - s."""
-    _, principal, _ = phi_polygon_data(f, IntPoly([-s, 1]), p)
-    ys = ordinates(principal)
-    return int(ys[abscissa] // 1)
+def _quotient_element(reg, j):
+    """q_j(theta)/p^floor(y_j), read from the record of a lift x - s: the
+    quotient of f by (x-s)^j over the floored principal ordinate."""
+    return BasisElement(reg.expansion.quotients[j - 1], reg.ordinates[j] // 1)
 
 
-def _quartic_q1(F, s):
-    """First quotient of the (x-s)-adic development of a monic quartic."""
-    return (F - IntPoly.const(F(s))) // IntPoly([-s, 1])
-
-
-def _quartic_q2(F, s):
-    """Second quotient: quotient of F by (x-s)^2."""
-    return F // (IntPoly([-s, 1]) ** 2)
+def _double_root_pair(analysis, t, half):
+    """(s, display) for two double roots mod 2 whose lift x - t is
+    regular: the shift iteration, started at the other residue, gives the
+    lift x - s of the other root, and the display is 1, theta, theta^2 (or
+    (theta^2+theta)/2 when half) and q_1/p^floor(y_1) of x - s."""
+    reg = iterate_to_regular(analysis, 1 - t)
+    third = BasisElement(IntPoly([0, 1, 1]), 1) if half else BasisElement(_X**2, 0)
+    return -reg.phi[0], [BasisElement(_ONE, 0), BasisElement(_X, 0), third,
+                         _quotient_element(reg, 1)]
 
 
 # -- case A: square of a quadratic -----------------------------------------------
@@ -366,12 +372,13 @@ def basis_case_B(ctx):
         raise InconsistentError("case B expects exactly one double linear factor")
     s0 = -doubles[0][0]
     s = _hensel_root_of_derivative(f, s0, p, ctx.Delta // 2 + 1)
+    reg = _lift_at(ctx.analysis, s)
     nu = ctx.Delta // 2
     display = [
         BasisElement(_ONE, 0), BasisElement(_X, 0), BasisElement(_X**2, 0),
-        BasisElement(_quartic_q1(f, s), nu),
+        BasisElement(reg.expansion.quotients[0], nu),
     ]
-    lifts = _lifts_with_override(factors, p, [IntPoly([-s, 1])])
+    lifts = _lifts_with_override(factors, p, [reg.phi])
     return _construct(ctx, lifts, display,
                       {"case": ctx.case.value, "rows": ["eq13"], "s": s})
 
@@ -388,28 +395,23 @@ def basis_case_C1(ctx):
     s = sqrt_mod_pk(-a * inv_mod(2, M) % M, p, r + 1)
     if s is None:
         raise InconsistentError("case C1 requires -a/2 to be a square mod p")
-    iterated = False
-    reg_plus = is_phi_regular(f, IntPoly([-s, 1]), p).regular
-    reg_minus = is_phi_regular(f, IntPoly([s, 1]), p).regular
-    if not reg_plus or not reg_minus:
-        if not reg_plus and not reg_minus:
+    plus, minus = _lift_at(ctx.analysis, s), _lift_at(ctx.analysis, -s)
+    iterated = not plus.regular or not minus.regular
+    if iterated:
+        if not plus.regular and not minus.regular:
             raise InconsistentError("both square-root lifts irregular in case C1")
-        bad = s if not reg_plus else -s
-        bad = iterate_to_regular(f, bad, p)
-        s = bad if not reg_plus else -bad
-        iterated = True
-        for t in (s, -s):
-            if not is_phi_regular(f, IntPoly([-t, 1]), p).regular:
-                raise InconsistentError("iterate left an irregular companion lift")
-    nu_plus = _ordinate_floor(f, s, p, 1)
-    nu_minus = _ordinate_floor(f, -s, p, 1)
-    if nu_minus > nu_plus:
-        s = -s
-        nu_plus, nu_minus = nu_minus, nu_plus
+        bad = s if not plus.regular else -s
+        bad = -iterate_to_regular(ctx.analysis, bad).phi[0]  # its regular lift x - bad
+        s = bad if not plus.regular else -bad
+        plus, minus = _lift_at(ctx.analysis, s), _lift_at(ctx.analysis, -s)
+        if not plus.regular or not minus.regular:
+            raise InconsistentError("iterate left an irregular companion lift")
+    if minus.ordinates[1] // 1 > plus.ordinates[1] // 1:
+        s, plus, minus = -s, minus, plus
     display = [
         BasisElement(_ONE, 0), BasisElement(_X, 0),
-        BasisElement(IntPoly([s * s + a, 0, 1]), nu_minus),
-        BasisElement(_quartic_q1(f, s), nu_plus),
+        BasisElement(IntPoly([s * s + a, 0, 1]), minus.ordinates[1] // 1),
+        _quotient_element(plus, 1),
     ]
     lifts = _lifts_with_override(factor_mod_p(f, p), p,
                                  [IntPoly([-s, 1]), IntPoly([s, 1])])
@@ -419,42 +421,22 @@ def basis_case_C1(ctx):
 
 
 def basis_case_C2(ctx):
-    a, b, c, p, f = ctx.a, ctx.b, ctx.c, ctx.p, ctx.f
+    a, b, c = ctx.a, ctx.b, ctx.c
     vc = vp(c, 2)
     vs1 = vp(a + b + c + 1, 2)
-    rows = []
     if vc == 1 and vs1 == 1:
         t, s = 0, 1
-        rows.append("eq15-r1")
+        rows = ["eq15-r1"]
         display = [BasisElement(IntPoly.x(i), 0) for i in range(4)]
-    elif vc == 1:
-        t = 0
-        s = iterate_to_regular(f, 1, 2)
-        rows.append("eq15-r2")
-        display = None
-    elif vs1 == 1:
-        t = 1
-        s = iterate_to_regular(f, 0, 2)
-        rows.append("eq15-r3")
-        display = None
     else:
-        rows.append("eq15-r4")
-        if a % 4 == 1:
-            t = 0
-            s = iterate_to_regular(f, 1, 2)
+        if vc == 1:
+            t, rows = 0, ["eq15-r2"]
+        elif vs1 == 1:
+            t, rows = 1, ["eq15-r3"]
         else:
-            t = 1
-            s = iterate_to_regular(f, 0, 2)
-        display = None
-    if display is None:
-        nu = _ordinate_floor(f, s, 2, 1)
-        display = [BasisElement(_ONE, 0), BasisElement(_X, 0)]
-        if rows[-1] == "eq15-r4":
-            display.append(BasisElement(IntPoly([0, 1, 1]), 1))
-        else:
-            display.append(BasisElement(_X**2, 0))
-        display.append(BasisElement(_quartic_q1(f, s), nu))
-    if not is_phi_regular(f, IntPoly([-t, 1]), 2).regular:
+            t, rows = (0 if a % 4 == 1 else 1), ["eq15-r4"]
+        s, display = _double_root_pair(ctx.analysis, t, rows[0] == "eq15-r4")
+    if not _lift_at(ctx.analysis, t).regular:
         raise InconsistentError(f"claimed-regular lift {t} is irregular in case C2")
     lifts = [IntPoly([-t, 1]), IntPoly([-s, 1])]
     return _construct(ctx, lifts, display,
@@ -511,7 +493,7 @@ def basis_case_D(ctx):
         )
         rows.append("L42-irregular" if irregular else
                     ("L42-one-side" if 2 * pr.u0 < 3 * pr.u1 else "L42-two-sides"))
-        s = iterate_to_regular(f, s0, p) if irregular else s0
+        reg = iterate_to_regular(ctx.analysis, s0) if irregular else _lift_at(ctx.analysis, s0)
     else:
         if a % 9 == 3:
             k = ctx.Delta // 6 + 1
@@ -527,16 +509,15 @@ def basis_case_D(ctx):
             pr = valuation_profile(f, s0, 3)
             irregular = 2 * pr.u0 < 3 * pr.u1 and is_finite(pr.u0) and pr.u0 % 3 == 0
             if not irregular:
-                s = s0
+                reg = _lift_at(ctx.analysis, s0)
                 rows.append("L43-regular")
             else:
                 y = 1 if (pr.sigma0 - b) % 3 == 0 else -1
-                s1 = s0 + y * 3 ** (pr.u0 // 3)
-                if is_phi_regular(f, IntPoly([-s1, 1]), 3).regular:
-                    s = s1
+                reg = _lift_at(ctx.analysis, s0 + y * 3 ** (pr.u0 // 3))
+                if reg.regular:
                     rows.append("L43-s1")
                 else:
-                    s = iterate_to_regular(f, s1, 3)
+                    reg = iterate_to_regular(ctx.analysis, -reg.phi[0])
                     rows.append("L43-beyond-s1")
                     meta["beyond_s1"] = 1
         else:
@@ -546,17 +527,13 @@ def basis_case_D(ctx):
                 rows.append("L44-deep")
             else:
                 rows.append("L44-direct")
-            if not is_phi_regular(f, IntPoly([-s, 1]), 3).regular:
+            reg = _lift_at(ctx.analysis, s)
+            if not reg.regular:
                 raise InconsistentError("deep derivative root is irregular")
-    nu2 = _ordinate_floor(f, s, p, 2)
-    nu1 = _ordinate_floor(f, s, p, 1)
-    display = [
-        BasisElement(_ONE, 0), BasisElement(_X, 0),
-        BasisElement(_quartic_q2(f, s), nu2),
-        BasisElement(_quartic_q1(f, s), nu1),
-    ]
-    lifts = _lifts_with_override(factor_mod_p(f, p), p, [IntPoly([-s, 1])])
-    meta.update({"rows": rows, "s": s})
+    display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
+               _quotient_element(reg, 2), _quotient_element(reg, 1)]
+    lifts = _lifts_with_override(factor_mod_p(f, p), p, [reg.phi])
+    meta.update({"rows": rows, "s": -reg.phi[0]})
     return _construct(ctx, lifts, display, meta)
 
 
@@ -603,7 +580,7 @@ def quartic_p_integral_basis(a, b, c, p):
     The result records the case and every table row used in meta."""
     check_prime(p)
     sanity_check_irreducible(IntPoly.monic_quartic(a, b, c))
-    return _quartic_basis(make_context(a, b, c, p))
+    return _quartic_basis(make_context(a, b, c, p, ()))
 
 
 def _quartic_basis(ctx):
@@ -631,7 +608,7 @@ def _quartic_basis(ctx):
     a2, b2, c2, k = reduce_E1(ctx.a, ctx.b, ctx.c, p)
     if k == 0:
         return basis_case_E1(ctx)
-    inner = _quartic_basis(make_context(a2, b2, c2, p))
+    inner = _quartic_basis(make_context(a2, b2, c2, p, ()))
     els = _transport(list(inner.elements), p, scale_pow=k, shift=0)
     gens = _transport(list(inner.generators), p, scale_pow=k, shift=0)
     meta = dict(inner.meta)

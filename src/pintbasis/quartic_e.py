@@ -15,14 +15,14 @@ from .arith import inv_mod, is_finite, symmetric_rep, vp
 from .basis import BasisElement, _regular_basis, triangularize
 from .errors import InconsistentError
 from .intpoly import IntPoly
-from .newton import is_p_regular, is_phi_regular
+from .newton import LocalAnalysis
 from .quartic import (
     _ONE,
     _X,
     _construct,
-    _ordinate_floor,
-    _quartic_q1,
-    _quartic_q2,
+    _double_root_pair,
+    _lift_at,
+    _quotient_element,
     _transport,
     iterate_to_regular,
 )
@@ -69,12 +69,11 @@ def basis_case_E1(ctx):
     if row.strategy == "x-reg":
         return _construct(ctx, [_X], None, meta)
     if row.strategy == "iterate":
-        s = iterate_to_regular(f, 0, p)
-        nu = _ordinate_floor(f, s, p, 1)
-        display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
-                   BasisElement(_X**2, 1), BasisElement(_quartic_q1(f, s), nu)]
-        meta.update({"s": s, "nu": nu})
-        return _construct(ctx, [IntPoly([-s, 1])], display, meta)
+        reg = iterate_to_regular(ctx.analysis, 0)
+        q1 = _quotient_element(reg, 1)
+        display = [BasisElement(_ONE, 0), BasisElement(_X, 0), BasisElement(_X**2, 1), q1]
+        meta.update({"s": -reg.phi[0], "nu": q1.denom_exp})
+        return _construct(ctx, [reg.phi], display, meta)
     if row.strategy == "half-a":
         mprime = vp(a * a - 4 * c, p)
         if not is_finite(mprime):
@@ -132,22 +131,22 @@ def basis_case_E2(ctx):
         return basis
 
     if row.strategy == "direct":
-        constructed = _regular_basis(g, 2, is_p_regular(g, 2, [_X]))
+        constructed = _regular_basis(g, 2, LocalAnalysis(g, 2, ()).report([_X]))
         denoms = E2_DIRECT_DENOMS[row.rid]
         display = [BasisElement(_ONE, 0)] + [
             BasisElement(_X ** (i + 1), denoms[i]) for i in range(3)
         ]
         return finish(list(constructed.elements), 0, display)
     if row.strategy == "iterate":
-        s = iterate_to_regular(g, 0, 2)
-        constructed = _regular_basis(g, 2, is_p_regular(g, 2, [IntPoly([-s, 1])]))
-        nu = _ordinate_floor(g, s, 2, 1)
+        g_lifts = LocalAnalysis(g, 2, ())
+        reg = iterate_to_regular(g_lifts, 0)
+        constructed = _regular_basis(g, 2, g_lifts.report([reg.phi]))
+        q1 = _quotient_element(reg, 1)
         pre = {"T4r5": (0, 1), "T4r18": (1, 3), "T4r24": (2, 4)}[row.rid]
         display = [BasisElement(_ONE, 0), BasisElement(_X, pre[0]),
-                   BasisElement(_X**2, pre[1]),
-                   BasisElement(_quartic_q1(g, s), nu)]
+                   BasisElement(_X**2, pre[1]), q1]
         return finish(list(constructed.elements), 0, display,
-                      extra_meta={"s": s, "nu": nu})
+                      extra_meta={"s": -reg.phi[0], "nu": q1.denom_exp})
     if row.strategy == "table5":
         Q, nu, rows = table5_q_nu(A, B, C)
         phi, tag = order2.choose_phi("E2_row4", {"A": A, "B": B, "C": C})
@@ -170,23 +169,20 @@ def basis_case_E2(ctx):
         h = _scale_down(g, 1)
         Ap, Bp, Cp = h[2], h[1], h[0]
         phi, tag = order2.choose_phi("E2_row10", {"Ap": Ap, "Bp": Bp, "Cp": Cp})
-        constructed = _regular_basis(h, 2, is_p_regular(h, 2, [phi]))
+        constructed = _regular_basis(h, 2, LocalAnalysis(h, 2, ()).report([phi]))
         return finish(list(constructed.elements), 1, None, extra_rows=[tag])
     if row.strategy == "twodouble":
         h = _scale_down(g, 1)
         return _basis_e2_twodouble(h, finish)
     if row.strategy == "scale4":
         h = _scale_down(g, 2)
-        s = iterate_to_regular(h, 0, 2)
-        lifts = [IntPoly([-s, 1]), IntPoly([-1, 1])]
-        constructed = _regular_basis(h, 2, is_p_regular(h, 2, lifts))
-        nu1 = _ordinate_floor(h, s, 2, 1)
-        nu2 = _ordinate_floor(h, s, 2, 2)
+        h_lifts = LocalAnalysis(h, 2, ())
+        reg = iterate_to_regular(h_lifts, 0)
+        constructed = _regular_basis(h, 2, h_lifts.report([reg.phi, IntPoly([-1, 1])]))
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
-                   BasisElement(_quartic_q2(h, s), nu2),
-                   BasisElement(_quartic_q1(h, s), nu1)]
+                   _quotient_element(reg, 2), _quotient_element(reg, 1)]
         return finish(list(constructed.elements), 2, display, ["eq-last"],
-                      {"s": s})
+                      {"s": -reg.phi[0]})
     raise InconsistentError(f"unhandled strategy {row.strategy}")
 
 
@@ -196,50 +192,31 @@ def _basis_e2_twodouble(h, finish):
     Ap, Bp, Cp = h[2], h[1], h[0]
     vCp = vp(Cp, 2)
     vS = vp(Ap + Bp + Cp + 3, 2)
-    x2x = IntPoly([0, 1, 1])
+    lifts = LocalAnalysis(h, 2, ())
     if vCp == 1 and vS == 1:
         t, s = 0, 1
         rows = ["Tdd2-r1"]
         display = [BasisElement(IntPoly.x(i), 0) for i in range(4)]
-    elif vCp == 1:
-        t = 0
-        s = iterate_to_regular(h, 1, 2)
-        rows = ["Tdd2-r2"]
-        display = None
-    elif vS == 1:
-        t = 1
-        s = iterate_to_regular(h, 0, 2)
-        rows = ["Tdd2-r3"]
-        display = None
-    elif Ap % 4 == 3:
-        t = 0
-        s = iterate_to_regular(h, 1, 2)
-        rows = ["Tdd2-r4"]
-        nu_s = _ordinate_floor(h, s, 2, 1)
-        display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
-                   BasisElement(x2x, 1),
-                   BasisElement(_quartic_q1(h, s), nu_s)]
-    else:
-        s_even = iterate_to_regular(h, 0, 2)
-        s_odd = iterate_to_regular(h, 1, 2)
-        nu_even = _ordinate_floor(h, s_even, 2, 1)
-        nu_odd = _ordinate_floor(h, s_odd, 2, 1)
-        if nu_even > nu_odd:
-            s, t, nu_s, nu_t = s_even, s_odd, nu_even, nu_odd
+    elif vCp == 1 or vS == 1 or Ap % 4 == 3:
+        if vCp == 1:
+            t, rows = 0, ["Tdd2-r2"]
+        elif vS == 1:
+            t, rows = 1, ["Tdd2-r3"]
         else:
-            s, t, nu_s, nu_t = s_odd, s_even, nu_odd, nu_even
+            t, rows = 0, ["Tdd2-r4"]
+        s, display = _double_root_pair(lifts, t, rows[0] == "Tdd2-r4")
+    else:
+        even, odd = iterate_to_regular(lifts, 0), iterate_to_regular(lifts, 1)
+        if even.ordinates[1] // 1 > odd.ordinates[1] // 1:
+            reg, other = even, odd
+        else:
+            reg, other = odd, even
+        s, t = -reg.phi[0], -other.phi[0]
         beta = IntPoly([s * s + s * t + t * t + 2 * (s + t) + Ap, s + t + 2, 1])
         rows = ["Tdd2-r5"]
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
-                   BasisElement(beta, nu_t),
-                   BasisElement(_quartic_q1(h, s), nu_s)]
-    if display is None:
-        nu_s = _ordinate_floor(h, s, 2, 1)
-        display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
-                   BasisElement(_X**2, 0),
-                   BasisElement(_quartic_q1(h, s), nu_s)]
-    if not is_phi_regular(h, IntPoly([-t, 1]), 2).regular:
+                   BasisElement(beta, other.ordinates[1] // 1), _quotient_element(reg, 1)]
+    if not _lift_at(lifts, t).regular:
         raise InconsistentError("claimed-regular double-root lift is irregular")
-    lifts = [IntPoly([-t, 1]), IntPoly([-s, 1])]
-    constructed = _regular_basis(h, 2, is_p_regular(h, 2, lifts))
+    constructed = _regular_basis(h, 2, lifts.report([IntPoly([-t, 1]), IntPoly([-s, 1])]))
     return finish(list(constructed.elements), 1, display, rows, {"s": s, "t": t})

@@ -23,6 +23,7 @@ from pintbasis.factor import (
 )
 from pintbasis.intpoly import IntPoly
 from pintbasis.newton import (
+    LocalAnalysis,
     index_from_ordinates,
     lattice_point_count,
     newton_polygon,
@@ -193,7 +194,7 @@ def test_criterion_5_iteration_monotonicity():
 
             steps = []
             try:
-                iterate_to_regular(f, s0, p, record=steps)
+                iterate_to_regular(LocalAnalysis(f, p, ()), s0, record=steps)
             except IterationPreconditionError:
                 continue
             except NonIntegerSlopeError:

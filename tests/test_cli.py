@@ -149,9 +149,12 @@ def test_error_paths():
             2, "error: x^4+4*x^2+4 factors over Q\n"), command
         assert run([command, "-f", "x^5-3x^4+x^2-2x-3", "-p", "2"]) == (
             2, "error: x^5-3*x^4+x^2-2*x-3 has a rational root\n"), command
-    # a corpus needs at least one input
-    for n in ("0", "-1"):
-        assert run(["verify", "--corpus", n]) == (2, "verify --corpus N needs N >= 1\n"), n
+    # verify's own usage checks answer like every other bad input
+    for n in ("0", "-1"):  # a corpus needs at least one input
+        assert run(["verify", "--corpus", n]) == (
+            2, "error: verify --corpus N needs N >= 1\n"), n
+    assert run(["verify", "-p", "2"]) == (2, "error: verify needs -f POLY or --corpus N\n")
+    assert run(["verify", "-f", "x^2+1"]) == (2, "error: verify needs -p P\n")
 
 
 def test_not_regular_error_message():
@@ -486,6 +489,85 @@ def test_unramified_prime_where_f_is_its_own_lift():
             0, f"verify {f} at p={p}: ok (path generic, ind=0)\n"), (f, p)
         assert run(["factor", "-f", f, "-p", str(p)]) == (0, (
             f"phi={f}  slope -inf  residual factor y^1  e=1 f={n}\ncomplete\n")), (f, p)
+
+
+def test_polygon_where_f_is_its_own_lift():
+    """x^2+1 at p=3 is its own lift: a_0 = 0, so the principal polygon is
+    one side of slope -infinity and length 1, and it keeps the point at
+    abscissa 0 that has no ordinate."""
+    assert run(["polygon", "-f", "x^2+1", "-p", "3"]) == (0, (
+        "phi = x^2+1\n  side slope -inf  length 1  degree 1  ramification 1\n"))
+    code, out = run(["polygon", "-f", "x^2+1", "-p", "3", "--json"])
+    polygon = {"points": [[0, None], [1, 0]], "vertices": [[1, 0]],
+               "sides": [{"slope": "-inf", "length": 1, "degree": 1, "ramification": 1}]}
+    assert code == 0
+    assert json.loads(out) == {"phi": "x^2+1", "polygon": polygon, "principal": polygon}
+
+
+def test_quartic_route_analyses_each_lift_once(monkeypatch):
+    """On every quartic-irregular benchmark input, one basis --json call
+    analyses each (F, phi) pair once: the generic report, the shift
+    iteration, the case constructions and their regularity checks all read the
+    same PhiRegularity record.  basis_order2 develops F once, through
+    second_order_polygon."""
+    from pathlib import Path
+
+    import pintbasis
+    from pintbasis import newton, order2
+
+    data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+    rows = []
+    for line in (data / "quartic_irregular.txt").read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            rows.append(tuple(int(t) for t in line.split()))
+    assert len(rows) == 168
+
+    analysed = Counter()
+    order2_expands = []  # phi_expand calls made inside each basis_order2 call
+    inside = []
+
+    def patch(name, wrapper):
+        original = getattr(newton, name)
+        for mod in [m for m in vars(pintbasis).values() if type(m) is type(pintbasis)]:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper(original))
+
+    def analysing(original):
+        def is_phi_regular(f, phi, p):
+            analysed[(f, phi, p)] += 1
+            return original(f, phi, p)
+        return is_phi_regular
+
+    def expanding(original):
+        def phi_expand(f, phi):
+            if inside:
+                order2_expands[-1] += 1
+            return original(f, phi)
+        return phi_expand
+
+    basis_order2 = order2.basis_order2
+
+    def counted_basis_order2(ctx):
+        order2_expands.append(0)
+        inside.append(ctx)
+        try:
+            return basis_order2(ctx)
+        finally:
+            inside.pop()
+
+    patch("is_phi_regular", analysing)
+    patch("phi_expand", expanding)
+    monkeypatch.setattr(order2, "basis_order2", counted_basis_order2)
+    for a, b, c, p in rows:
+        analysed.clear()
+        code, out = run(["basis", "-f", IntPoly.monic_quartic(a, b, c).render("x"),
+                         "-p", str(p), "--json"])
+        assert code == 0, (a, b, c, p, out)
+        twice = [(f.render("x"), phi.render("x")) for (f, phi, _), n in analysed.items()
+                 if n > 1]
+        assert not twice, (a, b, c, p, twice)
+    assert order2_expands and set(order2_expands) == {1}, order2_expands
 
 
 def _basis_json(f, p, *extra):

@@ -66,6 +66,27 @@ def test_every_parameter_is_read():
     assert not unread, unread
 
 
+def test_one_development_per_phi():
+    """Outside newton, only the second-order polygon and the polygon command
+    develop f in phi; every other route reads the development from the
+    PhiRegularity record of its lift, so a hand-rolled development fails
+    here."""
+    allowed = {("order2.py", "second_order_polygon"), ("cli.py", "cmd_polygon")}
+    found = []
+    for name, tree in _modules():
+        if name in ("newton.py", "__init__.py"):
+            continue
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or (name, fn.name) in allowed:
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None))
+                        == "phi_expand"):
+                    found.append(f"{name}:{node.lineno} {fn.name}")
+    assert not found, found
+
+
 def test_oracle_shares_no_newton_polygon_code():
     """The oracle is the independent check of the constructions: it imports
     nothing from the Newton-polygon modules or from the constructions'

@@ -66,12 +66,15 @@ def test_ind_examples():
     # Y = 9/2 -> ind2 = 0, ind_p = 2;  Y = 5 -> 1, 3;  Y = 4 -> 0, 2
     from pintbasis.order2 import SecondOrderPolygon
 
-    assert SecondOrderPolygon(((0, 5), (1, 5), (2, 4)), Fraction(9, 2), True).ind2 == 0
-    assert SecondOrderPolygon(((0, 5), (1, 5), (2, 4)), Fraction(9, 2), True).ind_p == 2
-    assert SecondOrderPolygon(((0, 6), (1, 5), (2, 4)), Fraction(5), True).ind2 == 1
-    assert SecondOrderPolygon(((0, 6), (1, 5), (2, 4)), Fraction(5), True).ind_p == 3
-    assert SecondOrderPolygon(((0, 4), (1, 5), (2, 4)), Fraction(4), True).ind2 == 0
-    assert SecondOrderPolygon(((0, 4), (1, 5), (2, 4)), Fraction(4), True).ind_p == 2
+    def polygon(points, Y):  # the quotient plays no part in the indices
+        return SecondOrderPolygon(points, Y, True, X**2 - 2)
+
+    assert polygon(((0, 5), (1, 5), (2, 4)), Fraction(9, 2)).ind2 == 0
+    assert polygon(((0, 5), (1, 5), (2, 4)), Fraction(9, 2)).ind_p == 2
+    assert polygon(((0, 6), (1, 5), (2, 4)), Fraction(5)).ind2 == 1
+    assert polygon(((0, 6), (1, 5), (2, 4)), Fraction(5)).ind_p == 3
+    assert polygon(((0, 4), (1, 5), (2, 4)), Fraction(4)).ind2 == 0
+    assert polygon(((0, 4), (1, 5), (2, 4)), Fraction(4)).ind_p == 2
 
 
 def test_section52_inline_table():

@@ -10,6 +10,7 @@ from pintbasis.errors import (
 )
 from pintbasis.factor import is_irreducible_quartic
 from pintbasis.intpoly import IntPoly
+from pintbasis.newton import LocalAnalysis, is_phi_regular
 from pintbasis.oracle import is_integral, saturate
 from pintbasis.basis import BasisElement, triangularize
 from pintbasis.quartic import (
@@ -65,34 +66,34 @@ def test_valuation_profile():
 
 def test_initial_conditions():
     F = X**4 + 2 * X**3 + 3 * X**2 + 4 * X + 4
-    assert check_initial_conditions(F, valuation_profile(F, 0, 2), 2) == "I"
+    assert check_initial_conditions(valuation_profile(F, 0, 2), is_phi_regular(F, X, 2)) == "I"
     F2 = X**4 + X**3 + 3 * X**2 + 3 * X + 3  # u3 = v3(1) = 0, rest positive
     pr = valuation_profile(F2, 0, 3)
-    assert check_initial_conditions(F2, pr, 3) == "II"
+    assert check_initial_conditions(pr, is_phi_regular(F2, X, 3)) == "II"
     F3 = IntPoly.monic_quartic(0, 0, 3)
     pr = valuation_profile(F3, 0, 3)  # u0 = 1, u1 = inf, u2 = inf, u3 = inf
-    assert check_initial_conditions(F3, pr, 3) is None
+    assert check_initial_conditions(pr, is_phi_regular(F3, X, 3)) is None
 
 
 def test_iterate_example_from_condition_i():
     # one step: s0 = 0 irregular (side slope -1, residual (y+1)^2), t = 2 regular
     F = X**4 + 2 * X**3 + 3 * X**2 + 4 * X + 4
     steps = []
-    s = iterate_to_regular(F, 0, 2, record=steps)
-    assert s == 2
+    reg = iterate_to_regular(LocalAnalysis(F, 2, ()), 0, record=steps)
+    assert reg.phi == X - 2 and reg.regular  # s = 2
     assert len(steps) == 1
     assert steps[0].delta == 1 and steps[0].y == 1
 
 
 def test_iterate_rejects_bad_start():
     with pytest.raises(IterationPreconditionError):
-        iterate_to_regular(IntPoly.monic_quartic(0, 0, 3), 0, 3)
+        iterate_to_regular(LocalAnalysis(IntPoly.monic_quartic(0, 0, 3), 3, ()), 0)
 
 
 def test_iterate_non_integer_slope():
     # x^4+4x^2-4 at p=2: inseparable side of slope -1/2 (not iterable)
     with pytest.raises((NonIntegerSlopeError, IterationPreconditionError)):
-        iterate_to_regular(X**4 + 4 * X**2 - 4, 0, 2)
+        iterate_to_regular(LocalAnalysis(X**4 + 4 * X**2 - 4, 2, ()), 0)
 
 
 def test_reduce_E1():
