@@ -39,7 +39,7 @@ from .newton import (
     residual_polynomial,
 )
 from .oracle import disc_identity_check, is_integral, is_ring_closed, round2, saturate
-from .order2 import basis_order2, choose_phi, second_order_polygon, v2p
+from .order2 import basis_order2, second_order_polygon, v2p
 from .quartic import QuarticCase, classify, iterate_to_regular, quartic_p_integral_basis, reduce_E1
 from .basis import (
     BasisElement,

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .arith import vp
 from .errors import InconsistentError, NotRegularError, RankDeficientError
-from .factor import factor_mod_p, sanity_check_irreducible
+from .factor import sanity_check_irreducible
 from .fq import factor_fqpoly
 from .intpoly import IntPoly
 from .newton import is_p_regular, ordinates, phi_index, phi_polygon_data
@@ -199,13 +199,14 @@ def decomposition_type(f, p):
     factor is simple the full list of (e, f) invariants of the primes above p
     is emitted and checked against deg f."""
     sanity_check_irreducible(f)
-    return _decomposition(f, p, is_p_regular(f, p))
+    return _decomposition(is_p_regular(f, p))
 
 
-def _decomposition(f, p, report):
+def _decomposition(report):
     """decomposition_type for an f already checked by the irreducibility
     guard, read from the p-regularity report of its lifts (is_p_regular),
     which holds the residual polynomial of every principal side."""
+    f, p = report.analysis.f, report.analysis.p
     entries = []
     complete = True
     for reg in report.by_phi:
@@ -245,10 +246,10 @@ def _decomposition(f, p, report):
 
 def ind_p_lower_bound(f, p):
     """sum of ind_phi(f) over the lifts; equals ind_p(f) when f is p-regular."""
-    return sum(phi_index(f, phi, p) for phi, _ in factor_mod_p(f, p))
+    return sum(reg.index for reg in is_p_regular(f, p).by_phi)
 
 
-def regular_basis_generators(f, p, report):
+def regular_basis_generators(report):
     """The n elements q_{i,j}(theta) theta^k / p^{floor(y_{i,j})} of the
     regular-case basis construction: quotients of the phi-adic developments
     over the floored polygon ordinates, for the lifts of the p-regularity
@@ -256,6 +257,7 @@ def regular_basis_generators(f, p, report):
     inseparable residual polynomial."""
     if not report.regular:
         raise NotRegularError(*report.first_witness())
+    f, p = report.analysis.f, report.analysis.p
     n = f.degree
     gens = []
     total_m = 0
@@ -287,14 +289,15 @@ def p_integral_basis_regular(f, p):
     ordinates.  The index valuation is checked against the sum of the
     phi-indices (they must agree in the regular case) before returning."""
     sanity_check_irreducible(f)
-    return _regular_basis(f, p, is_p_regular(f, p))
+    return _regular_basis(is_p_regular(f, p))
 
 
-def _regular_basis(f, p, report):
+def _regular_basis(report):
     """p_integral_basis_regular for an f already checked by the
     irreducibility guard, with the p-regularity report of its lifts in
     hand."""
-    gens = regular_basis_generators(f, p, report)
+    f, p = report.analysis.f, report.analysis.p
+    gens = regular_basis_generators(report)
     expected = sum(phi_index(f, reg.phi, p) for reg in report.by_phi)
     basis = triangularize(gens, p, f.degree, generators=gens)
     if basis.index_valuation != expected:

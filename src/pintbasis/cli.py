@@ -29,6 +29,7 @@ from .errors import InconsistentError, NotRegularError, PintbasisError
 from .factor import factor_mod_p, is_irreducible_quartic, sanity_check_irreducible
 from .intpoly import IntPoly, parse_poly
 from .newton import (
+    LocalAnalysis,
     is_p_regular,
     newton_polygon,
     phi_expand,
@@ -48,19 +49,16 @@ def _parse_f(args):
     return f
 
 
-def _quartic_coeffs(f):
-    if f.degree != 4 or f[3] != 0:
-        return None
-    return f[2], f[1], f[0]
+def _is_quartic(f):
+    return f.degree == 4 and f[3] == 0
 
 
 def cmd_classify(args, out):
     f = _parse_f(args)
-    abc = _quartic_coeffs(f)
-    if abc is None:
+    if not _is_quartic(f):
         raise PintbasisError("classify expects a quartic x^4+ax^2+bx+c")
     sanity_check_irreducible(f)
-    case = classify(*abc, args.p)
+    case = classify(f[2], f[1], f[0], args.p)
     out(case.value)
     return 0
 
@@ -96,40 +94,39 @@ def cmd_polygon(args, out):
     return 0
 
 
-def _compute_basis(f, p, method):
-    """(basis, path, report) for an f the caller has passed through the
-    irreducibility guard; report is the p-regularity report of the lifts of
-    f mod p (is_p_regular), None when the method did not need it.  The
-    factorization and the report run once per command, shared by the
-    generic route, the quartic fallback and the decomposition type."""
-    abc = _quartic_coeffs(f)
+def _compute_basis(f, p, method, disc):
+    """(basis, path, analysis) for an f the caller has passed through the
+    irreducibility guard, with disc f when the caller holds it (else None).
+    The analysis of (f, p) factors f mod p and analyses each lift once per
+    command, for the generic route, the quartic route and the decomposition
+    type alike."""
     if method == "quartic" or method == "order2":
-        if abc is None:
+        if not _is_quartic(f):
             raise PintbasisError(f"--method {method} expects a quartic x^4+ax^2+bx+c")
-        basis = _quartic_basis(make_context(*abc, p, ()))
+        analysis = LocalAnalysis(f, p, disc)
+        basis = _quartic_basis(make_context(analysis))
         if method == "order2" and not basis.meta.get("order2"):
             raise PintbasisError("input does not route through a second-order polygon")
-        return basis, basis.meta.get("case", "quartic"), None
-    report = is_p_regular(f, p)
+        return basis, basis.meta.get("case", "quartic"), analysis
+    report = is_p_regular(f, p, disc)
     # generic takes the p-regular path only; auto falls back to the quartic
     # pipeline, which covers the order-2 cases internally
     try:
-        return _regular_basis(f, p, report), "generic", report
+        return _regular_basis(report), "generic", report.analysis
     except NotRegularError:
-        if method == "generic" or abc is None:
+        if method == "generic" or not _is_quartic(f):
             raise
-        basis = _quartic_basis(make_context(*abc, p, report.by_phi))
+        basis = _quartic_basis(make_context(report.analysis))
         path = "quartic+order2" if basis.meta.get("order2") else "quartic"
-        return basis, path, report
+        return basis, path, report.analysis
 
 
 def cmd_basis(args, out):
     f = _parse_f(args)
-    sanity_check_irreducible(f)
-    basis, path, report = _compute_basis(f, args.p, args.method)
+    basis, path, analysis = _compute_basis(f, args.p, args.method, sanity_check_irreducible(f))
     if args.json:
-        try:  # report is None when the quartic methods did not factor f
-            dec = _decomposition(f, args.p, report or is_p_regular(f, args.p))
+        try:
+            dec = _decomposition(analysis.report())
         except PintbasisError:
             dec = None
         payload = basis.to_json(dec)
@@ -169,22 +166,22 @@ def cmd_factor(args, out):
 
 def _verify_one(f, p, disc, out, label=""):
     """Check the construction against Round 2 on an f that has passed the
-    irreducibility guard, with disc f in hand.  When the two bases are
+    irreducibility guard, with the guard's disc f or None.  When the bases are
     equal, the checks that would run twice run once: the disc identity is
     the same call for both, and Round 2 built the multiplication table of
     its order, which raises on a product that is not p-integral, so the
     basis spans a ring.  Otherwise every check runs on the construction."""
-    basis, path, report = _compute_basis(f, p, "auto")
-    oracle = _round2(f, p, disc)
+    basis, path, analysis = _compute_basis(f, p, "auto", disc)
+    oracle = _round2(f, p, analysis.disc)
     ok = basis.elements == oracle.elements
-    identity = _disc_identity(f, p, basis, disc)
+    identity = _disc_identity(f, p, basis, analysis.disc)
     checks = {
         "construction == oracle": ok,
         "disc identity": identity,
         "ring closed": ok or is_ring_closed(f, basis, p),
-        "oracle disc identity": identity if ok else _disc_identity(f, p, oracle, disc),
+        "oracle disc identity": identity if ok else _disc_identity(f, p, oracle, analysis.disc),
     }
-    dec = _decomposition(f, p, report)
+    dec = _decomposition(analysis.report())
     if dec.complete:
         checks["sum e*f = deg f"] = sum(e.e * e.f for e in dec.entries) == f.degree
     good = all(checks.values())
@@ -226,15 +223,12 @@ def cmd_verify(args, out):
         for done in range(1, args.corpus + 1):
             p = args.p or rng.choice([2, 3, 5, 7, 13])
             f = _corpus_quartic(rng, p)
-            if not _verify_one(f, p, f.discriminant(), out, label=f"[{done}] "):
+            if not _verify_one(f, p, None, out, label=f"[{done}] "):
                 bad += 1
         out(f"corpus: {args.corpus - bad}/{args.corpus} ok")
         return 1 if bad else 0
     f = _parse_f(args)
-    disc = sanity_check_irreducible(f)
-    if disc is None:  # the exact quartic test decided without disc f
-        disc = f.discriminant()
-    return 0 if _verify_one(f, args.p, disc, out) else 1
+    return 0 if _verify_one(f, args.p, sanity_check_irreducible(f), out) else 1
 
 
 def cmd_oracle(args, out):

@@ -8,9 +8,10 @@ enter the hull; they contribute zero residual coefficients.
 """
 
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import INFINITY, is_finite
-from .errors import InconsistentError
+from .errors import InconsistentError, NotIrreducibleError
 from .factor import factor_mod_p, is_irreducible_mod_p
 from .fq import FqField, factor_fqpoly
 from .intpoly import IntPoly
@@ -289,6 +290,7 @@ def is_phi_regular(f, phi, p):
 
 
 class PRegularity(Record):
+    analysis: "LocalAnalysis"  # whose f and p the records belong to
     by_phi: tuple  # PhiRegularity per lift, same order as the input
 
     @property
@@ -304,33 +306,51 @@ class PRegularity(Record):
         return None
 
 
-def is_p_regular(f, p):
-    """p-regularity with respect to the symmetric lifts of the irreducible
-    factors of f mod p.  Lifts whose factor appears with multiplicity one
-    are vacuously regular; their polygons are still reported."""
-    return PRegularity(tuple(is_phi_regular(f, phi, p) for phi, _ in factor_mod_p(f, p)))
+def is_p_regular(f, p, disc=None):
+    """p-regularity of the symmetric lifts of the factors of f mod p, reported
+    by a new analysis of (f, p) that keeps disc f when the caller has it.
+    Lifts of a simple factor are vacuously regular; their polygons are kept."""
+    return LocalAnalysis(f, p, disc).report()
 
 
 class LocalAnalysis:
-    """The first-order analyses of one f at one p: the PhiRegularity of each
-    lift phi, made the first time a route asks for it and then shared by
-    every route and check of that computation.  Each computation starts its
-    own, from the records it already holds, so no analysis outlives it."""
+    """The first-order analysis of one f at one p: disc f (or the caller's),
+    the factorization of f mod p and the PhiRegularity of each lift, each
+    computed on first use and shared by every route and check.  Each
+    computation starts its own, so no analysis outlives it."""
 
-    def __init__(self, f, p, records):
+    def __init__(self, f, p, disc=None):
         self.f, self.p = f, p
-        self._by_phi = {reg.phi: reg for reg in records}
+        if disc is not None:
+            self.disc = disc
+        self._by_phi = {}
+
+    @cached_property
+    def disc(self):
+        return self.f.discriminant()
+
+    @cached_property
+    def factors(self):
+        """factor_mod_p(f, p): (lift, multiplicity) per irreducible factor."""
+        return factor_mod_p(self.f, self.p)
 
     def of(self, phi):
-        """The PhiRegularity of f at phi, analysed on first use."""
+        """The PhiRegularity of f at phi, analysed on first use.  A lift
+        other than f that divides f exactly (a_0 = 0) proves f reducible."""
         reg = self._by_phi.get(phi)
         if reg is None:
-            reg = self._by_phi[phi] = is_phi_regular(self.f, phi, self.p)
+            reg = is_phi_regular(self.f, phi, self.p)
+            if phi != self.f and reg.expansion.coefficients[0].is_zero():
+                raise NotIrreducibleError(f"{self.f.render()} factors over Q")
+            self._by_phi[phi] = reg
         return reg
 
-    def report(self, lifts):
-        """The p-regularity report for the given lifts, in their order."""
-        return PRegularity(tuple(self.of(phi) for phi in lifts))
+    def report(self, lifts=None):
+        """The p-regularity report for the given lifts, in their order; by
+        default the lifts of the factors of f mod p."""
+        if lifts is None:
+            lifts = [phi for phi, _ in self.factors]
+        return PRegularity(self, tuple(self.of(phi) for phi in lifts))
 
 
 # -- serialization --------------------------------------------------------------

@@ -248,18 +248,3 @@ def choose_phi_e2_row10(Ap, Bp, Cp):
         return _quad(1, half + 2**w), "T6phi-r5"
     raise NoRowError(f"no phi-choice row for (A',B',C')=({Ap},{Bp},{Cp})")
 
-
-def choose_phi(case, params):
-    """Dispatch to the per-case phi-choice table; `case` is one of
-    'E1_row3', 'E1_row6', 'E2_row4', 'E2_row10', 'E2_rows16_17'."""
-    if case == "E1_row6":
-        return choose_phi_e1_row6(params["a"], params["b"], params["c"])
-    if case == "E2_row4":
-        return choose_phi_e2_row4(params["A"], params["B"], params["C"])
-    if case == "E2_row10":
-        return choose_phi_e2_row10(params["Ap"], params["Bp"], params["Cp"])
-    if case == "E2_rows16_17":
-        return _quad(0, -2), "S54"
-    if case == "E1_row3":
-        return _quad(0, params["s"]), "S51"
-    raise NoRowError(f"unknown phi-choice case {case}")

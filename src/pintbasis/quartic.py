@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .arith import INFINITY, check_prime, inv_mod, is_finite, legendre, sqrt_mod_pk, symmetric_rep, vp
 from .errors import InconsistentError, IterationPreconditionError, NonIntegerSlopeError
-from .factor import factor_mod_p, sanity_check_irreducible
+from .factor import sanity_check_irreducible
 from .intpoly import IntPoly
 from .newton import LocalAnalysis
 from .basis import BasisElement, PIntegralBasis, _regular_basis, triangularize
@@ -43,40 +43,40 @@ class QuarticCase(Enum):
 
 
 class QuarticContext(Record):
-    """What the case constructions read about (f, p), computed once: f, its
-    discriminant, Delta = v_p(disc), the factorization case mod p and the
-    first-order analysis of f at p, which holds one record per lift."""
+    """What the case constructions read about (f, p), computed once: the
+    coefficients of f, Delta = v_p(disc f), the factorization case mod p and
+    the analysis of (f, p): disc f, the factors of f mod p, the lift records."""
 
     a: int
     b: int
     c: int
-    p: int
-    f: IntPoly
-    disc: int
     Delta: int
     case: QuarticCase
     analysis: LocalAnalysis
+    f = property(lambda self: self.analysis.f)
+    p = property(lambda self: self.analysis.p)
 
 
-def make_context(a, b, c, p, records):
-    """The context of x^4+ax^2+bx+c at p; records are the PhiRegularity
-    records of f at p already in hand, such as the generic route's report."""
-    f = IntPoly.monic_quartic(a, b, c)
+def make_context(analysis):
+    """The context of f = x^4+ax^2+bx+c at p from the analysis of (f, p),
+    which may already hold records, such as the generic route's report."""
+    f, p = analysis.f, analysis.p
+    a, b, c = f[2], f[1], f[0]
     disc = (
         16 * a**4 * c - 128 * a**2 * c**2 + 144 * a * b**2 * c
         - 4 * a**3 * b**2 + 256 * c**3 - 27 * b**4
     )
-    if disc != f.discriminant():
+    if disc != analysis.disc:
         raise InconsistentError("closed-form discriminant disagrees with resultant")
-    return QuarticContext(a, b, c, p, f, disc, vp(disc, p) if disc else 0,
-                          _case(a, b, c, p, disc), LocalAnalysis(f, p, records))
+    return QuarticContext(a, b, c, vp(disc, p) if disc else 0, _case(a, b, c, p, disc),
+                          analysis)
 
 
 def classify(a, b, c, p):
     """The factorization shape of x^4+ax^2+bx+c mod p, assuming f irreducible
     over Q.  Exactly one case applies; Inconsistent would indicate a bug."""
     check_prime(p)
-    return make_context(a, b, c, p, ()).case
+    return make_context(LocalAnalysis(IntPoly.monic_quartic(a, b, c), p)).case
 
 
 def _case(a, b, c, p, disc):
@@ -206,7 +206,7 @@ def iterate_to_regular(analysis, s0, record=None):
         raise IterationPreconditionError(
             f"s={s0} matches no admissible starting pattern at p={p}"
         )
-    bound = vp(F.discriminant(), p) // 2 + 1
+    bound = vp(analysis.disc, p) // 2 + 1
     steps = []
     while not reg.regular:
         if len(steps) > bound:
@@ -263,16 +263,14 @@ def iterate_to_regular(analysis, s0, record=None):
 # -- shared construction helpers -------------------------------------------------
 
 
-def _lifts_with_override(factors, p, replacements):
-    """The symmetric lifts of factor_mod_p's factors, with any lift whose
-    reduction matches a replacement swapped for that replacement."""
-    keyed = {}
-    for r in replacements:
-        keyed[tuple(c % p for c in r.coeffs)] = r
+def _lifts_with_override(analysis, replacements):
+    """The lifts of the factors of f mod p, with any lift whose reduction
+    matches a replacement swapped for that replacement."""
+    p = analysis.p
+    keyed = {tuple(c % p for c in r.coeffs): r for r in replacements}
     out = []
-    for phi, _ in factors:
-        key = tuple(c % p for c in phi.coeffs)
-        out.append(keyed.pop(key, phi))
+    for phi, _ in analysis.factors:
+        out.append(keyed.pop(tuple(c % p for c in phi.coeffs), phi))
     if keyed:
         raise InconsistentError("replacement lift matches no factor of f mod p")
     return out
@@ -282,7 +280,7 @@ def _construct(ctx, lifts, display, meta):
     """Basis from the regular-case construction for the given lifts, read
     from the records of ctx.analysis, with the table's display family
     retained as generators."""
-    basis = _regular_basis(ctx.f, ctx.p, ctx.analysis.report(lifts))
+    basis = _regular_basis(ctx.analysis.report(lifts))
     return PIntegralBasis(
         ctx.p, basis.elements, basis.index_valuation,
         tuple(display) if display else basis.generators, dict(meta),
@@ -366,8 +364,7 @@ def _hensel_root_of_derivative(f, s0, p, K):
 
 def basis_case_B(ctx):
     f, p = ctx.f, ctx.p
-    factors = factor_mod_p(f, p)
-    doubles = [phi for phi, mult in factors if mult == 2 and phi.degree == 1]
+    doubles = [phi for phi, mult in ctx.analysis.factors if mult == 2 and phi.degree == 1]
     if len(doubles) != 1:
         raise InconsistentError("case B expects exactly one double linear factor")
     s0 = -doubles[0][0]
@@ -378,7 +375,7 @@ def basis_case_B(ctx):
         BasisElement(_ONE, 0), BasisElement(_X, 0), BasisElement(_X**2, 0),
         BasisElement(reg.expansion.quotients[0], nu),
     ]
-    lifts = _lifts_with_override(factors, p, [reg.phi])
+    lifts = _lifts_with_override(ctx.analysis, [reg.phi])
     return _construct(ctx, lifts, display,
                       {"case": ctx.case.value, "rows": ["eq13"], "s": s})
 
@@ -387,7 +384,7 @@ def basis_case_B(ctx):
 
 
 def basis_case_C1(ctx):
-    a, b, c, p, f = ctx.a, ctx.b, ctx.c, ctx.p, ctx.f
+    a, b, c, p = ctx.a, ctx.b, ctx.c, ctx.p
     m = vp(b, p) if b else INFINITY
     mprime = vp(a * a - 4 * c, p)
     r = min(m, mprime)
@@ -413,8 +410,7 @@ def basis_case_C1(ctx):
         BasisElement(IntPoly([s * s + a, 0, 1]), minus.ordinates[1] // 1),
         _quotient_element(plus, 1),
     ]
-    lifts = _lifts_with_override(factor_mod_p(f, p), p,
-                                 [IntPoly([-s, 1]), IntPoly([s, 1])])
+    lifts = _lifts_with_override(ctx.analysis, [IntPoly([-s, 1]), IntPoly([s, 1])])
     return _construct(ctx, lifts, display,
                       {"case": "C1", "rows": ["eq14"], "s": s,
                        "iterated": iterated})
@@ -532,7 +528,7 @@ def basis_case_D(ctx):
                 raise InconsistentError("deep derivative root is irregular")
     display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
                _quotient_element(reg, 2), _quotient_element(reg, 1)]
-    lifts = _lifts_with_override(factor_mod_p(f, p), p, [reg.phi])
+    lifts = _lifts_with_override(ctx.analysis, [reg.phi])
     meta.update({"rows": rows, "s": -reg.phi[0]})
     return _construct(ctx, lifts, display, meta)
 
@@ -579,8 +575,9 @@ def quartic_p_integral_basis(a, b, c, p):
     """p-integral basis of Q[x]/(x^4+ax^2+bx+c) by the quartic fast path.
     The result records the case and every table row used in meta."""
     check_prime(p)
-    sanity_check_irreducible(IntPoly.monic_quartic(a, b, c))
-    return _quartic_basis(make_context(a, b, c, p, ()))
+    f = IntPoly.monic_quartic(a, b, c)
+    sanity_check_irreducible(f)
+    return _quartic_basis(make_context(LocalAnalysis(f, p)))
 
 
 def _quartic_basis(ctx):
@@ -608,7 +605,7 @@ def _quartic_basis(ctx):
     a2, b2, c2, k = reduce_E1(ctx.a, ctx.b, ctx.c, p)
     if k == 0:
         return basis_case_E1(ctx)
-    inner = _quartic_basis(make_context(a2, b2, c2, p, ()))
+    inner = _quartic_basis(make_context(LocalAnalysis(IntPoly.monic_quartic(a2, b2, c2), p)))
     els = _transport(list(inner.elements), p, scale_pow=k, shift=0)
     gens = _transport(list(inner.generators), p, scale_pow=k, shift=0)
     meta = dict(inner.meta)

@@ -84,12 +84,12 @@ def basis_case_E1(ctx):
         M = p ** (mprime // 2 + 2)
         s = symmetric_rep(a * inv_mod(2, M) % M, M)
         nu = Fraction(min(vp(b, p), mprime), 2)
-        phi, tag = order2.choose_phi("E1_row3", {"s": s})
+        phi, tag = IntPoly([s, 0, 1]), "S51"
         family, meta2 = _order2_family(ctx, f, phi, tag, nu, [row.rid], {"s": s})
         return triangularize(family, p, 4, generators=family, meta=meta2)
     if row.strategy == "table3":
         Q, nu, rows = table3_q_nu(a, b, c)
-        phi, tag = order2.choose_phi("E1_row6", {"a": a, "b": b, "c": c})
+        phi, tag = order2.choose_phi_e1_row6(a, b, c)
         family, meta2 = _order2_family(ctx, f, phi, tag, nu, [row.rid] + rows)
         return triangularize(family, p, 4, generators=family, meta=meta2)
     raise InconsistentError(f"unhandled strategy {row.strategy}")
@@ -131,16 +131,16 @@ def basis_case_E2(ctx):
         return basis
 
     if row.strategy == "direct":
-        constructed = _regular_basis(g, 2, LocalAnalysis(g, 2, ()).report([_X]))
+        constructed = _regular_basis(LocalAnalysis(g, 2).report([_X]))
         denoms = E2_DIRECT_DENOMS[row.rid]
         display = [BasisElement(_ONE, 0)] + [
             BasisElement(_X ** (i + 1), denoms[i]) for i in range(3)
         ]
         return finish(list(constructed.elements), 0, display)
     if row.strategy == "iterate":
-        g_lifts = LocalAnalysis(g, 2, ())
+        g_lifts = LocalAnalysis(g, 2)
         reg = iterate_to_regular(g_lifts, 0)
-        constructed = _regular_basis(g, 2, g_lifts.report([reg.phi]))
+        constructed = _regular_basis(g_lifts.report([reg.phi]))
         q1 = _quotient_element(reg, 1)
         pre = {"T4r5": (0, 1), "T4r18": (1, 3), "T4r24": (2, 4)}[row.rid]
         display = [BasisElement(_ONE, 0), BasisElement(_X, pre[0]),
@@ -149,36 +149,34 @@ def basis_case_E2(ctx):
                       extra_meta={"s": -reg.phi[0], "nu": q1.denom_exp})
     if row.strategy == "table5":
         Q, nu, rows = table5_q_nu(A, B, C)
-        phi, tag = order2.choose_phi("E2_row4", {"A": A, "B": B, "C": C})
+        phi, tag = order2.choose_phi_e2_row4(A, B, C)
         family, meta2 = _order2_family(ctx, g, phi, tag, nu, rows)
         return finish(family, 0, None, extra_rows=meta2["rows"],
                       extra_meta={"Y": meta2["Y"], "order2": 1})
     if row.strategy == "order2-54":
         h = _scale_down(g, 1)
-        phi, tag = order2.choose_phi("E2_rows16_17", {})
-        o2 = order2.basis_order2(
-            order2.SecondOrderContext(h, 2, phi, tag))
+        o2 = order2.basis_order2(order2.SecondOrderContext(h, 2, IntPoly([-2, 0, 1]), "S54"))
         expected_Y = Fraction(9, 2) if vp(h[1], 2) >= 3 else Fraction(5)
         if o2.Y != expected_Y:
             raise InconsistentError(
                 f"second-order ordinate {o2.Y} differs from the tabled {expected_Y}"
             )
-        return finish(list(o2.elements), 1, None, extra_rows=[tag],
+        return finish(list(o2.elements), 1, None, extra_rows=["S54"],
                       extra_meta={"Y": str(o2.Y), "order2": 1})
     if row.strategy == "table6":
         h = _scale_down(g, 1)
         Ap, Bp, Cp = h[2], h[1], h[0]
-        phi, tag = order2.choose_phi("E2_row10", {"Ap": Ap, "Bp": Bp, "Cp": Cp})
-        constructed = _regular_basis(h, 2, LocalAnalysis(h, 2, ()).report([phi]))
+        phi, tag = order2.choose_phi_e2_row10(Ap, Bp, Cp)
+        constructed = _regular_basis(LocalAnalysis(h, 2).report([phi]))
         return finish(list(constructed.elements), 1, None, extra_rows=[tag])
     if row.strategy == "twodouble":
         h = _scale_down(g, 1)
         return _basis_e2_twodouble(h, finish)
     if row.strategy == "scale4":
         h = _scale_down(g, 2)
-        h_lifts = LocalAnalysis(h, 2, ())
+        h_lifts = LocalAnalysis(h, 2)
         reg = iterate_to_regular(h_lifts, 0)
-        constructed = _regular_basis(h, 2, h_lifts.report([reg.phi, IntPoly([-1, 1])]))
+        constructed = _regular_basis(h_lifts.report([reg.phi, IntPoly([-1, 1])]))
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
                    _quotient_element(reg, 2), _quotient_element(reg, 1)]
         return finish(list(constructed.elements), 2, display, ["eq-last"],
@@ -192,7 +190,7 @@ def _basis_e2_twodouble(h, finish):
     Ap, Bp, Cp = h[2], h[1], h[0]
     vCp = vp(Cp, 2)
     vS = vp(Ap + Bp + Cp + 3, 2)
-    lifts = LocalAnalysis(h, 2, ())
+    lifts = LocalAnalysis(h, 2)
     if vCp == 1 and vS == 1:
         t, s = 0, 1
         rows = ["Tdd2-r1"]
@@ -218,5 +216,5 @@ def _basis_e2_twodouble(h, finish):
                    BasisElement(beta, other.ordinates[1] // 1), _quotient_element(reg, 1)]
     if not _lift_at(lifts, t).regular:
         raise InconsistentError("claimed-regular double-root lift is irregular")
-    constructed = _regular_basis(h, 2, lifts.report([IntPoly([-t, 1]), IntPoly([-s, 1])]))
+    constructed = _regular_basis(lifts.report([IntPoly([-t, 1]), IntPoly([-s, 1])]))
     return finish(list(constructed.elements), 1, display, rows, {"s": s, "t": t})

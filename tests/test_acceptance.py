@@ -194,7 +194,7 @@ def test_criterion_5_iteration_monotonicity():
 
             steps = []
             try:
-                iterate_to_regular(LocalAnalysis(f, p, ()), s0, record=steps)
+                iterate_to_regular(LocalAnalysis(f, p), s0, record=steps)
             except IterationPreconditionError:
                 continue
             except NonIntegerSlopeError:
@@ -308,7 +308,7 @@ def test_criterion_7_second_order_path():
         f = IntPoly.monic_quartic(a, b, c)
         if (a and vp(a, 2) < 2) or (b and vp(b, 2) < 2) or vp(c, 2) != 2:
             continue
-        phi, tag = order2.choose_phi("E1_row6", {"a": a, "b": b, "c": c})
+        phi, tag = order2.choose_phi_e1_row6(a, b, c)
         o2 = order2.basis_order2(order2.SecondOrderContext(f, 2, phi, tag))
         oracle = saturate(f, 2)
         assert o2.ind_p == oracle.index_valuation, (a, b, c)

@@ -149,6 +149,16 @@ def test_error_paths():
             2, "error: x^4+4*x^2+4 factors over Q\n"), command
         assert run([command, "-f", "x^5-3x^4+x^2-2x-3", "-p", "2"]) == (
             2, "error: x^5-3*x^4+x^2-2*x-3 has a rational root\n"), command
+    # a lift other than f that divides f over Z: (x^2+1)(x^2+3x-1) at p = 3
+    # and (x^3+x+1)(x^3+x^2+1) at p = 2 pass the guard, and the analysis of
+    # (f, p) rejects them
+    for f, p, line in (
+        ("x^4+3x^3+3x-1", "3", "error: x^4+3*x^3+3*x-1 factors over Q\n"),
+        ("x^6+x^5+x^4+3x^3+x^2+x+1", "2",
+         "error: x^6+x^5+x^4+3*x^3+x^2+x+1 factors over Q\n"),
+    ):
+        for command in ("basis", "factor", "verify"):
+            assert run([command, "-f", f, "-p", p]) == (2, line), (command, f)
     # verify's own usage checks answer like every other bad input
     for n in ("0", "-1"):  # a corpus needs at least one input
         assert run(["verify", "--corpus", n]) == (
@@ -319,7 +329,7 @@ def test_verify_mismatch_reports_the_construction(monkeypatch):
         (PIntegralBasis(5, power, 1), {"construction == oracle", "disc identity"}),
     ]
     for wrong, failed in cases:
-        monkeypatch.setattr(cli, "_regular_basis", lambda f, p, report, wrong=wrong: wrong)
+        monkeypatch.setattr(cli, "_regular_basis", lambda report, wrong=wrong: wrong)
         code, out = run(["verify", "-f", "x^4+x^2+50", "-p", "5"])
         assert code == 1 and ": MISMATCH (path generic" in out, out
         lines = out.splitlines()
@@ -505,15 +515,17 @@ def test_polygon_where_f_is_its_own_lift():
 
 
 def test_quartic_route_analyses_each_lift_once(monkeypatch):
-    """On every quartic-irregular benchmark input, one basis --json call
-    analyses each (F, phi) pair once: the generic report, the shift
-    iteration, the case constructions and their regularity checks all read the
-    same PhiRegularity record.  basis_order2 develops F once, through
-    second_order_polygon."""
+    """On every quartic-irregular benchmark input, basis --json, basis
+    --method quartic --json and verify -f each analyse (f, p) once: no
+    polynomial is factored mod p twice, no disc is computed twice, and no
+    (F, phi) pair is analysed twice.  The generic report, the shift
+    iteration, the case constructions, their regularity checks and the
+    decomposition type all read one LocalAnalysis.  basis_order2 develops F
+    once, through second_order_polygon."""
     from pathlib import Path
 
     import pintbasis
-    from pintbasis import newton, order2
+    from pintbasis import factor, newton, order2
 
     data = Path(__file__).resolve().parent.parent / "perfbench" / "data"
     rows = []
@@ -523,12 +535,12 @@ def test_quartic_route_analyses_each_lift_once(monkeypatch):
             rows.append(tuple(int(t) for t in line.split()))
     assert len(rows) == 168
 
-    analysed = Counter()
+    analysed, factored, discs = Counter(), Counter(), Counter()
     order2_expands = []  # phi_expand calls made inside each basis_order2 call
     inside = []
 
-    def patch(name, wrapper):
-        original = getattr(newton, name)
+    def patch(owner, name, wrapper):
+        original = getattr(owner, name)
         for mod in [m for m in vars(pintbasis).values() if type(m) is type(pintbasis)]:
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, wrapper(original))
@@ -539,12 +551,24 @@ def test_quartic_route_analyses_each_lift_once(monkeypatch):
             return original(f, phi, p)
         return is_phi_regular
 
+    def factoring(original):
+        def factor_mod_p(f, p):
+            factored[(f, p)] += 1
+            return original(f, p)
+        return factor_mod_p
+
     def expanding(original):
         def phi_expand(f, phi):
             if inside:
                 order2_expands[-1] += 1
             return original(f, phi)
         return phi_expand
+
+    discriminant = IntPoly.discriminant
+
+    def counted_discriminant(f):
+        discs[f] += 1
+        return discriminant(f)
 
     basis_order2 = order2.basis_order2
 
@@ -556,17 +580,25 @@ def test_quartic_route_analyses_each_lift_once(monkeypatch):
         finally:
             inside.pop()
 
-    patch("is_phi_regular", analysing)
-    patch("phi_expand", expanding)
+    patch(newton, "is_phi_regular", analysing)
+    patch(factor, "factor_mod_p", factoring)
+    patch(newton, "phi_expand", expanding)
+    monkeypatch.setattr(IntPoly, "discriminant", counted_discriminant)
     monkeypatch.setattr(order2, "basis_order2", counted_basis_order2)
     for a, b, c, p in rows:
-        analysed.clear()
-        code, out = run(["basis", "-f", IntPoly.monic_quartic(a, b, c).render("x"),
-                         "-p", str(p), "--json"])
-        assert code == 0, (a, b, c, p, out)
-        twice = [(f.render("x"), phi.render("x")) for (f, phi, _), n in analysed.items()
-                 if n > 1]
-        assert not twice, (a, b, c, p, twice)
+        f = IntPoly.monic_quartic(a, b, c).render("x")
+        for argv in (["basis", "-f", f, "-p", str(p), "--json"],
+                     ["basis", "-f", f, "-p", str(p), "--method", "quartic", "--json"],
+                     ["verify", "-f", f, "-p", str(p)]):
+            for counter in (analysed, factored, discs):
+                counter.clear()
+            code, out = run(argv)
+            assert code == 0, (argv, out)
+            twice = [(F.render("x"), phi.render("x")) for (F, phi, _), n in analysed.items()
+                     if n > 1]
+            twice += [F.render("x") for (F, _), n in factored.items() if n > 1]
+            twice += [F.render("x") for F, n in discs.items() if n > 1]
+            assert not twice, (argv, twice)
     assert order2_expands and set(order2_expands) == {1}, order2_expands
 
 

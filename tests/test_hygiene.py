@@ -87,6 +87,25 @@ def test_one_development_per_phi():
     assert not found, found
 
 
+def test_one_factorization_per_analysis():
+    """Only the analysis of (f, p) in newton (LocalAnalysis) and the polygon
+    command factor f mod p; every route and check reads the lifts and their
+    multiplicities from the analysis, so a second factorization fails
+    here."""
+    allowed = {("newton.py", "LocalAnalysis"), ("cli.py", "cmd_polygon")}
+    found = []
+    for name, tree in _modules():
+        for top in tree.body:
+            if (name, getattr(top, "name", None)) in allowed:
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None))
+                        == "factor_mod_p"):
+                    found.append(f"{name}:{node.lineno}")
+    assert not found, found
+
+
 def test_oracle_shares_no_newton_polygon_code():
     """The oracle is the independent check of the constructions: it imports
     nothing from the Newton-polygon modules or from the constructions'

@@ -6,7 +6,6 @@ import pytest
 from pintbasis.arith import INFINITY
 from pintbasis.errors import (
     HypothesisViolatedError,
-    NoRowError,
     NotSecondOrderRegularError,
 )
 from pintbasis.intpoly import IntPoly
@@ -15,7 +14,8 @@ from pintbasis.order2 import (
     Order2Basis,
     SecondOrderContext,
     basis_order2,
-    choose_phi,
+    choose_phi_e1_row6,
+    choose_phi_e2_row4,
     second_order_polygon,
     v2p,
 )
@@ -122,7 +122,7 @@ def test_basis_order2_matches_saturation():
             continue
         if (a and vp(a, 2) < 2) or (b and vp(b, 2) < 2) or vp(c, 2) != 2:
             continue
-        phi, tag = choose_phi("E1_row6", {"a": a, "b": b, "c": c})
+        phi, tag = choose_phi_e1_row6(a, b, c)
         f = IntPoly.monic_quartic(a, b, c)
         o2 = basis_order2(SecondOrderContext(f, 2, phi, tag))
         n += 1
@@ -135,16 +135,12 @@ def test_basis_order2_matches_saturation():
 
 
 def test_choose_phi_rows():
-    # Table row examples: v2(b)=2 -> x^2-2; S54 -> x^2-2
-    phi, tag = choose_phi("E1_row6", {"a": 8, "b": 4, "c": 4})
+    # Table row examples: v2(b)=2 -> x^2-2
+    phi, tag = choose_phi_e1_row6(8, 4, 4)
     assert phi == X**2 - 2 and tag == "T7r1"
-    phi, tag = choose_phi("E2_rows16_17", {})
-    assert phi == X**2 - 2 and tag == "S54"
     # Table 8 last row: v(A)>=3, v(B+8)>=4, v(2A+C+4)>=4 -> x^2-2
-    phi, tag = choose_phi("E2_row4", {"A": 8, "B": 8, "C": 12})
+    phi, tag = choose_phi_e2_row4(8, 8, 12)
     assert phi == X**2 - 2 and tag == "T8r14"
-    with pytest.raises(NoRowError):
-        choose_phi("nonsense", {})
 
 
 def test_choose_phi_never_fails_on_its_domain():
@@ -159,7 +155,7 @@ def test_choose_phi_never_fails_on_its_domain():
         if (a and vp(a, 2) < 2) or (b and vp(b, 2) < 2):
             continue
         n += 1
-        phi, tag = choose_phi("E1_row6", {"a": a, "b": b, "c": c})
+        phi, tag = choose_phi_e1_row6(a, b, c)
         assert phi.monic and phi.degree == 2
         assert vp(phi[0], 2) == 1  # constant is -yp with odd y
         A, B, C = 4 + a, 4 * 1 + 2 * a + b + 0, 0
@@ -168,5 +164,5 @@ def test_choose_phi_never_fails_on_its_domain():
         if vp(g[0], 2) == 2 and (g[1] == 0 or vp(g[1], 2) >= 2) and (
             g[2] == 0 or vp(g[2], 2) >= 2
         ):
-            phi2, _ = choose_phi("E2_row4", {"A": g[2], "B": g[1], "C": g[0]})
+            phi2, _ = choose_phi_e2_row4(g[2], g[1], g[0])
             assert phi2.monic and phi2.degree == 2

@@ -79,7 +79,7 @@ def test_iterate_example_from_condition_i():
     # one step: s0 = 0 irregular (side slope -1, residual (y+1)^2), t = 2 regular
     F = X**4 + 2 * X**3 + 3 * X**2 + 4 * X + 4
     steps = []
-    reg = iterate_to_regular(LocalAnalysis(F, 2, ()), 0, record=steps)
+    reg = iterate_to_regular(LocalAnalysis(F, 2), 0, record=steps)
     assert reg.phi == X - 2 and reg.regular  # s = 2
     assert len(steps) == 1
     assert steps[0].delta == 1 and steps[0].y == 1
@@ -87,13 +87,13 @@ def test_iterate_example_from_condition_i():
 
 def test_iterate_rejects_bad_start():
     with pytest.raises(IterationPreconditionError):
-        iterate_to_regular(LocalAnalysis(IntPoly.monic_quartic(0, 0, 3), 3, ()), 0)
+        iterate_to_regular(LocalAnalysis(IntPoly.monic_quartic(0, 0, 3), 3), 0)
 
 
 def test_iterate_non_integer_slope():
     # x^4+4x^2-4 at p=2: inseparable side of slope -1/2 (not iterable)
     with pytest.raises((NonIntegerSlopeError, IterationPreconditionError)):
-        iterate_to_regular(LocalAnalysis(X**4 + 4 * X**2 - 4, 2, ()), 0)
+        iterate_to_regular(LocalAnalysis(X**4 + 4 * X**2 - 4, 2), 0)
 
 
 def test_reduce_E1():
