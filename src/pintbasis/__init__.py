@@ -35,7 +35,6 @@ from .newton import (
     polygon_to_json,
     polygon_to_svg,
     principal_part,
-    residual_coefficients,
     residual_polynomial,
 )
 from .oracle import disc_identity_check, is_integral, is_ring_closed, round2, saturate
@@ -46,7 +45,6 @@ from .basis import (
     DecompositionType,
     PIntegralBasis,
     decomposition_type,
-    ind_p_lower_bound,
     p_integral_basis_regular,
     triangularize,
 )

@@ -178,7 +178,7 @@ class PrimeEntry(Record):
     phi): e and f are None when the factor is multiple."""
 
     phi: IntPoly
-    slope: object
+    slope: str  # as Side.slope renders it, or "-inf"
     field: object
     residual_factor: list
     multiplicity: int
@@ -244,11 +244,6 @@ def _decomposition(report):
     return DecompositionType(tuple(entries), complete)
 
 
-def ind_p_lower_bound(f, p):
-    """sum of ind_phi(f) over the lifts; equals ind_p(f) when f is p-regular."""
-    return sum(reg.index for reg in is_p_regular(f, p).by_phi)
-
-
 def regular_basis_generators(report):
     """The n elements q_{i,j}(theta) theta^k / p^{floor(y_{i,j})} of the
     regular-case basis construction: quotients of the phi-adic developments
@@ -269,13 +264,12 @@ def regular_basis_generators(report):
         ys = ordinates(principal)
         total_m += ell * phi.degree
         for j in range(1, ell + 1):
-            denom = int(ys[j] // 1)
             q = expansion.quotients[j - 1]
             for k in range(phi.degree):
                 num = q * IntPoly.x(k)
                 if num.degree >= n:
                     raise InconsistentError("generator degree out of range")
-                gens.append(BasisElement(num, denom))
+                gens.append(BasisElement(num, ys[j]))
     if total_m != n:
         raise InconsistentError(
             "lifts do not cover f mod p: sum ell_i * m_i != deg f"

@@ -37,21 +37,6 @@ def is_irreducible_mod_p(phi, p):
     return fp.is_irreducible(fp.reduce(phi.coeffs))
 
 
-def ord_mod_p(f, phi, p):
-    """Largest a with phi^a | f mod p (0 when phi does not divide f mod p)."""
-    check_prime(p)
-    fp = FpArith(p)
-    fbar = fp.reduce(f.coeffs)
-    pbar = fp.reduce(phi.coeffs)
-    a = 0
-    while True:
-        q, r = fp.divmod(fbar, pbar)
-        if r:
-            return a
-        a += 1
-        fbar = q
-
-
 def integer_roots(f):
     """All integer roots of a monic integer polynomial."""
     if f.is_zero():

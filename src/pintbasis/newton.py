@@ -1,14 +1,18 @@
 """phi-adic developments, Newton polygons, residual polynomials and
 regularity tests.
 
-All polygon geometry is exact: ordinates are Fractions, slopes are reduced
-Fractions, and hulls are computed by a monotone-chain sweep with integer
-cross products.  Points with infinite ordinate (zero coefficients) never
-enter the hull; they contribute zero residual coefficients.
+All polygon geometry is exact and in integers: a side holds its two lattice
+vertices, its height, length, ramification and degree are ints, and its
+slope exists only as text.  Ore's construction reads two things off a
+polygon, the floors of its ordinates and the lattice points on each side,
+and both come from integer division.  Hulls are computed by a
+monotone-chain sweep with integer cross products.  Points with infinite
+ordinate (zero coefficients) never enter the hull; they contribute zero
+residual coefficients.
 """
 
-from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .arith import INFINITY, is_finite
 from .errors import InconsistentError, NotIrreducibleError
@@ -45,9 +49,10 @@ def phi_expand(f, phi):
 
 
 class Side(Record):
+    """A side between two lattice vertices, of slope -height/length."""
+
     start: tuple
     end: tuple
-    slope: Fraction
 
     @property
     def length(self):
@@ -59,17 +64,22 @@ class Side(Record):
 
     @property
     def ramification(self):
-        """e in slope = -h/e (lowest terms); the full length for slope 0."""
-        if self.slope == 0:
+        """e = length / gcd(height, length), the denominator of the slope in
+        lowest terms; the full length for slope 0."""
+        if not self.height:
             return self.length
-        return self.slope.denominator
+        return self.length // gcd(self.height, self.length)
 
     @property
     def degree(self):
         return self.length // self.ramification
 
-    def ordinate_at(self, x):
-        return Fraction(self.start[1]) + self.slope * (x - self.start[0])
+    @property
+    def slope(self):
+        """The slope in lowest terms, as text: "-1/3", "-2", "0"."""
+        g = gcd(self.height, self.length)
+        num, den = -self.height // g, self.length // g
+        return str(num) if den == 1 else f"{num}/{den}"
 
     def __repr__(self):
         return f"Side({self.start}->{self.end}, slope {self.slope})"
@@ -79,7 +89,7 @@ class NewtonPolygon(Record):
     """Lower convex envelope of the points (i, v_p(a_i)); u_i = INFINITY
     points are recorded but excluded from the hull."""
 
-    points: tuple  # (i, u_i) with u_i an int or INFINITY
+    points: tuple  # (i, u_i) with u_i an int or INFINITY, indexed by i
     vertices: tuple  # lattice points, left to right
     sides: tuple  # Side objects ordered by increasing slope
 
@@ -94,22 +104,6 @@ class NewtonPolygon(Record):
 
     def start_abscissa(self):
         return self.vertices[0][0] if self.vertices else 0
-
-    def ordinate_at(self, x):
-        """Exact ordinate of the polygon above abscissa x."""
-        for s in self.sides:
-            if s.start[0] <= x <= s.end[0]:
-                return s.ordinate_at(x)
-        if self.vertices and x == self.vertices[0][0]:
-            return Fraction(self.vertices[0][1])
-        raise ValueError(f"abscissa {x} outside polygon")
-
-    def on_polygon(self, i, u):
-        """True when the finite point (i, u) lies exactly on the hull."""
-        try:
-            return Fraction(u) == self.ordinate_at(i)
-        except ValueError:
-            return False
 
 
 def _lower_hull(points):
@@ -135,16 +129,14 @@ def newton_polygon(expansion, p):
     if not finite:
         raise ValueError("all development coefficients vanish")
     vertices = _lower_hull(finite)
-    sides = []
-    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
-        sides.append(Side((x0, y0), (x1, y1), Fraction(y1 - y0, x1 - x0)))
-    return NewtonPolygon(points, tuple(vertices), tuple(sides))
+    sides = tuple(Side(a, b) for a, b in zip(vertices, vertices[1:]))
+    return NewtonPolygon(points, tuple(vertices), sides)
 
 
 def principal_part(polygon):
     """Restriction to the sides of negative slope, with every point up to
     the last vertex they reach (the first vertex when there are none)."""
-    neg = tuple(s for s in polygon.sides if s.slope < 0)
+    neg = tuple(s for s in polygon.sides if s.height > 0)
     end = neg[-1].end[0] if neg else polygon.vertices[0][0]
     vertices = tuple(v for v in polygon.vertices if v[0] <= end)
     points = tuple(pt for pt in polygon.points if pt[0] <= end)
@@ -152,72 +144,50 @@ def principal_part(polygon):
 
 
 def ordinates(principal):
-    """y_0 .. y_ell: exact ordinates of the principal polygon at the integer
-    abscissas; strictly decreasing with y_ell = 0.  y_0 is INFINITY when
-    a_0 = 0: phi divides f, which for an irreducible f means phi = f, and
-    the polygon is one side of slope -infinity from abscissa 0 to 1."""
+    """floor(y_0) .. floor(y_ell): the floors of the ordinates of the principal
+    polygon at the integer abscissas, strictly decreasing with y_ell = 0; on
+    a side from (x0, y0) the floor at x is y0 + (-height (x - x0)) // length.
+    y_0 is INFINITY when a_0 = 0: phi divides f, which for an irreducible f
+    means phi = f, and the polygon is one side of slope -infinity from
+    abscissa 0 to 1."""
     ell = principal.length
     if ell < 1:
         raise ValueError("principal polygon must have positive length")
     start = principal.start_abscissa()
     if start > 1:
         raise InconsistentError(f"phi^{start} divides f: principal polygon starts at {start}")
-    return [INFINITY] * start + [principal.ordinate_at(j) for j in range(start, ell + 1)]
-
-
-def index_from_ordinates(ys):
-    """sum of floor(y_j) for 1 <= j <= ell - 1 (equivalently up to ell,
-    since y_ell = 0)."""
-    return sum(int(y // 1) for y in ys[1:-1])
-
-
-def lattice_point_count(principal):
-    """Number of integer points strictly right of the vertical axis and
-    strictly above the horizontal axis, on or below the polygon.  Computed
-    without ordinates as an independent cross-check."""
-    count = 0
-    ell = principal.length
-    for i in range(1, ell + 1):
-        y = principal.ordinate_at(i)
-        j = 1
-        while j <= y:
-            count += 1
-            j += 1
-    return count
+    ys = [INFINITY] * start
+    for s in principal.sides:
+        y0, h, length = s.start[1], s.height, s.length
+        ys += [y0 + (-h * k) // length for k in range(length)]
+    ys.append(principal.vertices[-1][1])
+    return ys
 
 
 def phi_index(f, phi, p):
-    """deg(phi) times the lattice-point count under the principal polygon."""
-    return _index(phi, principal_part(newton_polygon(phi_expand(f, phi), p)))
-
-
-def _index(phi, principal):
+    """ind_phi(f): deg(phi) times the lattice points under the principal
+    polygon, strictly right of the vertical axis and above the horizontal
+    one, that is deg(phi) times the sum of floor(y_j) for 0 < j < ell."""
+    principal = principal_part(newton_polygon(phi_expand(f, phi), p))
     if principal.length < 1:
         return 0
-    return phi.degree * index_from_ordinates(ordinates(principal))
+    return phi.degree * sum(ordinates(principal)[1:-1])
 
 
-def residual_coefficients(principal, expansion, field):
-    """c_i for 0 <= i <= ell, coefficients of the residue field of phi: zero
-    off the polygon, red(a_i / p^{u_i}) on it."""
-    p = field.p
-    out = []
-    for i in range(principal.length + 1):
-        a = expansion.coefficients[i]
-        u = a.vp(p)
-        if not is_finite(u) or not principal.on_polygon(i, u):
-            out.append(field.arith.zero)
+def residual_polynomial(side, principal, expansion, field):
+    """R(y) = c_0 + c_1 y + ... + c_d y^d for a principal side from (x0, y0)
+    of degree d and ramification e, as a kernel polynomial (lowest degree
+    first): c_k = red(a_x / p^y) when the point of the polygon at
+    x = x0 + k e has the side's ordinate y = y0 - k height/d, else 0."""
+    (x0, y0), e = side.start, side.ramification
+    step = side.height // side.degree
+    r = []
+    for k in range(side.degree + 1):
+        x, y = x0 + k * e, y0 - k * step
+        if principal.points[x][1] == y:
+            r.append(field.elem(expansion.coefficients[x].divide_exact(field.p**y)))
         else:
-            out.append(field.elem(a.divide_exact(p**u)))
-    return out
-
-
-def residual_polynomial(side, coefficients):
-    """R(y) = c_s + c_{s+e} y + ... + c_{s+de} y^d for a principal side, as a
-    kernel polynomial (lowest degree first)."""
-    s = side.start[0]
-    e = side.ramification
-    r = [coefficients[s + k * e] for k in range(side.degree + 1)]
+            r.append(field.arith.zero)
     if not r[0] or not r[-1]:
         raise InconsistentError(
             "residual polynomial must have degree d(S) and nonzero constant term"
@@ -248,15 +218,18 @@ class PhiRegularity(Record):
     expansion: PhiExpansion
     principal: NewtonPolygon
 
-    @property
+    @cached_property
     def ordinates(self):
-        """y_0 .. y_ell of the principal polygon (see ordinates)."""
+        """floor(y_0) .. floor(y_ell) of the principal polygon (see
+        ordinates)."""
         return ordinates(self.principal)
 
-    @property
+    @cached_property
     def index(self):
         """ind_phi(f), as phi_index computes it."""
-        return _index(self.phi, self.principal)
+        if self.principal.length < 1:
+            return 0
+        return self.phi.degree * sum(self.ordinates[1:-1])
 
 
 def phi_polygon_data(f, phi, p):
@@ -266,8 +239,8 @@ def phi_polygon_data(f, phi, p):
     if principal.length < 1:
         return expansion, principal, []
     field = FqField(p, phi)
-    cs = residual_coefficients(principal, expansion, field)
-    data = [SideData(s, residual_polynomial(s, cs), field) for s in principal.sides]
+    data = [SideData(s, residual_polynomial(s, principal, expansion, field), field)
+            for s in principal.sides]
     return expansion, principal, data
 
 
@@ -356,17 +329,13 @@ class LocalAnalysis:
 # -- serialization --------------------------------------------------------------
 
 
-def _slope_str(slope):
-    return f"{slope.numerator}/{slope.denominator}" if slope.denominator != 1 else str(slope)
-
-
 def polygon_to_json(polygon):
     """Points, vertices and sides.  A polygon whose first vertex lies at
     abscissa k > 0 (phi^k divides f) starts with a side of slope -infinity
     and length k, as ordinates reads it."""
     sides = [
         {
-            "slope": _slope_str(s.slope),
+            "slope": s.slope,
             "length": s.length,
             "degree": s.degree,
             "ramification": s.ramification,

@@ -11,7 +11,6 @@ constructions of the 4-tuple-root cases E1 and E2 in pintbasis.quartic_e.
 """
 
 from enum import Enum
-from fractions import Fraction
 
 from .arith import INFINITY, check_prime, inv_mod, is_finite, legendre, sqrt_mod_pk, symmetric_rep, vp
 from .errors import InconsistentError, IterationPreconditionError, NonIntegerSlopeError
@@ -215,11 +214,11 @@ def iterate_to_regular(analysis, s0, record=None):
         if len(bad_sides) != 1:
             raise InconsistentError("more than one inseparable side")
         side, factor, mult = reg.witnesses[0]
-        if side.slope.denominator != 1:
+        if side.ramification != 1:
             raise NonIntegerSlopeError(
                 f"inseparable side of slope {side.slope}: use a second-order polygon"
             )
-        delta = -int(side.slope)
+        delta = side.height // side.length
         if len(factor) != 2:
             raise InconsistentError("multiple residual factor of degree > 1")
         root = (-factor[0]) % p
@@ -290,7 +289,7 @@ def _construct(ctx, lifts, display, meta):
 def _quotient_element(reg, j):
     """q_j(theta)/p^floor(y_j), read from the record of a lift x - s: the
     quotient of f by (x-s)^j over the floored principal ordinate."""
-    return BasisElement(reg.expansion.quotients[j - 1], reg.ordinates[j] // 1)
+    return BasisElement(reg.expansion.quotients[j - 1], reg.ordinates[j])
 
 
 def _double_root_pair(analysis, t, half):
@@ -319,7 +318,7 @@ def basis_case_A(ctx):
         phi = IntPoly([s, 0, 1])
         vb = vp(b, p)
         twonu = min(vb, mprime)
-        nu = int(Fraction(twonu, 2) // 1)
+        nu = twonu // 2
         display = [
             BasisElement(_ONE, 0), BasisElement(_X, 0),
             BasisElement(IntPoly([s, 0, 1]), nu),
@@ -403,11 +402,11 @@ def basis_case_C1(ctx):
         plus, minus = _lift_at(ctx.analysis, s), _lift_at(ctx.analysis, -s)
         if not plus.regular or not minus.regular:
             raise InconsistentError("iterate left an irregular companion lift")
-    if minus.ordinates[1] // 1 > plus.ordinates[1] // 1:
+    if minus.ordinates[1] > plus.ordinates[1]:
         s, plus, minus = -s, minus, plus
     display = [
         BasisElement(_ONE, 0), BasisElement(_X, 0),
-        BasisElement(IntPoly([s * s + a, 0, 1]), minus.ordinates[1] // 1),
+        BasisElement(IntPoly([s * s + a, 0, 1]), minus.ordinates[1]),
         _quotient_element(plus, 1),
     ]
     lifts = _lifts_with_override(ctx.analysis, [IntPoly([-s, 1]), IntPoly([s, 1])])

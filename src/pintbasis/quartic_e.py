@@ -205,7 +205,7 @@ def _basis_e2_twodouble(h, finish):
         s, display = _double_root_pair(lifts, t, rows[0] == "Tdd2-r4")
     else:
         even, odd = iterate_to_regular(lifts, 0), iterate_to_regular(lifts, 1)
-        if even.ordinates[1] // 1 > odd.ordinates[1] // 1:
+        if even.ordinates[1] > odd.ordinates[1]:
             reg, other = even, odd
         else:
             reg, other = odd, even
@@ -213,7 +213,7 @@ def _basis_e2_twodouble(h, finish):
         beta = IntPoly([s * s + s * t + t * t + 2 * (s + t) + Ap, s + t + 2, 1])
         rows = ["Tdd2-r5"]
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
-                   BasisElement(beta, other.ordinates[1] // 1), _quotient_element(reg, 1)]
+                   BasisElement(beta, other.ordinates[1]), _quotient_element(reg, 1)]
     if not _lift_at(lifts, t).regular:
         raise InconsistentError("claimed-regular double-root lift is irregular")
     constructed = _regular_basis(lifts.report([IntPoly([-t, 1]), IntPoly([-s, 1])]))

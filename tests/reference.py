@@ -1,0 +1,131 @@
+"""Test-side references for the Newton-polygon layer.
+
+The library does its polygon geometry in integers: floored ordinates,
+integer side data and a slope that exists only as text.  The references
+here recompute the same facts the textbook way, with Fraction ordinates
+interpolated between the vertices and the slope as a Fraction, and share
+no code with pintbasis.newton beyond the polygon records they read.
+"""
+
+from fractions import Fraction
+
+from pintbasis.arith import INFINITY, check_prime, is_finite
+from pintbasis.fq import FpArith, FqField
+from pintbasis.newton import (
+    is_p_regular,
+    newton_polygon,
+    ordinates,
+    phi_expand,
+    phi_index,
+    phi_polygon_data,
+    principal_part,
+)
+
+
+def ord_mod_p(f, phi, p):
+    """Largest a with phi^a | f mod p (0 when phi does not divide f mod p)."""
+    check_prime(p)
+    fp = FpArith(p)
+    fbar = fp.reduce(f.coeffs)
+    pbar = fp.reduce(phi.coeffs)
+    a = 0
+    while True:
+        q, r = fp.divmod(fbar, pbar)
+        if r:
+            return a
+        a += 1
+        fbar = q
+
+
+def ind_p_lower_bound(f, p):
+    """sum of ind_phi(f) over the lifts; equals ind_p(f) when f is p-regular."""
+    return sum(reg.index for reg in is_p_regular(f, p).by_phi)
+
+
+def fraction_slope(side):
+    return Fraction(side.end[1] - side.start[1], side.end[0] - side.start[0])
+
+
+def exact_ordinate(polygon, x):
+    """The ordinate of the polygon above abscissa x, interpolated as a
+    Fraction between the vertices around x."""
+    vs = polygon.vertices
+    if vs and x == vs[0][0]:
+        return Fraction(vs[0][1])
+    for (x0, y0), (x1, y1) in zip(vs, vs[1:]):
+        if x0 <= x <= x1:
+            return y0 + Fraction(y1 - y0, x1 - x0) * (x - x0)
+    raise ValueError(f"abscissa {x} outside polygon")
+
+
+def exact_ordinates(principal):
+    """y_0 .. y_ell as Fractions, with the INFINITY prefix of ordinates."""
+    start = principal.start_abscissa()
+    return [INFINITY] * start + [exact_ordinate(principal, j)
+                                 for j in range(start, principal.length + 1)]
+
+
+def lattice_point_count(principal):
+    """Number of integer points strictly right of the vertical axis and
+    strictly above the horizontal axis, on or below the polygon, counted
+    one by one against the Fraction ordinates."""
+    count = 0
+    for i in range(1, principal.length + 1):
+        y = exact_ordinate(principal, i)
+        j = 1
+        while j <= y:
+            count += 1
+            j += 1
+    return count
+
+
+def fraction_residual(principal, side, expansion, field):
+    """The residual polynomial of a principal side: c_i = red(a_i / p^u_i)
+    for every point (i, u_i) that a Fraction test puts on the polygon, 0
+    off it, read at s, s + e, ..., s + d e with e the denominator of the
+    Fraction slope."""
+    cs = []
+    for i, u in principal.points:
+        on = is_finite(u) and Fraction(u) == exact_ordinate(principal, i)
+        a = expansion.coefficients[i]
+        cs.append(field.elem(a.divide_exact(field.p**u)) if on else field.arith.zero)
+    e = fraction_slope(side).denominator
+    return [cs[side.start[0] + k * e] for k in range(side.length // e + 1)]
+
+
+def check_polygon_geometry(f, phi, p):
+    """Every integer fact the library reads off the phi-polygon of f at p,
+    checked against the Fraction reference: slopes, ramification and degree
+    on every side of the full polygon; floors, the index and the residual
+    polynomials on the principal part.  Returns the polygon."""
+    expansion = phi_expand(f, phi)
+    polygon = newton_polygon(expansion, p)
+    slopes = [fraction_slope(s) for s in polygon.sides]
+    assert slopes == sorted(slopes) and len(set(slopes)) == len(slopes)
+    for side, slope in zip(polygon.sides, slopes):
+        assert side.slope == str(slope), (side, slope)
+        e = slope.denominator if slope else side.length
+        assert side.ramification == e and side.degree == side.length // e, side
+    for i, u in polygon.points:
+        if is_finite(u):
+            assert u >= exact_ordinate(polygon, i)
+    pp = principal_part(polygon)
+    assert pp.length == ord_mod_p(f, phi, p), (f.render(), phi.render(), p)
+    assert [fraction_slope(s) for s in pp.sides] == [s for s in slopes if s < 0]
+    if pp.length < 1:
+        assert phi_index(f, phi, p) == 0
+        return polygon
+    if pp.start_abscissa() <= 1:  # else phi^2 divides f, and ordinates refuses it
+        exact = exact_ordinates(pp)
+        finite = exact[pp.start_abscissa():]
+        assert all(a > b for a, b in zip(finite, finite[1:])) and exact[-1] == 0
+        assert ordinates(pp) == [y // 1 if is_finite(y) else y for y in exact]
+        assert phi_index(f, phi, p) == phi.degree * lattice_point_count(pp)
+    field = FqField(p, phi)
+    data = phi_polygon_data(f, phi, p)[2]
+    assert [sd.side for sd in data] == list(pp.sides)
+    for sd in data:
+        assert sd.residual == fraction_residual(pp, sd.side, expansion, field)
+        assert len(sd.residual) - 1 == sd.side.degree and sd.residual[-1]
+        assert sd.residual[0]
+    return polygon

@@ -19,20 +19,9 @@ from pintbasis.factor import (
     is_irreducible,
     is_irreducible_mod_p,
     is_irreducible_quartic,
-    ord_mod_p,
 )
 from pintbasis.intpoly import IntPoly
-from pintbasis.newton import (
-    LocalAnalysis,
-    index_from_ordinates,
-    lattice_point_count,
-    newton_polygon,
-    ordinates,
-    phi_expand,
-    phi_index,
-    phi_polygon_data,
-    principal_part,
-)
+from pintbasis.newton import LocalAnalysis
 from pintbasis.oracle import (
     basis_discriminant,
     disc_identity_check,
@@ -40,8 +29,10 @@ from pintbasis.oracle import (
     round2,
     saturate,
 )
-from pintbasis.basis import decomposition_type, ind_p_lower_bound, p_integral_basis_regular
+from pintbasis.basis import decomposition_type, p_integral_basis_regular
 from pintbasis.quartic import iterate_to_regular, quartic_p_integral_basis
+
+from reference import check_polygon_geometry, ind_p_lower_bound
 
 X = IntPoly([0, 1])
 PRIMES = (2, 3, 5, 7, 13)
@@ -227,22 +218,9 @@ def test_criterion_6_polygon_property_suite():
             continue
         phi = _random_phi(rng, p)
         checked += 1
-        expansion = phi_expand(f, phi)
-        polygon = newton_polygon(expansion, p)
-        slopes = [s.slope for s in polygon.sides]
-        assert slopes == sorted(slopes) and len(set(slopes)) == len(slopes)
-        pp = principal_part(polygon)
-        assert pp.length == ord_mod_p(f, phi, p), (f.render(), phi.render(), p)
-        if pp.length >= 1 and pp.start_abscissa() == 0:
-            ys = ordinates(pp)
-            assert all(x > y for x, y in zip(ys, ys[1:])) and ys[-1] == 0
-            assert phi_index(f, phi, p) == phi.degree * lattice_point_count(pp)
-            assert phi.degree * index_from_ordinates(ys) == phi_index(f, phi, p)
-            for sd in phi_polygon_data(f, phi, p)[2]:
-                assert len(sd.residual) - 1 == sd.side.degree and sd.residual[-1]
-                assert sd.residual[0]
+        check_polygon_geometry(f, phi, p)
     print(f"\nACCEPT-6 polygon property suite: PASS ({checked} random (f, phi, p), "
-          "zero violations)")
+          "integer geometry equal to the Fraction reference, zero violations)")
 
 
 def _order2_witnesses():

@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 
 from pintbasis.arith import vp_frac
-from pintbasis.errors import NotRegularError, RankDeficientError
+from pintbasis.errors import InconsistentError, NotRegularError, RankDeficientError
 from pintbasis.intpoly import IntPoly
+from pintbasis.newton import LocalAnalysis
 from pintbasis.basis import (
     BasisElement,
+    _decomposition,
     decomposition_type,
-    ind_p_lower_bound,
     p_integral_basis_regular,
     power_basis,
     triangularize,
 )
 
+from reference import ind_p_lower_bound
 from test_oracle import _det_fraction
 
 X = IntPoly([0, 1])
@@ -194,6 +196,15 @@ def test_decomposition_type_examples():
     d = decomposition_type(IntPoly.monic_quartic(1, 0, 50), 5)
     assert d.complete
     assert sum(e * f for e, f in d.ef_pairs()) == 4
+
+
+def test_decomposition_checks_sum_ef():
+    """A complete decomposition with sum e*f != deg f is a program fault:
+    x^4+x^2+50 is (x^2+2)x^2 mod 5, and a report that leaves out the lift
+    x^2+2 covers only e*f = 2 of the degree 4."""
+    report = LocalAnalysis(IntPoly.monic_quartic(1, 0, 50), 5).report([X])
+    with pytest.raises(InconsistentError, match=r"^sum of e\*f = 2 differs from deg f = 4$"):
+        _decomposition(report)
 
 
 def test_decomposition_incomplete_reports_unknown():

@@ -9,13 +9,14 @@ from pintbasis.factor import (
     is_irreducible,
     is_irreducible_mod_p,
     is_irreducible_quartic,
-    ord_mod_p,
     sanity_check_irreducible,
 )
 from pintbasis.errors import NotIrreducibleError
 from pintbasis.fq import DEFAULT_SEED, FqField, factor_fqpoly
 from pintbasis.intpoly import IntPoly
 from pintbasis.newton import SideData
+
+from reference import ord_mod_p
 
 X = IntPoly([0, 1])
 

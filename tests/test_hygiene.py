@@ -106,6 +106,27 @@ def test_one_factorization_per_analysis():
     assert not found, found
 
 
+def test_fractions_stay_out_of_polygon_geometry():
+    """Polygon geometry is integer geometry: floors, side heights and lengths
+    and the slope as text.  fractions is imported only where the paper's
+    data are rationals: the valuation helpers (arith), triangularize
+    (basis), the oracle, the second-order ordinate Y (order2) and the
+    tables' nu with its cross-check (tables, quartic_e)."""
+    allowed = {"arith.py", "basis.py", "oracle.py", "order2.py", "tables.py", "quartic_e.py"}
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if "fractions" in modules and name not in allowed:
+                found.append(f"{name}:{node.lineno}")
+    assert not found, found
+
+
 def test_oracle_shares_no_newton_polygon_code():
     """The oracle is the independent check of the constructions: it imports
     nothing from the Newton-polygon modules or from the constructions'

@@ -1,14 +1,12 @@
 import random
 from fractions import Fraction
 
-from pintbasis.factor import factor_mod_p, is_irreducible_mod_p, ord_mod_p
+from pintbasis.factor import is_irreducible_mod_p
 from pintbasis.fq import FqField
 from pintbasis.intpoly import IntPoly
 from pintbasis.newton import (
-    index_from_ordinates,
     is_p_regular,
     is_phi_regular,
-    lattice_point_count,
     newton_polygon,
     ordinates,
     phi_expand,
@@ -17,7 +15,15 @@ from pintbasis.newton import (
     polygon_to_json,
     polygon_to_svg,
     principal_part,
-    residual_coefficients,
+    residual_polynomial,
+)
+
+from reference import (
+    check_polygon_geometry,
+    exact_ordinate,
+    exact_ordinates,
+    fraction_residual,
+    fraction_slope,
 )
 
 X = IntPoly([0, 1])
@@ -91,31 +97,61 @@ def test_newton_polygon_examples():
     n = poly_of(X**4 - 2, X, 2)
     assert n.vertices == ((0, 1), (4, 0))
     s = n.sides[0]
-    assert s.slope == Fraction(-1, 4) and s.length == 4 and s.degree == 1 and s.ramification == 4
+    assert fraction_slope(s) == Fraction(-1, 4) and s.slope == "-1/4"
+    assert s.length == 4 and s.degree == 1 and s.ramification == 4
 
     n = poly_of(X**4 + 2 * X**2 + 4, X, 2)
     assert n.vertices == ((0, 2), (4, 0))
     s = n.sides[0]
-    assert s.slope == Fraction(-1, 2) and s.degree == 2 and s.ramification == 2
-    assert n.on_polygon(2, 1)
+    assert fraction_slope(s) == Fraction(-1, 2) and s.slope == "-1/2"
+    assert s.degree == 2 and s.ramification == 2
+    assert exact_ordinate(n, 2) == 1  # (2, 1) lies on the polygon
 
     n = poly_of(X**4 + 2 * X + 4, X, 2)
-    assert [s.slope for s in n.sides] == [Fraction(-1), Fraction(-1, 3)]
+    assert [fraction_slope(s) for s in n.sides] == [Fraction(-1), Fraction(-1, 3)]
+    assert [s.slope for s in n.sides] == ["-1", "-1/3"]
+    assert [(s.height, s.length, s.ramification, s.degree) for s in n.sides] == [
+        (1, 1, 1, 1), (1, 3, 3, 1)]
+
+
+def test_side_slopes_zero_and_positive():
+    """The full polygon keeps its sides of slope 0 and of positive slope
+    (the latter only for a non-monic f); the slope text is str(Fraction),
+    and a side of slope 0 has the full length as its ramification."""
+    cases = [
+        ([1, 0, 0, 1], ["0"], [(3, 1)]),  # (0,0) (3,0)
+        ([2, 0, 1, 4, 1], ["-1/2", "0"], [(2, 1), (2, 1)]),  # (0,1) (2,0) (4,0)
+        ([1, 1, 4], ["0", "2"], [(1, 1), (1, 1)]),  # (0,0) (1,0) (2,2)
+        ([8, 4, 1, 0, 2], ["-3/2", "1/2"], [(2, 1), (2, 1)]),  # (0,3) (2,0) (4,1)
+        ([2, 4, 8, 4, 1, 2, 4], ["-1/4", "1"], [(4, 1), (1, 2)]),  # (0,1) (4,0) (6,2)
+    ]
+    for coeffs, slopes, ed in cases:
+        n = poly_of(IntPoly(coeffs), X, 2)
+        assert [s.slope for s in n.sides] == slopes
+        assert [str(fraction_slope(s)) for s in n.sides] == slopes
+        assert [(s.ramification, s.degree) for s in n.sides] == ed
+        assert principal_part(n).sides == tuple(s for s in n.sides if s.slope.startswith("-"))
+    pp = principal_part(poly_of(IntPoly([8, 4, 1, 0, 2]), X, 2))
+    assert exact_ordinates(pp) == [3, Fraction(3, 2), 0] and ordinates(pp) == [3, 1, 0]
 
 
 def test_principal_part_and_ordinates():
     f = IntPoly.monic_quartic(1, 0, 50)
     pp = principal_part(poly_of(f, X, 5))
     assert pp.length == 2
-    assert [s.slope for s in pp.sides] == [Fraction(-1)]
+    assert [fraction_slope(s) for s in pp.sides] == [Fraction(-1)]
+    assert [s.slope for s in pp.sides] == ["-1"]
+    assert exact_ordinates(pp) == [2, 1, 0]
     assert ordinates(pp) == [2, 1, 0]
 
     pp = principal_part(poly_of(X**4 - 2, X, 2))
     assert pp.length == 4
-    assert ordinates(pp) == [1, Fraction(3, 4), Fraction(1, 2), Fraction(1, 4), 0]
+    assert exact_ordinates(pp) == [1, Fraction(3, 4), Fraction(1, 2), Fraction(1, 4), 0]
+    assert ordinates(pp) == [1, 0, 0, 0, 0]
 
     pp = principal_part(poly_of(X**4 + 2 * X**2 + 4, X, 2))
-    assert ordinates(pp) == [2, Fraction(3, 2), 1, Fraction(1, 2), 0]
+    assert exact_ordinates(pp) == [2, Fraction(3, 2), 1, Fraction(1, 2), 0]
+    assert ordinates(pp) == [2, 1, 1, 0, 0]
 
     # no negative sides at all
     pp = principal_part(poly_of(X**4 + X + 1, X, 2))
@@ -131,8 +167,8 @@ def test_phi_index_examples():
 def test_residual_polynomials():
     f = IntPoly.monic_quartic(1, 0, 50)
     e, pp, data = phi_polygon_data(f, X, 5)
-    cs = residual_coefficients(pp, e, FqField(5, X))
-    assert cs == [2, 0, 1]
+    assert residual_polynomial(pp.sides[0], pp, e, FqField(5, X)) == [2, 0, 1]
+    assert fraction_residual(pp, pp.sides[0], e, FqField(5, X)) == [2, 0, 1]
     assert len(data) == 1
     r = data[0].residual
     assert r == [2, 0, 1]  # y^2+2
@@ -157,7 +193,9 @@ def test_regularity_examples():
     rep = is_phi_regular(X**4 + 4 * X**2 + 4, X, 2)
     assert not rep.regular
     side, g, m = rep.witnesses[0]
-    assert side.slope == Fraction(-1, 2)
+    assert fraction_slope(side) == Fraction(-1, 2) and side.slope == "-1/2"
+    assert side.ramification == 2 and side.degree == 2
+    assert rep.ordinates == [2, 1, 1, 0, 0] and rep.index == 2
     assert m == 2 and g == [1, 1]  # (y+1)^2
 
     assert is_p_regular(X**4 + 2 * X**2 + 4, 2).regular
@@ -174,38 +212,26 @@ def _random_phi(rng, p):
 
 
 def test_polygon_property_suite_small():
-    """Smaller version of the acceptance property suite for fast feedback."""
+    """Smaller version of the acceptance property suite for fast feedback,
+    with the integer geometry checked against the Fraction reference: on
+    the full polygon of f (monic) and of a non-monic g, whose polygon can
+    also have sides of positive slope, and on the PhiRegularity record."""
     rng = random.Random(12)
+    kinds = set()
     for _ in range(500):
         p = rng.choice([2, 3, 5, 7, 13])
         f = IntPoly([rng.randint(-p**3, p**3) for _ in range(rng.randint(2, 7))] + [1])
         if f.vp(p) != 0:
             continue
         phi = _random_phi(rng, p)
-        e = phi_expand(f, phi)
-        n = newton_polygon(e, p)
-        slopes = [s.slope for s in n.sides]
-        assert slopes == sorted(slopes) and len(set(slopes)) == len(slopes)
-        for i, u in n.points:
-            if u is not None and not isinstance(u, int):
-                continue
-            if isinstance(u, int):
-                for s in n.sides:
-                    if s.start[0] <= i <= s.end[0]:
-                        assert Fraction(u) >= s.ordinate_at(i)
+        n = check_polygon_geometry(f, phi, p)
+        g = f + rng.randint(1, p**3) * p * IntPoly.x(f.degree + 1)
+        kinds |= {(s.height > 0) - (s.height < 0) for s in check_polygon_geometry(g, phi, p).sides}
         pp = principal_part(n)
-        assert pp.length == ord_mod_p(f, phi, p)
-        if pp.length >= 1 and pp.start_abscissa() == 0:
-            ys = ordinates(pp)
-            assert all(a > b for a, b in zip(ys, ys[1:]))
-            assert ys[-1] == 0
-            assert phi.degree * index_from_ordinates(ys) == phi.degree * lattice_point_count(pp)
-            assert phi_index(f, phi, p) == phi.degree * lattice_point_count(pp)
-            cs = residual_coefficients(pp, e, FqField(p, phi))
-            assert len(cs) == pp.length + 1 and cs[0] and cs[-1]
-            for sd in phi_polygon_data(f, phi, p)[2]:
-                assert len(sd.residual) - 1 == sd.side.degree and sd.residual[-1]
-                assert sd.residual[0]
+        if pp.length >= 1 and pp.start_abscissa() <= 1:
+            reg = is_phi_regular(f, phi, p)
+            assert reg.ordinates == ordinates(pp) and reg.index == phi_index(f, phi, p)
+    assert kinds == {-1, 0, 1}  # sides of positive, zero and negative slope
 
 
 def test_serialization():
