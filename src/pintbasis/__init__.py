@@ -13,7 +13,6 @@ from .errors import (
     InconsistentError,
     IterationPreconditionError,
     NoRowError,
-    NonIntegerSlopeError,
     NotIrreducibleError,
     NotRegularError,
     ParseError,

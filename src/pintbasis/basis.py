@@ -19,8 +19,6 @@ from .intpoly import IntPoly
 from .newton import is_p_regular, ordinates, phi_index, phi_polygon_data
 from .record import Record
 
-_SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
-
 
 class BasisElement(Record):
     """numerator(theta) / p^denom_exp with deg numerator < deg f."""

@@ -42,10 +42,6 @@ class InconsistentError(PintbasisError):
     """An internal invariant that should hold for every valid input failed."""
 
 
-class NonIntegerSlopeError(PintbasisError):
-    """The irregular side has fractional slope; the shift iteration cannot apply."""
-
-
 class IterationPreconditionError(PintbasisError):
     """Starting integer matches none of the admissible valuation patterns."""
 

@@ -8,12 +8,18 @@ ordinates.  Every dispatch table is encoded as literal rows with guard
 predicates so individual rows are unit-testable, and the row that fired is
 recorded in the result metadata.  The tables are in pintbasis.tables and the
 constructions of the 4-tuple-root cases E1 and E2 in pintbasis.quartic_e.
+
+A row works on f itself or on the quartic F(x) = f(p^k x + m)/p^(4k) of
+tau = (theta - m)/p^k, whose analysis _transformed builds with disc f
+carried over.  Every fired row ends in _finish, which builds Ore's basis on
+lifts of F or takes a second-order family or E1's reduced basis, moves it
+back to theta and keeps the row's display family as the generators.
 """
 
 from enum import Enum
 
 from .arith import INFINITY, check_prime, inv_mod, is_finite, legendre, sqrt_mod_pk, symmetric_rep, vp
-from .errors import InconsistentError, IterationPreconditionError, NonIntegerSlopeError
+from .errors import InconsistentError, IterationPreconditionError
 from .factor import sanity_check_irreducible
 from .intpoly import IntPoly
 from .newton import LocalAnalysis
@@ -58,7 +64,9 @@ class QuarticContext(Record):
 
 def make_context(analysis):
     """The context of f = x^4+ax^2+bx+c at p from the analysis of (f, p),
-    which may already hold records, such as the generic route's report."""
+    which may already hold records, such as the generic route's report.
+    The closed form of disc f is checked against the analysis' disc: the
+    resultant, the guard's, or the one a transformed quartic carries."""
     f, p = analysis.f, analysis.p
     a, b, c = f[2], f[1], f[0]
     disc = (
@@ -195,8 +203,7 @@ def iterate_to_regular(analysis, s0, record=None):
     multiple residual root.  Each s is analysed and profiled once.
 
     The phi-index strictly increases across irregular steps (asserted), so
-    the loop ends within v_p(disc F)/2 + 1 steps.  A fractional inseparable
-    slope cannot be repaired by shifts and raises NonIntegerSlopeError."""
+    the loop ends within v_p(disc F)/2 + 1 steps."""
     F, p = analysis.f, analysis.p
     profile = valuation_profile(F, s0, p)
     reg = _lift_at(analysis, s0)
@@ -215,9 +222,9 @@ def iterate_to_regular(analysis, s0, record=None):
             raise InconsistentError("more than one inseparable side")
         side, factor, mult = reg.witnesses[0]
         if side.ramification != 1:
-            raise NonIntegerSlopeError(
-                f"inseparable side of slope {side.slope}: use a second-order polygon"
-            )
+            # under patterns I-III the side lies over abscissae of length <= 3
+            # with degree >= 2, so e = 1
+            raise InconsistentError(f"inseparable side of fractional slope {side.slope}")
         delta = side.height // side.length
         if len(factor) != 2:
             raise InconsistentError("multiple residual factor of degree > 1")
@@ -275,15 +282,54 @@ def _lifts_with_override(analysis, replacements):
     return out
 
 
-def _construct(ctx, lifts, display, meta):
-    """Basis from the regular-case construction for the given lifts, read
-    from the records of ctx.analysis, with the table's display family
-    retained as generators."""
-    basis = _regular_basis(ctx.analysis.report(lifts))
-    return PIntegralBasis(
-        ctx.p, basis.elements, basis.index_valuation,
-        tuple(display) if display else basis.generators, dict(meta),
-    )
+def _transformed(analysis, k, m):
+    """The analysis of F(x) = f(p^k x + m)/p^(4k), the monic quartic of
+    tau = (theta - m)/p^k, with disc F = disc f / p^(12k) carried over: a
+    shift keeps the discriminant, and scaling the roots by p^-k divides each
+    of the six squared root differences by p^(2k)."""
+    p, F = analysis.p, analysis.f
+    if m:
+        F = F.shift(m)
+    if k:
+        F = F.scale_arg(p**k).divide_exact(p ** (4 * k))
+    return LocalAnalysis(F, p, analysis.disc // p ** (12 * k))
+
+
+def _transport(elements, p, scale_pow=0, shift=0):
+    """Rewrite tau-coordinate elements (tau = (theta - shift)/p^scale_pow) in
+    theta coordinates; numerators stay integral, denominators absorb
+    p^(3 scale_pow)."""
+    out = []
+    for el in elements:
+        n, e = el.numerator, el.denom_exp
+        if scale_pow:
+            n = IntPoly([n[j] * p ** ((3 - j) * scale_pow) for j in range(4)])
+            e += 3 * scale_pow
+        if shift:
+            n = n.shift(-shift)
+        out.append(BasisElement(n, e))
+    return out
+
+
+def _finish(analysis, display, meta, lifts=None, elements=None, k=0, m=0):
+    """The theta-basis of a fired row whose construction lives in tau =
+    (theta - m)/p^k, the root of analysis.f: Ore's construction on the given
+    lifts, read from the records of analysis, or elements spanning the
+    module (a second-order family, or the basis of E1's reduced quartic).
+    The elements are transported to theta when (k, m) != (0, 0) and
+    triangularized when transported or given as a family.  The row's
+    display family (else the construction's generators) is kept as the
+    generators, and meta as given."""
+    p = analysis.p
+    if lifts is not None:
+        basis = _regular_basis(analysis.report(lifts))
+        elements, display = basis.elements, display or basis.generators
+        if not (k or m):
+            return PIntegralBasis(p, elements, basis.index_valuation, tuple(display), meta)
+    display = display or elements
+    if k or m:
+        elements, display = _transport(elements, p, k, m), _transport(display, p, k, m)
+    return triangularize(elements, p, 4, generators=display, meta=meta)
 
 
 def _quotient_element(reg, j):
@@ -324,8 +370,8 @@ def basis_case_A(ctx):
             BasisElement(IntPoly([s, 0, 1]), nu),
             BasisElement(IntPoly([0, s, 0, 1]), nu),
         ]
-        return _construct(ctx, [phi], display,
-                          {"case": "A1", "rows": ["A1"], "s": s})
+        return _finish(ctx.analysis, display, {"case": "A1", "rows": ["A1"], "s": s},
+                       lifts=[phi])
     phi = IntPoly([1, 1, 1])
     k = min(vp(b + 1 - a, 2), vp(c - a, 2))
     if k == 1:
@@ -338,7 +384,7 @@ def basis_case_A(ctx):
             BasisElement(IntPoly([0, 1, 1, 1]), 1),
         ]
         rows = ["eq10-r2"]
-    return _construct(ctx, [phi], display, {"case": "A2", "rows": rows})
+    return _finish(ctx.analysis, display, {"case": "A2", "rows": rows}, lifts=[phi])
 
 
 # -- case B: one double root -----------------------------------------------------
@@ -374,9 +420,8 @@ def basis_case_B(ctx):
         BasisElement(_ONE, 0), BasisElement(_X, 0), BasisElement(_X**2, 0),
         BasisElement(reg.expansion.quotients[0], nu),
     ]
-    lifts = _lifts_with_override(ctx.analysis, [reg.phi])
-    return _construct(ctx, lifts, display,
-                      {"case": ctx.case.value, "rows": ["eq13"], "s": s})
+    return _finish(ctx.analysis, display, {"case": ctx.case.value, "rows": ["eq13"], "s": s},
+                   lifts=_lifts_with_override(ctx.analysis, [reg.phi]))
 
 
 # -- case C: two double roots ----------------------------------------------------
@@ -410,9 +455,9 @@ def basis_case_C1(ctx):
         _quotient_element(plus, 1),
     ]
     lifts = _lifts_with_override(ctx.analysis, [IntPoly([-s, 1]), IntPoly([s, 1])])
-    return _construct(ctx, lifts, display,
-                      {"case": "C1", "rows": ["eq14"], "s": s,
-                       "iterated": iterated})
+    return _finish(ctx.analysis, display,
+                   {"case": "C1", "rows": ["eq14"], "s": s, "iterated": iterated},
+                   lifts=lifts)
 
 
 def basis_case_C2(ctx):
@@ -433,9 +478,8 @@ def basis_case_C2(ctx):
         s, display = _double_root_pair(ctx.analysis, t, rows[0] == "eq15-r4")
     if not _lift_at(ctx.analysis, t).regular:
         raise InconsistentError(f"claimed-regular lift {t} is irregular in case C2")
-    lifts = [IntPoly([-t, 1]), IntPoly([-s, 1])]
-    return _construct(ctx, lifts, display,
-                      {"case": "C2", "rows": rows, "s": s, "t": t})
+    return _finish(ctx.analysis, display, {"case": "C2", "rows": rows, "s": s, "t": t},
+                   lifts=[IntPoly([-t, 1]), IntPoly([-s, 1])])
 
 
 # -- case D: triple root ---------------------------------------------------------
@@ -527,9 +571,9 @@ def basis_case_D(ctx):
                 raise InconsistentError("deep derivative root is irregular")
     display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
                _quotient_element(reg, 2), _quotient_element(reg, 1)]
-    lifts = _lifts_with_override(ctx.analysis, [reg.phi])
     meta.update({"rows": rows, "s": -reg.phi[0]})
-    return _construct(ctx, lifts, display, meta)
+    return _finish(ctx.analysis, display, meta,
+                   lifts=_lifts_with_override(ctx.analysis, [reg.phi]))
 
 
 # -- cases E1 and E2: a 4-tuple root (constructed in quartic_e) -----------------
@@ -549,22 +593,6 @@ def reduce_E1(a, b, c, p):
         a, b, c = a // p**2, b // p**3, c // p**4
         k += 1
     return a, b, c, k
-
-
-def _transport(elements, p, scale_pow=0, shift=0):
-    """Rewrite tau-coordinate elements (tau = (theta - shift)/p^scale_pow) in
-    theta coordinates; numerators stay integral, denominators absorb p^(3k)."""
-    out = []
-    for el in elements:
-        n, e = el.numerator, el.denom_exp
-        if scale_pow:
-            k = scale_pow
-            n = IntPoly([n[j] * p ** ((3 - j) * k) for j in range(4)])
-            e += 3 * k
-        if shift:
-            n = n.shift(-shift)
-        out.append(BasisElement(n, e))
-    return out
 
 
 # -- top-level dispatch -----------------------------------------------------------
@@ -600,17 +628,14 @@ def _quartic_basis(ctx):
         return basis_case_E2(ctx)
     # E1: normalize, dispatch the reduced polynomial (irreducible, as it
     # generates the same field), transport back
-    p = ctx.p
-    a2, b2, c2, k = reduce_E1(ctx.a, ctx.b, ctx.c, p)
+    k = reduce_E1(ctx.a, ctx.b, ctx.c, ctx.p)[3]
     if k == 0:
         return basis_case_E1(ctx)
-    inner = _quartic_basis(make_context(LocalAnalysis(IntPoly.monic_quartic(a2, b2, c2), p)))
-    els = _transport(list(inner.elements), p, scale_pow=k, shift=0)
-    gens = _transport(list(inner.generators), p, scale_pow=k, shift=0)
-    meta = dict(inner.meta)
-    meta["reduced_by"] = k
-    meta["case"] = "E1->" + meta.get("case", "?")
-    return triangularize(els, p, 4, generators=gens, meta=meta)
+    reduced = _transformed(ctx.analysis, k, 0)
+    inner = _quartic_basis(make_context(reduced))
+    meta = dict(inner.meta, reduced_by=k)
+    meta["case"] = "E1->" + meta["case"]
+    return _finish(reduced, inner.generators, meta, elements=inner.elements, k=k)
 
 
 # The 4-tuple-root constructions live in quartic_e, which imports the helpers

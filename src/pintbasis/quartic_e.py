@@ -5,39 +5,41 @@ E1 (p | a, b, c) dispatches the reduced polynomial on the Table 2 rows, with
 the second-order rows expanded by Table 3 at p = 2.  E2 (p = 2 with a, b even
 and c odd) shifts x by an odd m so that the root is 0 mod 2, and dispatches
 the shifted polynomial on the Table 4 rows, with Table 5 expanding its
-second-order row.  The dispatcher, the E1 normalization and the shared
+second-order row; some rows rescale the root once or twice more.  Each
+shifted or rescaled quartic comes from quartic._transformed and each row ends
+in quartic._finish.  The dispatcher, the E1 normalization and the shared
 construction helpers are in quartic.
 """
 
 from fractions import Fraction
 
 from .arith import inv_mod, is_finite, symmetric_rep, vp
-from .basis import BasisElement, _regular_basis, triangularize
+from .basis import BasisElement
 from .errors import InconsistentError
 from .intpoly import IntPoly
-from .newton import LocalAnalysis
 from .quartic import (
     _ONE,
     _X,
-    _construct,
     _double_root_pair,
+    _finish,
     _lift_at,
     _quotient_element,
-    _transport,
+    _transformed,
     iterate_to_regular,
 )
 from .tables import E1_ROWS, E2_DIRECT_DENOMS, E2_ROWS, bad_shift, match_rows, table3_q_nu, table5_q_nu
 from . import order2
 
 
-def _order2_family(ctx, F, phi, tag, nu_table, rows, meta_extra=None):
-    """The family 1, theta, Q/p^[nu], theta*Q/p^[nu+1/2] with Q the first
-    quotient of the certified phi-development.  The tabled nu is only
+def _order2_family(meta, analysis, phi, tag, nu_table=None, rows=()):
+    """The second-order basis 1, theta, Q/p^[nu], theta*Q/p^[nu+1/2] of
+    analysis.f with Q the first quotient of the certified phi-development, with the
+    rows, tag, Y and order2 recorded in meta.  A tabled nu is only
     cross-checked against the second-order index: its floors must reproduce
     ind_p = floor(Y) - 2.  (The row data also carries simplified numerators;
     those are display sugar and not always integral in the theta*Q slot, so
     the construction never uses them.)"""
-    o2 = order2.basis_order2(order2.SecondOrderContext(F, ctx.p, phi, tag))
+    o2 = order2.basis_order2(order2.SecondOrderContext(analysis.f, analysis.p, phi, tag))
     if nu_table is not None:
         e2 = int(nu_table // 1)
         e3 = int((nu_table + Fraction(1, 2)) // 1)
@@ -45,69 +47,65 @@ def _order2_family(ctx, F, phi, tag, nu_table, rows, meta_extra=None):
             raise InconsistentError(
                 f"table nu {nu_table} disagrees with the second-order index {o2.ind_p}"
             )
-    meta = {"case": ctx.case.value, "rows": list(rows) + [tag],
-            "Y": str(o2.Y), "order2": 1}
-    if meta_extra:
-        meta.update(meta_extra)
-    return list(o2.elements), meta
+    meta["rows"] += [*rows, tag]
+    meta.update({"Y": str(o2.Y), "order2": 1})
+    return o2
 
 
 def basis_case_E1(ctx):
     """Reduced 4-tuple-root dispatch; the caller guarantees the reduction
     step has already been applied."""
-    a, b, c, p, f = ctx.a, ctx.b, ctx.c, ctx.p, ctx.f
+    a, b, c, p = ctx.a, ctx.b, ctx.c, ctx.p
     vc, vb, va = vp(c, p), vp(b, p), vp(a, p)
     row = match_rows(E1_ROWS, vc, vb, va, p)
     meta = {"case": "E1", "rows": [row.rid]}
     if row.strategy == "power":
         display = [BasisElement(IntPoly.x(i), 0) for i in range(4)]
-        return _construct(ctx, [_X], display, meta)
+        return _finish(ctx.analysis, display, meta, lifts=[_X])
     if row.strategy == "theta3":
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
                    BasisElement(_X**2, 0), BasisElement(_X**3, 1)]
-        return _construct(ctx, [_X], display, meta)
+        return _finish(ctx.analysis, display, meta, lifts=[_X])
     if row.strategy == "x-reg":
-        return _construct(ctx, [_X], None, meta)
+        return _finish(ctx.analysis, None, meta, lifts=[_X])
     if row.strategy == "iterate":
         reg = iterate_to_regular(ctx.analysis, 0)
         q1 = _quotient_element(reg, 1)
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0), BasisElement(_X**2, 1), q1]
         meta.update({"s": -reg.phi[0], "nu": q1.denom_exp})
-        return _construct(ctx, [reg.phi], display, meta)
+        return _finish(ctx.analysis, display, meta, lifts=[reg.phi])
     if row.strategy == "half-a":
         mprime = vp(a * a - 4 * c, p)
         if not is_finite(mprime):
             # a^2 = 4c: every m' > v_p(b) gives the same nu = v_p(b)/2
             mprime = vp(b, p) + 1
         if mprime == 2:
-            return _construct(ctx, [_X], None, meta)
+            return _finish(ctx.analysis, None, meta, lifts=[_X])
         M = p ** (mprime // 2 + 2)
         s = symmetric_rep(a * inv_mod(2, M) % M, M)
         nu = Fraction(min(vp(b, p), mprime), 2)
-        phi, tag = IntPoly([s, 0, 1]), "S51"
-        family, meta2 = _order2_family(ctx, f, phi, tag, nu, [row.rid], {"s": s})
-        return triangularize(family, p, 4, generators=family, meta=meta2)
+        o2 = _order2_family(meta, ctx.analysis, IntPoly([s, 0, 1]), "S51", nu)
+        meta["s"] = s
+        return _finish(ctx.analysis, None, meta, elements=o2.elements)
     if row.strategy == "table3":
         Q, nu, rows = table3_q_nu(a, b, c)
         phi, tag = order2.choose_phi_e1_row6(a, b, c)
-        family, meta2 = _order2_family(ctx, f, phi, tag, nu, [row.rid] + rows)
-        return triangularize(family, p, 4, generators=family, meta=meta2)
+        o2 = _order2_family(meta, ctx.analysis, phi, tag, nu, rows)
+        return _finish(ctx.analysis, None, meta, elements=o2.elements)
     raise InconsistentError(f"unhandled strategy {row.strategy}")
 
 
 # -- case E2: p = 2, a, b even, c odd ---------------------------------------------
 
 
-def _scale_down(g, k):
-    """g(2^k x) / 2^(4k), exact when the coefficient valuations allow it."""
-    return g.scale_arg(2**k).divide_exact(2 ** (4 * k))
-
-
 def basis_case_E2(ctx):
-    f, p = ctx.f, ctx.p
+    """Each row works in F(x) = f(2^k x + m)/2^(4k), the quartic of tau =
+    (theta - m)/2^k for the odd shift m, with k = 0 unless the row rescales
+    the shifted quartic."""
     m = 1
     for _ in range(10):
-        g = f.shift(m)
+        shifted = _transformed(ctx.analysis, 0, m)
+        g = shifted.f
         A, B, C = g[2], g[1], g[0]
         vC, vB, vA = vp(C, 2), vp(B, 2), vp(A, 2)
         step = bad_shift(vC, vB, vA)
@@ -118,79 +116,60 @@ def basis_case_E2(ctx):
         raise InconsistentError("shift adjustment failed to leave the bad patterns")
     row = match_rows(E2_ROWS, vC, vB, vA)
     meta = {"case": "E2", "rows": [row.rid], "m": m}
-    omega_shift = m  # omega = theta - m
-
-    def finish(elements_tau, scale_pow, display_tau, extra_rows=(), extra_meta=None):
-        meta2 = dict(meta)
-        meta2["rows"] = meta["rows"] + list(extra_rows)
-        if extra_meta:
-            meta2.update(extra_meta)
-        gens = _transport(display_tau, 2, scale_pow, omega_shift) if display_tau else None
-        els = _transport(elements_tau, 2, scale_pow, omega_shift)
-        basis = triangularize(els, 2, 4, generators=gens or els, meta=meta2)
-        return basis
-
     if row.strategy == "direct":
-        constructed = _regular_basis(LocalAnalysis(g, 2).report([_X]))
         denoms = E2_DIRECT_DENOMS[row.rid]
         display = [BasisElement(_ONE, 0)] + [
             BasisElement(_X ** (i + 1), denoms[i]) for i in range(3)
         ]
-        return finish(list(constructed.elements), 0, display)
+        return _finish(shifted, display, meta, lifts=[_X], m=m)
     if row.strategy == "iterate":
-        g_lifts = LocalAnalysis(g, 2)
-        reg = iterate_to_regular(g_lifts, 0)
-        constructed = _regular_basis(g_lifts.report([reg.phi]))
+        reg = iterate_to_regular(shifted, 0)
         q1 = _quotient_element(reg, 1)
         pre = {"T4r5": (0, 1), "T4r18": (1, 3), "T4r24": (2, 4)}[row.rid]
         display = [BasisElement(_ONE, 0), BasisElement(_X, pre[0]),
                    BasisElement(_X**2, pre[1]), q1]
-        return finish(list(constructed.elements), 0, display,
-                      extra_meta={"s": -reg.phi[0], "nu": q1.denom_exp})
+        meta.update({"s": -reg.phi[0], "nu": q1.denom_exp})
+        return _finish(shifted, display, meta, lifts=[reg.phi], m=m)
     if row.strategy == "table5":
         Q, nu, rows = table5_q_nu(A, B, C)
         phi, tag = order2.choose_phi_e2_row4(A, B, C)
-        family, meta2 = _order2_family(ctx, g, phi, tag, nu, rows)
-        return finish(family, 0, None, extra_rows=meta2["rows"],
-                      extra_meta={"Y": meta2["Y"], "order2": 1})
+        o2 = _order2_family(meta, shifted, phi, tag, nu, rows)
+        return _finish(shifted, None, meta, elements=o2.elements, m=m)
+    if row.strategy == "scale4":
+        scaled = _transformed(shifted, 2, 0)
+        reg = iterate_to_regular(scaled, 0)
+        display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
+                   _quotient_element(reg, 2), _quotient_element(reg, 1)]
+        meta["rows"].append("eq-last")
+        meta["s"] = -reg.phi[0]
+        return _finish(scaled, display, meta, lifts=[reg.phi, IntPoly([-1, 1])], k=2, m=m)
+    if row.strategy not in ("order2-54", "table6", "twodouble"):
+        raise InconsistentError(f"unhandled strategy {row.strategy}")
+    # the remaining rows work in tau = (theta - m)/2
+    scaled = _transformed(shifted, 1, 0)
+    h = scaled.f
     if row.strategy == "order2-54":
-        h = _scale_down(g, 1)
-        o2 = order2.basis_order2(order2.SecondOrderContext(h, 2, IntPoly([-2, 0, 1]), "S54"))
+        o2 = _order2_family(meta, scaled, IntPoly([-2, 0, 1]), "S54")
         expected_Y = Fraction(9, 2) if vp(h[1], 2) >= 3 else Fraction(5)
         if o2.Y != expected_Y:
             raise InconsistentError(
                 f"second-order ordinate {o2.Y} differs from the tabled {expected_Y}"
             )
-        return finish(list(o2.elements), 1, None, extra_rows=["S54"],
-                      extra_meta={"Y": str(o2.Y), "order2": 1})
+        return _finish(scaled, None, meta, elements=o2.elements, k=1, m=m)
     if row.strategy == "table6":
-        h = _scale_down(g, 1)
-        Ap, Bp, Cp = h[2], h[1], h[0]
-        phi, tag = order2.choose_phi_e2_row10(Ap, Bp, Cp)
-        constructed = _regular_basis(LocalAnalysis(h, 2).report([phi]))
-        return finish(list(constructed.elements), 1, None, extra_rows=[tag])
-    if row.strategy == "twodouble":
-        h = _scale_down(g, 1)
-        return _basis_e2_twodouble(h, finish)
-    if row.strategy == "scale4":
-        h = _scale_down(g, 2)
-        h_lifts = LocalAnalysis(h, 2)
-        reg = iterate_to_regular(h_lifts, 0)
-        constructed = _regular_basis(h_lifts.report([reg.phi, IntPoly([-1, 1])]))
-        display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
-                   _quotient_element(reg, 2), _quotient_element(reg, 1)]
-        return finish(list(constructed.elements), 2, display, ["eq-last"],
-                      {"s": -reg.phi[0]})
-    raise InconsistentError(f"unhandled strategy {row.strategy}")
+        phi, tag = order2.choose_phi_e2_row10(h[2], h[1], h[0])
+        meta["rows"].append(tag)
+        return _finish(scaled, None, meta, lifts=[phi], k=1, m=m)
+    return _basis_e2_twodouble(scaled, meta, m)
 
 
-def _basis_e2_twodouble(h, finish):
+def _basis_e2_twodouble(scaled, meta, m):
     """Expansion of the two-double-roots subcase of the shifted table:
-    h = g(2x)/16 with h = x^2 (x+1)^2 mod 2."""
+    h = g(2x)/16 with h = x^2 (x+1)^2 mod 2, analysed by scaled."""
+    h = scaled.f
     Ap, Bp, Cp = h[2], h[1], h[0]
     vCp = vp(Cp, 2)
     vS = vp(Ap + Bp + Cp + 3, 2)
-    lifts = LocalAnalysis(h, 2)
     if vCp == 1 and vS == 1:
         t, s = 0, 1
         rows = ["Tdd2-r1"]
@@ -202,9 +181,9 @@ def _basis_e2_twodouble(h, finish):
             t, rows = 1, ["Tdd2-r3"]
         else:
             t, rows = 0, ["Tdd2-r4"]
-        s, display = _double_root_pair(lifts, t, rows[0] == "Tdd2-r4")
+        s, display = _double_root_pair(scaled, t, rows[0] == "Tdd2-r4")
     else:
-        even, odd = iterate_to_regular(lifts, 0), iterate_to_regular(lifts, 1)
+        even, odd = iterate_to_regular(scaled, 0), iterate_to_regular(scaled, 1)
         if even.ordinates[1] > odd.ordinates[1]:
             reg, other = even, odd
         else:
@@ -214,7 +193,9 @@ def _basis_e2_twodouble(h, finish):
         rows = ["Tdd2-r5"]
         display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
                    BasisElement(beta, other.ordinates[1]), _quotient_element(reg, 1)]
-    if not _lift_at(lifts, t).regular:
+    if not _lift_at(scaled, t).regular:
         raise InconsistentError("claimed-regular double-root lift is irregular")
-    constructed = _regular_basis(lifts.report([IntPoly([-t, 1]), IntPoly([-s, 1])]))
-    return finish(list(constructed.elements), 1, display, rows, {"s": s, "t": t})
+    meta["rows"] += rows
+    meta.update({"s": s, "t": t})
+    return _finish(scaled, display, meta, lifts=[IntPoly([-t, 1]), IntPoly([-s, 1])],
+                   k=1, m=m)

@@ -232,3 +232,124 @@ def test_tracer_names_resolve():
         if obj is None:
             bad.append(path)
     assert not bad, bad
+
+
+def test_one_transform_and_one_finisher():
+    """In the quartic builders every fired row becomes a basis in _finish,
+    the only caller of _regular_basis, triangularize and _transport, and
+    every transformed quartic f(p^k x + m)/p^(4k) is analysed through
+    _transformed, which carries disc f over.  The entry points that take
+    (a, b, c) analyse the input quartic itself."""
+    allowed = {"_regular_basis": {"_finish"}, "triangularize": {"_finish"},
+               "_transport": {"_finish"},
+               "LocalAnalysis": {"_transformed", "classify", "quartic_p_integral_basis"}}
+    found = []
+    for name, tree in _modules():
+        if name not in ("quartic.py", "quartic_e.py"):
+            continue
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called in allowed and getattr(top, "name", None) not in allowed[called]:
+                    found.append(f"{name}:{node.lineno} {called}")
+    assert not found, found
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+
+def _package_imports(tree, package_level):
+    """(names, modules) for the imports of pintbasis names in a module tree:
+    {bound name: (module, attr)} and {bound name: module} for the names
+    bound to modules.  package_level is the relative level that means the
+    package itself (1 inside it, None for the absolute imports of
+    perfbench)."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if package_level is not None and node.level == package_level:
+            module = node.module
+        elif package_level is None and (node.module or "").split(".")[0] == "pintbasis":
+            module = node.module.partition(".")[2]
+        else:
+            continue
+        for alias in node.names:
+            if module:
+                names[alias.asname or alias.name] = (module, alias.name)
+            else:  # from . import order2
+                modules[alias.asname or alias.name] = alias.name
+    return names, modules
+
+
+def _references(node, names, modules, own):
+    """The (module, name) pairs a node refers to: names of its own module
+    (own), imported names, and attributes of imported modules."""
+    refs = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            if n.id in names:
+                refs.add(names[n.id])
+            elif n.id in own:
+                refs.add(own[n.id])
+        elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id in modules):
+            refs.add((modules[n.value.id], n.attr))
+    return refs
+
+
+def _defined_names(top):
+    """The names a top-level statement binds other than by import: a def or
+    class, or the targets of an assignment."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    if isinstance(top, ast.Assign):
+        targets = top.targets
+    elif isinstance(top, ast.AnnAssign):
+        targets = [top.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_every_top_level_name_is_reachable():
+    """Every top-level def, class and assigned name in src/ is reachable
+    from cli.main, from a name the package exports, or from a name that
+    perfbench imports or the tracer pins: the references of each reached
+    definition are followed through its module's imports, so a helper
+    that nothing reaches fails here."""
+    defined, refs, roots = set(), {}, {("cli", "main")}
+    for name, tree in _modules():
+        module = name[:-3]
+        names, modules = _package_imports(tree, 1)
+        own = {n: (module, n) for top in tree.body for n in _defined_names(top)}
+        for top in tree.body:
+            if isinstance(top, (ast.Import, ast.ImportFrom)):
+                continue
+            keys = [own[n] for n in _defined_names(top)]
+            if not keys:  # a statement that runs on import
+                keys = [(module, None)]
+                roots.add(keys[0])
+            for key in keys:
+                refs.setdefault(key, set()).update(_references(top, names, modules, own))
+            defined.update(k for k in keys if k[1] is not None)
+        for alias, source in names.items():  # a re-export refers to its source
+            refs.setdefault((module, alias), set()).add(source)
+        if module == "__init__":
+            roots |= set(own.values()) | set(names.values())
+    for path in sorted(PERFBENCH.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        names, modules = _package_imports(tree, None)
+        roots |= set(names.values()) | _references(tree, names, modules, {})
+    _layers, spans, paths = _tracer_pins()
+    roots |= {tuple(name.split(".")[:2]) for name in spans | paths}
+    seen, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            todo += refs.get(key, ())
+    dead = sorted(f"{module}.{name}" for module, name in defined - seen)
+    assert not dead, dead
