@@ -60,28 +60,32 @@ def integer_roots(f):
 def is_irreducible_quartic(a, b, c):
     """Exact irreducibility test for x^4 + a*x^2 + b*x + c over Q."""
     f = IntPoly.monic_quartic(a, b, c)
-    return not (c == 0 or integer_roots(f) or _splits_2_2(a, b, c))
+    return not (c == 0 or integer_roots(f) or _splits_2_2(f))
 
 
-def _splits_2_2(a, b, c):
-    """Whether x^4 + a*x^2 + b*x + c with c != 0 is a product of two monic
-    integer quadratics (x^2+ux+v)(x^2-ux+w): vw = c, v+w-u^2 = a and
-    u(w-v) = b.  Together with the absence of integer roots (a 1+3 split)
-    this decides irreducibility."""
+def _splits_2_2(f):
+    """Whether the monic quartic f = x^4 + a3 x^3 + a2 x^2 + a1 x + a0 with
+    a0 != 0 is a product of two monic integer quadratics
+    (x^2+ux+v)(x^2+(a3-u)x+w): vw = a0, a1 = u(w-v) + a3 v and
+    a2 = v + w + u(a3-u).  For each divisor pair with w != v the x
+    coefficient fixes u; with w = v it asks a1 = a3 v, and u is an integer
+    root of u^2 - a3 u + a2 - 2v.  Together with the absence of integer
+    roots (a 1+3 split) this decides irreducibility."""
+    a0, a1, a2, a3 = f[0], f[1], f[2], f[3]
     divs = set()
-    for d in range(1, isqrt(abs(c)) + 1):
-        if c % d == 0:
-            divs.update((d, -d, c // d, -(c // d)))
+    for d in range(1, isqrt(abs(a0)) + 1):
+        if a0 % d == 0:
+            divs.update((d, -d, a0 // d, -(a0 // d)))
     for v in divs:
-        w = c // v
-        u2 = v + w - a
-        if u2 < 0:
-            continue
-        u = isqrt(u2)
-        if u * u != u2:
-            continue
-        if u * (w - v) == b or -u * (w - v) == b:
-            return True
+        w = a0 // v
+        if w != v:
+            u, r = divmod(a1 - a3 * v, w - v)
+            if not r and a2 == v + w + u * (a3 - u):
+                return True
+        elif a1 == a3 * v:
+            disc = a3 * a3 - 4 * (a2 - 2 * v)
+            if disc >= 0 and isqrt(disc) ** 2 == disc:
+                return True
     return False
 
 
@@ -92,8 +96,8 @@ def is_irreducible(f):
     """Best-effort irreducibility test for a monic integer polynomial.
 
     Returns True (proved irreducible), False (proved reducible), or None when
-    the mod-q degree patterns stay ambiguous.  Degree <= 3 and quartics of
-    the shape x^4+ax^2+bx+c are decided exactly."""
+    the mod-q degree patterns stay ambiguous.  Degree <= 3 and quartics are
+    decided exactly."""
     n = f.degree
     if n <= 0:
         return False
@@ -105,8 +109,8 @@ def is_irreducible(f):
         return False
     if n <= 3:
         return True  # no roots, so no factor of degree 1 and none of degree n-1
-    if n == 4 and f[3] == 0:
-        return not _splits_2_2(f[2], f[1], f[0])
+    if n == 4:
+        return not _splits_2_2(f)
     possible = set(range(1, n))
     for q in _WITNESS_PRIMES:  # f is monic, so deg (f mod q) = n
         fq = FpArith(q)
@@ -124,20 +128,20 @@ def is_irreducible(f):
 
 
 def sanity_check_irreducible(f):
-    """Raise NotIrreducibleError when a rational root, (for shape
-    x^4+ax^2+bx+c) a quadratic factor, or (for any other f) a repeated
-    factor is detected.  A quartic of that shape with a repeated factor is
-    reducible, so the exact test covers it.  Returns disc f when the
+    """Raise NotIrreducibleError when a rational root, a repeated factor or
+    (for a quartic) a quadratic factor is detected.  A quartic
+    x^4+ax^2+bx+c with a repeated factor has a quadratic one, so for that
+    shape the 2+2 test alone covers it.  Returns disc f when the
     repeated-factor test computed it, None otherwise."""
     if f.degree < 2 or not f.monic:
         return None
     if f[0] == 0 or integer_roots(f):
         raise NotIrreducibleError(f"{f.render()} has a rational root")
-    if f.degree == 4 and f[3] == 0:
-        if _splits_2_2(f[2], f[1], f[0]):
-            raise NotIrreducibleError(f"{f.render()} factors over Q")
-        return None
-    disc = f.discriminant()
-    if disc == 0:
-        raise NotIrreducibleError(f"{f.render()} has a repeated factor")
+    disc = None
+    if f.degree != 4 or f[3]:
+        disc = f.discriminant()
+        if disc == 0:
+            raise NotIrreducibleError(f"{f.render()} has a repeated factor")
+    if f.degree == 4 and _splits_2_2(f):
+        raise NotIrreducibleError(f"{f.render()} factors over Q")
     return disc

@@ -10,11 +10,15 @@ Integrality is read off the characteristic polynomial.  The p-maximal
 order is found by the Round 2 algorithm (round2), linear algebra over F_p:
 the p-radical is the kernel of the trace form mod p when p > n and of a
 power of the Frobenius otherwise; brute-force saturation (saturate) is its
-reference.  Products are plain integer lists reduced mod f, coordinates in
-a triangular basis come from one integer back-substitution, and one
-multiplication table decides ring closure for is_ring_closed and for the
-order Round 2 returns.  This module is the ground truth the constructive
-modules are tested against.
+reference.  Round 2 starts from the power basis, or from any order given
+with its multiplication table: by the Pohst-Zassenhaus criterion (Cohen,
+GTM 138, Thm 6.1.3) an order is p-maximal exactly when the multiplier ring
+of its p-radical is itself, so one step from a constructed order checks it,
+which is how verify uses it.  Products are plain integer lists reduced mod
+f, coordinates in a triangular basis come from one integer
+back-substitution, and one multiplication table decides ring closure for
+is_ring_closed, for verify and for the order Round 2 returns.  This module
+is the ground truth the constructive modules are tested against.
 """
 
 from fractions import Fraction
@@ -349,22 +353,34 @@ def round2(f, p):
     return _round2(f, p, f.discriminant())
 
 
-def _round2(f, p, disc):
-    """round2 with disc f in hand."""
+def _round2(f, p, disc, start=None):
+    """round2 with disc f in hand, from the power basis or from start, a
+    pair (order, table) of a triangular basis that spans a ring and its
+    _table.  The bound on the rounds and the test that skips them read
+    v_p(disc O) = v_p(disc f) - 2 ind(O), with ind(O) the sum over the
+    elements of denom_exp minus the valuation of the pivot, so a start that
+    does not contain Z[theta] is bounded too.  From a start, the order
+    returned has the start's elements exactly when the first step adds
+    nothing, that is when the start is p-maximal (Cohen, GTM 138, 6.1.3)."""
     if disc == 0:
         raise NotIrreducibleError(f"{f.render()} has a repeated factor")
-    n, v = f.degree, vp(disc, p)
-    order = power_basis(p, n)
+    n = f.degree
+    order, table = start or (power_basis(p, n), None)
+    v = vp(disc, p) - 2 * sum(e.denom_exp - vp(e.numerator[k], p)
+                              for k, e in enumerate(order.elements))
     for _ in range(v // 2 + 2):
         # the Frobenius radical reads the table; the trace form needs none
-        table = _ring_table(f, order, p) if p <= n else None
-        grow = _multipliers(f, *_radical(f, order, p, table), p) if v >= 2 else []
+        if table is None and p <= n:
+            table = _ring_table(f, order, p)
+        grow = []
+        if v >= 2:
+            grow = _multipliers(f, *_radical(f, order, p, table if p <= n else None), p)
         if not grow:
             if table is None:
                 _ring_table(f, order, p)
             els = order.elements
             return PIntegralBasis(p, els, order.index_valuation, els, {"method": "round2"})
-        order = triangularize(list(order.elements) + grow, p, n)
+        order, table = triangularize(list(order.elements) + grow, p, n), None
     raise InconsistentError("Round 2 failed to terminate")
 
 

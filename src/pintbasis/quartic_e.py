@@ -36,9 +36,9 @@ def _order2_family(meta, analysis, phi, tag, nu_table=None, rows=()):
     analysis.f with Q the first quotient of the certified phi-development, with the
     rows, tag, Y and order2 recorded in meta.  A tabled nu is only
     cross-checked against the second-order index: its floors must reproduce
-    ind_p = floor(Y) - 2.  (The row data also carries simplified numerators;
-    those are display sugar and not always integral in the theta*Q slot, so
-    the construction never uses them.)"""
+    ind_p = floor(Y) - 2.  (The paper's rows also give simplified
+    numerators; those are display sugar and not always integral in the
+    theta*Q slot, so the tables keep only nu.)"""
     o2 = order2.basis_order2(order2.SecondOrderContext(analysis.f, analysis.p, phi, tag))
     if nu_table is not None:
         e2 = int(nu_table // 1)
@@ -88,7 +88,7 @@ def basis_case_E1(ctx):
         meta["s"] = s
         return _finish(ctx.analysis, None, meta, elements=o2.elements)
     if row.strategy == "table3":
-        Q, nu, rows = table3_q_nu(a, b, c)
+        nu, rows = table3_q_nu(a, b, c)
         phi, tag = order2.choose_phi_e1_row6(a, b, c)
         o2 = _order2_family(meta, ctx.analysis, phi, tag, nu, rows)
         return _finish(ctx.analysis, None, meta, elements=o2.elements)
@@ -131,7 +131,7 @@ def basis_case_E2(ctx):
         meta.update({"s": -reg.phi[0], "nu": q1.denom_exp})
         return _finish(shifted, display, meta, lifts=[reg.phi], m=m)
     if row.strategy == "table5":
-        Q, nu, rows = table5_q_nu(A, B, C)
+        nu, rows = table5_q_nu(A, B, C)
         phi, tag = order2.choose_phi_e2_row4(A, B, C)
         o2 = _order2_family(meta, shifted, phi, tag, nu, rows)
         return _finish(shifted, None, meta, elements=o2.elements, m=m)

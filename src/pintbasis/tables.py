@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .arith import is_finite, vp
 from .errors import InconsistentError, NoRowError
-from .intpoly import IntPoly
 from .record import Record
 
 
@@ -141,7 +140,7 @@ def match_rows(rows, *args):
     return hits[0]
 
 
-# (Q, nu) selection expanding the p = 2, v(c)=2, v(b)>1, v(a)>1 row; the
+# The (Q, nu) rows expanding the p = 2, v(c)=2, v(b)>1, v(a)>1 row; the
 # guards take (va, vb, vacm4, vab) = (v(a), v(b), v(2a+c-4), v(2a+b)).
 TABLE3_ROWS = (
     TableRow("T3r1", lambda va, vb, g4, gb: vb == 2, None),
@@ -163,48 +162,43 @@ TABLE3_ROWS = (
 
 
 def table3_q_nu(a, b, c):
-    """(Q, nu, row ids) for the second-order subcase of the reduced
-    4-tuple-root table at p = 2."""
+    """(nu, row ids) for the second-order subcase of the reduced 4-tuple-root
+    table at p = 2.  The row's numerator Q is not returned: the
+    construction takes Q from the certified development."""
     va, vb = vp(a, 2), vp(b, 2)
     g4 = vp(2 * a + c - 4, 2)
     gb = vp(2 * a + b, 2)
     row = match_rows(TABLE3_ROWS, va, vb, g4, gb)
     rid = row.rid
     if rid == "T3r1":
-        return IntPoly([0, 0, 1]), Fraction(5, 4), [rid]
+        return Fraction(5, 4), [rid]
     if rid in ("T3r2", "T3r4", "T3r5"):
-        return IntPoly([2, 0, 1]), Fraction(7, 4), [rid]
-    if rid == "T3r3":
-        return IntPoly([2, 2, 1]), Fraction(2), [rid]
-    if rid == "T3r7":
-        return IntPoly([2, 0, 1]), Fraction(2), [rid]
+        return Fraction(7, 4), [rid]
+    if rid in ("T3r3", "T3r7"):
+        return Fraction(2), [rid]
     if rid in ("T3r8", "T3r10"):
-        return IntPoly([2, 2, 1]), Fraction(9, 4), [rid]
+        return Fraction(9, 4), [rid]
     if rid in ("T3r9", "T3r11"):
-        return IntPoly([2, 2, 1]), Fraction(5, 2), [rid]
+        return Fraction(5, 2), [rid]
     # T3r6: keyed by u = v(b), v = v(c - a^2/4), d.  No closed nu form is
     # pinned for these deep cells (simple candidates fail against the
     # saturation oracle), so only the row is identified here and the
     # denominators are read off the certified second-order polygon.
     u = vb
     v = vp(c - a * a // 4, 2)
-    half = a // 2
     if u <= v:
-        return IntPoly([half, 0, 1]), Fraction(2 * u + 1, 4), [rid, "T3r6s1"]
+        return Fraction(2 * u + 1, 4), [rid, "T3r6s1"]
     d = ((c - a * a // 4) >> v) % 4
-    w = v // 2
     if v % 2 == 0:
-        q = IntPoly([half + 2**w, 2**w if (u - 1 == v and d == 1) else 0, 1])
         sub = {(True, 3): "T3r6s2", (False, 3): "T3r6s3",
                (True, 1): "T3r6s4", (False, 1): "T3r6s5"}[(u - 1 == v, d)]
-        return q, None, [rid, sub]
+        return None, [rid, sub]
     plus = d == (a // 4) % 4
     if not plus and d != (-a // 4) % 4:
         raise NoRowError(f"no (Q, nu) subrow for (a,b,c)=({a},{b},{c})")
     sub = {(True, True): "T3r6s6", (False, True): "T3r6s7",
            (True, False): "T3r6s8", (False, False): "T3r6s9"}[(u - 1 == v, plus)]
-    q = IntPoly([half + (2 ** (w + 1) if sub == "T3r6s8" else 0), 2**w, 1])
-    return q, None, [rid, sub]
+    return None, [rid, sub]
 
 
 # Rows of the shifted-polynomial table; guards take (vC, vB, vA) for
@@ -260,34 +254,34 @@ def bad_shift(vC, vB, vA):
 
 
 def table5_q_nu(A, B, C):
-    """(Q, nu, rows) expanding the vC=2, vB>1, vA>1 row of the shifted table."""
+    """(nu, rows) expanding the vC=2, vB>1, vA>1 row of the shifted table;
+    as in table3_q_nu, the row's numerator Q is not returned."""
     vA, vB8 = vp(A, 2), vp(B + 8, 2)
     vac = vp(2 * A + C + 4, 2)
-    x2 = IntPoly([0, 0, 1])
     if vB8 == 2:
-        return x2, Fraction(5, 4), ["T5r1"]
+        return Fraction(5, 4), ["T5r1"]
     if vB8 == 3 and vac >= 4:
-        return x2 + 2, Fraction(7, 4), ["T5r2"]
+        return Fraction(7, 4), ["T5r2"]
     if vA == 2:
         if vB8 == 3 and vac == 3:
-            return IntPoly([2, 2, 1]), Fraction(2), ["T5r3"]
+            return Fraction(2), ["T5r3"]
         if vB8 >= 4 and vac == 3:
-            return x2 + 2, Fraction(7, 4), ["T5r4"]
+            return Fraction(7, 4), ["T5r4"]
         # oracle-pinned: nu = 5/2 exactly when v(B+8) = 4 iff v(2A+C+4) = 4
         # (the two diagonal cells share 5/2, the two off-diagonal ones 9/4)
         if vB8 == 4 and vac >= 5:
-            return x2 + 2, Fraction(9, 4), ["T5r5"]
+            return Fraction(9, 4), ["T5r5"]
         if vB8 == 4 and vac == 4:
-            return x2 + 2, Fraction(5, 2), ["T5r5d"]
+            return Fraction(5, 2), ["T5r5d"]
         if vB8 >= 5 and vac >= 5:
-            return x2 - 2, Fraction(5, 2), ["T5r6"]
+            return Fraction(5, 2), ["T5r6"]
         if vB8 >= 5 and vac == 4:
-            return x2 + 2, Fraction(9, 4), ["T5r7"]
+            return Fraction(9, 4), ["T5r7"]
     if vA >= 3:
         if vB8 == 3 and vac == 3:
-            return x2 + 2, Fraction(7, 4), ["T5r8"]
+            return Fraction(7, 4), ["T5r8"]
         if vB8 >= 4 and vac >= 4:
-            return x2 + 2, Fraction(2), ["T5r10"]
+            return Fraction(2), ["T5r10"]
         if vB8 >= 4 and vac == 3:
             # sub-table keyed by u, v, d, e.  As with the reduced-case
             # expansion, no closed nu form is pinned for deep cells, so rows
@@ -295,27 +289,22 @@ def table5_q_nu(A, B, C):
             # certified second-order polygon.
             u = vp(B + 8 - 2 * A, 2)
             v = vp(C - (A - 4) ** 2 // 4, 2)
-            base = IntPoly([-2 + A // 2, 2, 1])
             if u < v or (u == v and is_finite(v) and v % 2 == 0):
-                return base, Fraction(2 * u + 1, 4), ["T5r9", "T5r9s1"]
+                return Fraction(2 * u + 1, 4), ["T5r9", "T5r9s1"]
             d = ((C - (A - 4) ** 2 // 4) >> v) % 4
-            w = v // 2
             if u == v:
                 e = ((B + 8 - 2 * A) >> u) % 4
-                q = IntPoly([-2 + A // 2, 2 + 2**w, 1])
                 plus = d == (1 + A // 4) % 4
                 if not plus and d != (-1 + A // 4) % 4:
                     raise NoRowError(f"no subrow for (A,B,C)=({A},{B},{C})")
                 sub = {(True, 1): "T5r9s2", (True, 3): "T5r9s3",
                        (False, 3): "T5r9s4", (False, 1): "T5r9s5"}[(plus, e)]
-                if sub == "T5r9s3":
-                    q = q + 2 ** (w + 1)
-                return q, None, ["T5r9", sub]
+                return None, ["T5r9", sub]
             if v % 2 == 0:
                 if u - 1 == v:
-                    return base + 2**w, None, ["T5r9", "T5r9s6"]
+                    return None, ["T5r9", "T5r9s6"]
                 if d == 3:
-                    return base + 2**w, None, ["T5r9", "T5r9s7"]
-                return IntPoly([-2 + A // 2 + 2**w, 2 + 2**w, 1]), None, ["T5r9", "T5r9s8"]
-            return base, None, ["T5r9", "T5r9s9"]
+                    return None, ["T5r9", "T5r9s7"]
+                return None, ["T5r9", "T5r9s8"]
+            return None, ["T5r9", "T5r9s9"]
     raise NoRowError(f"no (Q, nu) row for (A,B,C)=({A},{B},{C})")

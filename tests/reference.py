@@ -1,10 +1,13 @@
-"""Test-side references for the Newton-polygon layer.
+"""Test-side references for the Newton-polygon layer and the quartic
+irreducibility guard.
 
 The library does its polygon geometry in integers: floored ordinates,
 integer side data and a slope that exists only as text.  The references
 here recompute the same facts the textbook way, with Fraction ordinates
 interpolated between the vertices and the slope as a Fraction, and share
-no code with pintbasis.newton beyond the polygon records they read.
+no code with pintbasis.newton beyond the polygon records they read.  The
+guard's exact quartic test is checked against a search for linear and
+quadratic factors by division.
 """
 
 from fractions import Fraction
@@ -129,3 +132,27 @@ def check_polygon_geometry(f, phi, p):
         assert len(sd.residual) - 1 == sd.side.degree and sd.residual[-1]
         assert sd.residual[0]
     return polygon
+
+
+def quartic_is_reducible(f):
+    """Whether the monic quartic f has a monic integer factor of degree 1
+    or 2, by trial division.  A linear factor x - r has r | f(0).  A
+    quadratic factor x^2 + ux + v has v | f(0), and -u is a sum of two roots
+    of f, so |u| is at most twice Cauchy's bound 1 + max |a_i|."""
+    a = f.coeffs
+    if a[0] == 0:
+        return True
+    divisors = [d for d in range(1, abs(a[0]) + 1) if a[0] % d == 0]
+    divisors += [-d for d in divisors]
+    if any(f(r) == 0 for r in divisors):
+        return True
+    bound = 2 * (1 + max(abs(c) for c in a[:-1]))
+    for v in divisors:
+        for u in range(-bound, bound + 1):
+            r = list(a)  # the remainder of f by x^2 + ux + v, by long division
+            for k in range(4, 1, -1):
+                r[k - 1] -= r[k] * u
+                r[k - 2] -= r[k] * v
+            if r[0] == r[1] == 0:
+                return True
+    return False

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from pintbasis.arith import (
     INFINITY,
+    is_prime,
     legendre,
     sqrt_mod_p,
     sqrt_mod_pk,
@@ -39,6 +40,34 @@ def test_vp_is_a_valuation(m, n, p):
         assert lhs >= min(vp(m, p), vp(n, p))
         if vp(m, p) != vp(n, p):
             assert lhs == min(vp(m, p), vp(n, p))
+
+
+# strong pseudoprimes to every base up to 11, 13, 17, 19 and 23, and to every
+# base up to 37 and up to 41 (Sorenson and Webster, Math. Comp. 86 (2017))
+STRONG_PSEUDOPRIMES = (3215031751, 2152302898747, 3474749660383, 341550071728321,
+                       3825123056546413051, 318665857834031151167461,
+                       3317044064679887385961981)
+
+
+def test_is_prime_matches_a_sieve():
+    """Every n below 2*10^5 against the sieve of Eratosthenes, which holds
+    the base-2 strong pseudoprimes 2047, 3277, ... and the strong Lucas
+    pseudoprimes 5459, 5777, ... of that range."""
+    bound = 200000
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for q in range(2, 448):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, bound, q)))
+    assert [n for n in range(bound) if is_prime(n) != bool(sieve[n])] == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert not any(is_prime(n) for n in STRONG_PSEUDOPRIMES)
+    # squares of the Wieferich primes pass the strong base-2 test
+    assert not is_prime(1093**2) and not is_prime(3511**2)
+    assert is_prime(2**61 - 1) and is_prime(2**127 - 1) and is_prime(2**521 - 1)
+    assert not is_prime((2**61 - 1) * (2**127 - 1)) and not is_prime((2**127 - 1) ** 2)
 
 
 def test_legendre():

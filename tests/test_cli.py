@@ -143,28 +143,43 @@ def test_error_paths():
     code, out = run(["classify", "-f", "x^4-2x^2+1", "-p", "3"])
     assert code == 2  # reducible
     # verify rejects reducible f with the guard's messages, as the other
-    # commands do
+    # commands do; the 2+2 test covers quartics with an x^3 term,
+    # (x^2+1)(x^2+3x-1) and (x^2+x+3)(x^2+2x+5)
     for command in ("basis", "factor", "verify", "oracle"):
-        assert run([command, "-f", "x^4+4x^2+4", "-p", "2"]) == (
-            2, "error: x^4+4*x^2+4 factors over Q\n"), command
+        for f, p in (("x^4+4x^2+4", "2"), ("x^4+3x^3+3x-1", "3"),
+                     ("x^4+3x^3+10x^2+11x+15", "3")):
+            assert run([command, "-f", f, "-p", p]) == (
+                2, f"error: {parse_poly(f).render()} factors over Q\n"), (command, f)
         assert run([command, "-f", "x^5-3x^4+x^2-2x-3", "-p", "2"]) == (
             2, "error: x^5-3*x^4+x^2-2*x-3 has a rational root\n"), command
-    # a lift other than f that divides f over Z: (x^2+1)(x^2+3x-1) at p = 3
-    # and (x^3+x+1)(x^3+x^2+1) at p = 2 pass the guard, and the analysis of
-    # (f, p) rejects them
-    for f, p, line in (
-        ("x^4+3x^3+3x-1", "3", "error: x^4+3*x^3+3*x-1 factors over Q\n"),
-        ("x^6+x^5+x^4+3x^3+x^2+x+1", "2",
-         "error: x^6+x^5+x^4+3*x^3+x^2+x+1 factors over Q\n"),
-    ):
-        for command in ("basis", "factor", "verify"):
-            assert run([command, "-f", f, "-p", p]) == (2, line), (command, f)
+    # a lift other than f that divides f over Z: (x^3+x+1)(x^3+x^2+1) at
+    # p = 2 passes the guard, and the analysis of (f, p) rejects it
+    for command in ("basis", "factor", "verify"):
+        assert run([command, "-f", "x^6+x^5+x^4+3x^3+x^2+x+1", "-p", "2"]) == (
+            2, "error: x^6+x^5+x^4+3*x^3+x^2+x+1 factors over Q\n"), command
     # verify's own usage checks answer like every other bad input
     for n in ("0", "-1"):  # a corpus needs at least one input
         assert run(["verify", "--corpus", n]) == (
             2, "error: verify --corpus N needs N >= 1\n"), n
     assert run(["verify", "-p", "2"]) == (2, "error: verify needs -f POLY or --corpus N\n")
     assert run(["verify", "-f", "x^2+1"]) == (2, "error: verify needs -p P\n")
+
+
+def test_composite_p_is_rejected():
+    """Strong pseudoprimes to the bases 2..37 and 2..41 among them, exit 2
+    from every command that takes p; Mersenne primes of 127 and 521 bits
+    are accepted."""
+    from test_arith import STRONG_PSEUDOPRIMES
+
+    for n in STRONG_PSEUDOPRIMES:
+        for command in ("basis", "factor", "verify", "oracle"):
+            assert run([command, "-f", "x^2+1", "-p", str(n)]) == (
+                2, f"error: {n} is not prime\n"), (command, n)
+    for p in (2**127 - 1, 2**521 - 1):
+        assert run(["basis", "-f", "x^2+1", "-p", str(p)]) == (
+            0, "1, θ\nindex valuation: 0   (path: generic)\n")
+        assert run(["oracle", "-f", "x^3+2", "-p", str(p)]) == (
+            0, "1, θ, θ²\nindex valuation: 0\n")
 
 
 def test_not_regular_error_message():
@@ -180,7 +195,8 @@ def test_not_regular_error_message():
 
 def test_repeated_factors_are_rejected():
     # (x^2+x+1)^2 and (x^2+1)^3 have no rational root and are not of the
-    # shape x^4+ax^2+bx+c, so only the repeated-factor guard catches them
+    # shape x^4+ax^2+bx+c, so the repeated-factor test catches them (on the
+    # quartic it runs before the 2+2 test)
     for f, p in (("x^4+2x^3+3x^2+2x+1", "2"), ("x^4+2x^3+3x^2+2x+1", "5"),
                  ("x^6+3x^4+3x^2+1", "3")):
         for command in ("basis", "factor", "verify", "oracle"):
@@ -313,22 +329,27 @@ def test_verify_corpus_at_large_p():
 
 
 def test_verify_mismatch_reports_the_construction(monkeypatch):
-    """A construction that differs from Round 2 makes verify exit 1 with
-    MISMATCH and a FAILED line per failing check, and every other check is
-    evaluated on the construction itself: a basis that spans no ring fails
-    ring closure, and a wrong index fails the disc identity, while Round 2's
-    own disc identity holds."""
-    from pintbasis import cli
-    from pintbasis.basis import BasisElement, PIntegralBasis, power_basis
+    """A wrong construction makes verify exit 1 with MISMATCH and a FAILED
+    line for each check it fails, and for no other: a basis that spans no
+    ring fails ring closure (p-maximality is not asked of it), an order
+    that Round 2 enlarges fails p-maximality, and a wrong index fails the
+    disc identity.  The oracle line is Round 2 from Z[theta], which runs
+    once per mismatch."""
+    from pintbasis import cli, oracle
+    from pintbasis.basis import BasisElement, PIntegralBasis, power_basis, triangularize
 
     power = power_basis(5, 4).elements
     not_a_ring = (power[0], BasisElement(IntPoly([0, 1]), 1), power[2], power[3])
+    true = oracle.round2(parse_poly("x^4+x^2+50"), 5).elements
     cases = [
-        (PIntegralBasis(5, power, 0), {"construction == oracle"}),
-        (PIntegralBasis(5, not_a_ring, 1), {"construction == oracle", "ring closed"}),
-        (PIntegralBasis(5, power, 1), {"construction == oracle", "disc identity"}),
+        (PIntegralBasis(5, power, 0), {"p-maximal"}),
+        (PIntegralBasis(5, not_a_ring, 1), {"ring closed"}),
+        (PIntegralBasis(5, power, 1), {"p-maximal", "disc identity"}),
+        (PIntegralBasis(5, true, 2), {"disc identity"}),
     ]
+    calls = _count_calls(monkeypatch, [(oracle, "power_basis")])
     for wrong, failed in cases:
+        calls.clear()
         monkeypatch.setattr(cli, "_regular_basis", lambda report, wrong=wrong: wrong)
         code, out = run(["verify", "-f", "x^4+x^2+50", "-p", "5"])
         assert code == 1 and ": MISMATCH (path generic" in out, out
@@ -336,14 +357,26 @@ def test_verify_mismatch_reports_the_construction(monkeypatch):
         assert {line[len("  FAILED: "):] for line in lines
                 if line.startswith("  FAILED: ")} == failed, out
         assert lines[-1] == "  oracle:      1, θ, θ², (θ³+θ)/5", out
+        assert calls["power_basis"] == 1, (failed, calls)
+    # an order that does not contain Z[theta], here Z[p theta] with its own
+    # index -6, fails p-maximality also where v_p(disc f) < 2 lets Round 2
+    # from Z[theta] stop at once, on the Frobenius radical and the trace form
+    for p in (3, 7):
+        below = triangularize([BasisElement(IntPoly.x(k) * p**k, 0) for k in range(4)], p, 4)
+        assert below.index_valuation == -6
+        monkeypatch.setattr(cli, "_regular_basis", lambda report, below=below: below)
+        code, out = run(["verify", "-f", "x^4+x^2+50", "-p", str(p)])
+        assert code == 1 and out.splitlines()[1:2] == ["  FAILED: p-maximal"], out
+        assert out.endswith("  oracle:      1, θ, θ², θ³\n"), out
 
 
 def test_verify_develops_each_lift_three_times(monkeypatch):
     """On agreeing bases verify runs one p-regularity report per (f, p),
     which serves the generic route and the decomposition type: three
     developments per lift (the report, the generators and the phi-index;
-    a separate decomposition made four), and ring closure comes from Round
-    2's final table with no is_ring_closed call.  disc f is computed once:
+    a separate decomposition made four).  Round 2 starts from the
+    construction and reuses its multiplication table, so it never builds
+    the power basis, and no is_ring_closed call runs.  disc f is computed once:
     by verify for the quartic x^4+ax^2+bx+c, which the guard decides
     exactly, and by the guard's repeated-factor check for the other shapes,
     among them a degree-8 f whose degree patterns mod small primes leave
@@ -357,14 +390,16 @@ def test_verify_develops_each_lift_three_times(monkeypatch):
     assert factor.is_irreducible(parse_poly(inputs[-1][0])) is None
     calls = _count_calls(monkeypatch, [
         (newton, "phi_expand"), (newton, "is_p_regular"), (oracle, "is_ring_closed"),
-        (factor, "factor_mod_p"), (IntPoly, "discriminant")])
+        (oracle, "power_basis"), (oracle, "_table"), (factor, "factor_mod_p"),
+        (IntPoly, "discriminant")])
     for f, p, lifts in inputs:
         calls.clear()
         code, out = run(["verify", "-f", f, "-p", p])
         assert code == 0 and ": ok (path generic" in out, out
         assert calls["phi_expand"] == 3 * lifts, (f, calls)
         assert calls["is_p_regular"] == calls["factor_mod_p"] == 1, (f, calls)
-        assert calls["is_ring_closed"] == 0, (f, calls)
+        assert calls["is_ring_closed"] == calls["power_basis"] == 0, (f, calls)
+        assert calls["_table"] == 1, (f, calls)
         assert calls["discriminant"] == 1, (f, calls)
 
 
@@ -425,9 +460,9 @@ def test_oracle_scales_past_degree_8():
 
 
 def test_round2_oracle_time():
-    """The Round 2 oracle costs time polynomial in n and log p: verify on
-    x^5(x+1)^3+9 at p = 3 and oracle on x^4+101^2x+101^3 at p = 101 each
-    finish in 0.5 s (saturation took seconds on both)."""
+    """The Round 2 oracle costs time polynomial in n and log p: verify and
+    oracle on x^5(x+1)^3+9 at p = 3 and oracle on x^4+101^2x+101^3 at
+    p = 101 each finish in 0.5 s (saturation took seconds on both)."""
     import time
 
     start = time.perf_counter()
@@ -436,9 +471,35 @@ def test_round2_oracle_time():
     assert time.perf_counter() - start < 0.5
 
     start = time.perf_counter()
+    code, out = run(["oracle", "-f", "x^8+3x^7+3x^6+x^5+9", "-p", "3"])
+    assert code == 0 and out.endswith("index valuation: 3\n"), out
+    assert time.perf_counter() - start < 0.5
+
+    start = time.perf_counter()
     code, out = run(["oracle", "-f", "x^4+10201x+1030301", "-p", "101"])
     assert code == 0 and out.endswith("index valuation: 3\n"), out
     assert time.perf_counter() - start < 0.5
+
+
+def test_verify_costs_one_round2_step():
+    """verify checks the construction by one Round 2 step started from it,
+    so on x^32+4x+8 and x^48+4x+8 at p = 2 it takes under a quarter of the
+    time of Round 2 from Z[theta] (oracle on the same input), which it used
+    to run in full, and prints the same line as before."""
+    import time
+
+    for n, index in ((32, 17), (48, 25)):
+        seconds = {}
+        for command in ("verify", "oracle"):
+            start = time.perf_counter()
+            code, out = run([command, "-f", f"x^{n}+4x+8", "-p", "2"])
+            seconds[command] = time.perf_counter() - start
+            assert code == 0, out
+            if command == "verify":
+                assert out == f"verify x^{n}+4*x+8 at p=2: ok (path generic, ind={index})\n"
+            else:
+                assert out.endswith(f"index valuation: {index}\n"), out
+        assert seconds["verify"] < seconds["oracle"] / 4, (n, seconds)
 
 
 def _robustness_inputs(rng, count):

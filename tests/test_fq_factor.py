@@ -16,7 +16,7 @@ from pintbasis.fq import DEFAULT_SEED, FqField, factor_fqpoly
 from pintbasis.intpoly import IntPoly
 from pintbasis.newton import SideData
 
-from reference import ord_mod_p
+from reference import ord_mod_p, quartic_is_reducible
 
 X = IntPoly([0, 1])
 
@@ -300,10 +300,20 @@ def test_quartic_irreducibility_against_products():
         assert not is_irreducible_quartic(f[2], f[1], f[0])
 
 
+def _guard_passes(f):
+    try:
+        sanity_check_irreducible(f)
+    except NotIrreducibleError:
+        return False
+    return True
+
+
 def test_quartic_guards_agree():
     """is_irreducible, is_irreducible_quartic and sanity_check_irreducible
     give one verdict on x^4+ax^2+bx+c, over random triples and the shapes
-    each of their tests exists for."""
+    each of their tests exists for, and it is the verdict of a search for
+    linear and quadratic factors by division.  is_irreducible and the guard
+    give that verdict on quartics with an x^3 term as well."""
     rng = random.Random(21)
     triples = [tuple(rng.randint(-40, 40) for _ in range(3)) for _ in range(300)]
     for _ in range(40):
@@ -317,14 +327,24 @@ def test_quartic_guards_agree():
         verdict = is_irreducible_quartic(a, b, c)
         f = IntPoly.monic_quartic(a, b, c)
         assert is_irreducible(f) is verdict, (a, b, c)
-        try:
-            sanity_check_irreducible(f)
-            passed = True
-        except NotIrreducibleError:
-            passed = False
-        assert passed is verdict, (a, b, c)
+        assert _guard_passes(f) is verdict, (a, b, c)
+        assert quartic_is_reducible(f) is not verdict, (a, b, c)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+    quartics = [IntPoly([rng.randint(-20, 20) for _ in range(4)] + [1]) for _ in range(200)]
+    for _ in range(40):
+        r, s, t, u, v, w = (rng.randint(-6, 6) for _ in range(6))
+        quartics.append((X - r) * (X**3 + s * X**2 + t * X + u))
+        quartics.append((X**2 + r * X + s) * (X**2 + t * X + u))
+        quartics.append((X**2 + u * X + v) ** 2)
+    quartics += [X**4 + 3 * X**3 + 10 * X**2 + 11 * X + 15, X**4 + 3 * X**3 + 3 * X - 1]
+    verdicts = set()
+    for f in quartics:
+        verdict = not quartic_is_reducible(f)
+        assert is_irreducible(f) is verdict, f.render()
+        assert _guard_passes(f) is verdict, f.render()
+        verdicts.add((verdict, f[3] == 0))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_is_irreducible_generic():

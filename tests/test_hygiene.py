@@ -234,6 +234,61 @@ def test_tracer_names_resolve():
     assert not bad, bad
 
 
+def _verdict_pattern():
+    """The pattern perfbench/checks.py reads the last line of verify with:
+    the string passed to re.compile in its _VERDICT assignment."""
+    import re
+
+    tree = ast.parse((PERFBENCH / "checks.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "_VERDICT":
+            return re.compile(ast.literal_eval(node.value.args[0]))
+    raise AssertionError("perfbench/checks.py assigns no _VERDICT")
+
+
+def test_verify_line_matches_the_benchmark_parser():
+    """The last line of verify -f is what the benchmark's checker parses
+    with _VERDICT: on seeded inputs of the generic and the quartic routes it
+    matches with status ok, the input's p and the index basis --json
+    prints.  A change to that line fails here instead of turning every
+    verify-mixed answer into a wrong one."""
+    import io
+    import json
+    import random
+
+    from pintbasis.cli import _corpus_quartic, main
+    from pintbasis.intpoly import IntPoly
+
+    def run(argv):
+        buf = io.StringIO()
+        return main(argv, stdout=buf), buf.getvalue()
+
+    pattern = _verdict_pattern()
+    rng = random.Random(22)
+    X = IntPoly([0, 1])
+    paths = []
+    for _ in range(40):
+        p = rng.choice([2, 3, 5, 7])
+        if rng.random() < 0.5:  # a quartic of verify --corpus, p | disc f
+            f = _corpus_quartic(rng, p)
+        else:  # a power of x+r perturbed by multiples of p
+            n = rng.randint(2, 7)
+            f = (X + rng.randint(-3, 3)) ** n + p * IntPoly(
+                [rng.randint(-3, 3) for _ in range(n - 1)]) + p ** rng.randint(1, 3)
+        argv = ["-f", f.render("x"), "-p", str(p)]
+        code, out = run(["basis", *argv, "--json"])
+        if code == 2:  # a reducible or irregular input
+            continue
+        index = json.loads(out)["index_valuation"]
+        code, out = run(["verify", *argv])
+        m = pattern.match(out.splitlines()[-1])
+        assert code == 0 and m is not None, out
+        assert (int(m.group(1)), m.group(2), int(m.group(4))) == (p, "ok", index), out
+        paths.append((m.group(3), index))
+    assert len(paths) >= 20 and sum(index > 0 for _, index in paths) >= 10, paths
+    assert {"generic", "quartic"} <= {path for path, _ in paths}, paths
+
+
 def test_one_transform_and_one_finisher():
     """In the quartic builders every fired row becomes a basis in _finish,
     the only caller of _regular_basis, triangularize and _transport, and

@@ -391,6 +391,38 @@ def test_trace_form_radical_equals_frobenius_radical():
     assert nontrivial >= 10, nontrivial
 
 
+def test_round2_from_any_order_reaches_the_maximal_order():
+    """Round 2 started from an order with its table ends at the p-maximal
+    order Round 2 from Z[theta] finds, and returns the start unchanged
+    exactly when the start is that order: from the maximal order itself,
+    from Z[theta], and from Z[p theta], which does not contain Z[theta]
+    (so the rounds are bounded by the start's own discriminant), on both
+    radical routes."""
+    from pintbasis.basis import triangularize
+    from pintbasis.oracle import _round2, _table
+
+    rng = random.Random(47)
+    done = nontrivial = 0
+    while done < 20:
+        p = rng.choice([2, 3, 5, 7])
+        n = rng.randint(2, 5)
+        phi = X + rng.randint(-2, 2)
+        pert = IntPoly([rng.randint(-3, 3) for _ in range(n)])
+        f = phi**n + p ** rng.randint(1, 2) * pert + p ** rng.randint(1, 4)
+        disc = f.discriminant()
+        if disc == 0 or is_irreducible(f) is not True:
+            continue
+        done += 1
+        maximal = round2(f, p)
+        nontrivial += maximal.index_valuation > 0
+        below = triangularize([BasisElement(X**k * p**k, 0) for k in range(n)], p, n)
+        for order in (maximal, power_basis(p, n), below):
+            got = _round2(f, p, disc, (order, _table(f, order, p)))
+            assert got.elements == maximal.elements, (f.render(), p, order.render())
+            assert (got.elements is order.elements) is (order.elements == maximal.elements)
+    assert nontrivial >= 10, nontrivial
+
+
 def test_round2_degree_19():
     """Round 2 on (x-5)^7 (x+5)^7 (x-3)^5 + 101^2 at p = 101, where the
     radical is the kernel of the trace form, finishes in 0.2 s with the
