@@ -9,7 +9,6 @@ coefficients into it and renders the lists as text."""
 
 from .arith import INFINITY, legendre, sqrt_mod_pk, vp
 from .errors import (
-    HypothesisViolatedError,
     InconsistentError,
     IterationPreconditionError,
     NoRowError,
@@ -37,7 +36,7 @@ from .newton import (
     residual_polynomial,
 )
 from .oracle import disc_identity_check, is_integral, is_ring_closed, round2, saturate
-from .order2 import basis_order2, second_order_polygon, v2p
+from .order2 import v2p
 from .quartic import QuarticCase, classify, iterate_to_regular, quartic_p_integral_basis, reduce_E1
 from .basis import (
     BasisElement,

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  The CLI exits 2 on a
+PintbasisError (bad or unsupported input) and 3 on an InconsistentError (a
+program fault)."""
 
 
 class PintbasisError(Exception):
@@ -39,19 +41,12 @@ class RankDeficientError(PintbasisError):
 
 
 class InconsistentError(PintbasisError):
-    """An internal invariant that should hold for every valid input failed."""
+    """An internal invariant that should hold for every valid input failed,
+    such as a hypothesis of the second-order step on a phi a table chose."""
 
 
 class IterationPreconditionError(PintbasisError):
     """Starting integer matches none of the admissible valuation patterns."""
-
-
-class HypothesisViolatedError(PintbasisError):
-    pass
-
-
-class NotSecondOrderRegularError(PintbasisError):
-    pass
 
 
 class NoRowError(PintbasisError):

@@ -174,18 +174,23 @@ def phi_index(f, phi, p):
     return phi.degree * sum(ordinates(principal)[1:-1])
 
 
-def residual_polynomial(side, principal, expansion, field):
+def residual_polynomial(side, principal, expansion, field, reduced=None):
     """R(y) = c_0 + c_1 y + ... + c_d y^d for a principal side from (x0, y0)
     of degree d and ramification e, as a kernel polynomial (lowest degree
     first): c_k = red(a_x / p^y) when the point of the polygon at
-    x = x0 + k e has the side's ordinate y = y0 - k height/d, else 0."""
+    x = x0 + k e has the side's ordinate y = y0 - k height/d, else 0.
+    reduced maps abscissas to the coefficients already reduced; the sides
+    of one polygon share it, so a vertex of two sides is reduced once."""
     (x0, y0), e = side.start, side.ramification
     step = side.height // side.degree
+    reduced = {} if reduced is None else reduced
     r = []
     for k in range(side.degree + 1):
         x, y = x0 + k * e, y0 - k * step
         if principal.points[x][1] == y:
-            r.append(field.elem(expansion.coefficients[x].divide_exact(field.p**y)))
+            if x not in reduced:
+                reduced[x] = field.elem(expansion.coefficients[x].divide_exact(field.p**y))
+            r.append(reduced[x])
         else:
             r.append(field.arith.zero)
     if not r[0] or not r[-1]:
@@ -239,7 +244,8 @@ def phi_polygon_data(f, phi, p):
     if principal.length < 1:
         return expansion, principal, []
     field = FqField(p, phi)
-    data = [SideData(s, residual_polynomial(s, principal, expansion, field), field)
+    reduced = {}
+    data = [SideData(s, residual_polynomial(s, principal, expansion, field, reduced), field)
             for s in principal.sides]
     return expansion, principal, data
 

@@ -4,21 +4,20 @@ iteration cannot apply).
 
 The rank-2 valuation v2 has v2(p) = 2, v2(x) = 1, v2(phi) = 2 for
 phi = x^2 + z p x - y p with ybar the double residual root.  The polygon of
-F = phi^2 + a1 phi + a0 over the points (i, v2(a_i phi^i)) determines the
-index and, through its abscissa-1 ordinate Y, a p-integral basis
-1, theta, Q(theta)/p^[nu], theta Q(theta)/p^[nu+1/2] with nu = Y/2 - 1.
-Second-order regularity is certified by membership in the phi-choice
-tables, never guessed."""
-
-from fractions import Fraction
+F = phi^2 + a1 phi + a0 over the points (0, v2(a0)), (1, v2(a1) + 2), (2, 4)
+determines the index and, through its ordinate Y at abscissa 1, a p-integral
+basis 1, theta, Q(theta)/p^[nu], theta Q(theta)/p^[nu+1/2] with nu = Y/2 - 1.
+All of it is integer arithmetic on 2Y.  Second-order regularity is certified
+by the phi-choice tables, never guessed: only their phi reach
+second_order_basis, so a violated hypothesis there is a program fault."""
 
 from .arith import INFINITY, is_finite, vp
-from .errors import HypothesisViolatedError, NoRowError, NotSecondOrderRegularError
+from .errors import InconsistentError, NoRowError
 from .intpoly import IntPoly
 from .newton import phi_expand
 from .basis import BasisElement
-from .record import Record
 
+_ONE = IntPoly([1])
 _X = IntPoly([0, 1])
 
 
@@ -37,98 +36,37 @@ def v2p(P, p):
     return min(vals)
 
 
-class SecondOrderContext(Record):
-    F: IntPoly
-    p: int
-    phi: IntPoly
-    certified_by: str  # table row that guarantees second-order regularity
-
-    def __post_init__(self):
-        F, p, phi = self.F, self.p, self.phi
-        if F.degree != 4 or not F.monic:
-            raise HypothesisViolatedError("F must be a monic quartic")
-        if phi.degree != 2 or not phi.monic:
-            raise HypothesisViolatedError("phi must be a monic quadratic")
-        if vp(phi[0], p) != 1 or (phi[1] != 0 and vp(phi[1], p) < 1):
-            raise HypothesisViolatedError(
-                "phi must have the shape x^2 + z p x - y p with p-unit y"
-            )
-        u = [vp(F[i], p) for i in range(4)]
-        if not (u[0] == 2 and u[1] > 1 and u[2] >= 1 and u[3] >= 1):
-            raise HypothesisViolatedError(
-                "coefficient valuations must satisfy u0=2, u1>1, u2>=1, u3>=1"
-            )
-
-
-class SecondOrderPolygon(Record):
-    points: tuple  # ((0, v2(a0)), (1, v2(a1 phi)), (2, 4))
-    Y: Fraction  # ordinate of the polygon at abscissa 1
-    one_sided: bool
-    Q: IntPoly  # first quotient of the development, phi + a1
-
-    @property
-    def ind2(self):
-        """Lattice points below/on the polygon, strictly above y = 4 and
-        strictly right of the vertical axis: floor(Y - 4)."""
-        return int((self.Y - 4) // 1)
-
-    @property
-    def ind_p(self):
-        """ind_p(F) = ind_x(F) + ind2 = 2 + ind2 = floor(Y) - 2."""
-        return int(self.Y // 1) - 2
-
-
-def second_order_polygon(ctx):
-    """Polygon over (i, v2(a_i(x) phi(x)^i)) for the development
-    F = phi^2 + a1 phi + a0; the point at abscissa 2 has ordinate 4.  It
-    keeps the first quotient Q = phi + a1, which the basis reads."""
-    expansion = phi_expand(ctx.F, ctx.phi)
-    if len(expansion.coefficients) != 3 or expansion.coefficients[2] != IntPoly([1]):
-        raise HypothesisViolatedError("development must be phi^2 + a1 phi + a0")
-    a0, a1 = expansion.coefficients[0], expansion.coefficients[1]
-    v0 = v2p(a0, ctx.p)
-    if not is_finite(v0):
-        raise HypothesisViolatedError("phi divides F")
-    v1 = v2p(a1, ctx.p)
-    pt1 = v1 + 2
-    one_sided = v0 <= 2 * v1
-    if one_sided:
-        Y = Fraction(v0 + 4, 2)
-    else:
-        Y = Fraction(pt1)
-    return SecondOrderPolygon(((0, v0), (1, pt1), (2, 4)), Y, one_sided,
-                              expansion.quotients[0])
-
-
-class Order2Basis(Record):
-    elements: tuple  # in the coordinates of the root of F
-    Y: Fraction
-    nu: Fraction
-    Q: IntPoly
-    phi: IntPoly
-    ind_p: int
-
-
-def basis_order2(ctx):
-    """Basis attached to a certified second-order regular context: with Q the
-    first quotient of the phi-adic development and nu = Y/2 - 1, the elements
-    1, theta, Q(theta)/p^[nu], theta Q(theta)/p^[nu + 1/2]."""
-    if not ctx.certified_by:
-        raise NotSecondOrderRegularError(
-            "phi was not certified second-order regular by any table row"
+def second_order_basis(F, p, phi):
+    """(elements, 2Y) for the monic quartic F and the phi a table chose for
+    it.  With F = phi^2 + a1 phi + a0, the polygon's ordinate at abscissa 1
+    is Y = (v2(a0) + 4)/2 when v2(a0) <= 2 v2(a1), else v2(a1) + 2; the
+    elements are 1, theta, Q/p^[nu], theta Q/p^[nu+1/2] in the coordinates
+    of the root of F, with Q = phi + a1 the first quotient of the
+    development, [nu] = (2Y - 4) // 4 and [nu+1/2] = (2Y - 2) // 4.  The
+    index is ind_p(F) = floor(Y) - 2 = 2Y // 2 - 2."""
+    if F.degree != 4 or not F.monic:
+        raise InconsistentError("F must be a monic quartic")
+    if phi.degree != 2 or not phi.monic:
+        raise InconsistentError("phi must be a monic quadratic")
+    if vp(phi[0], p) != 1 or (phi[1] != 0 and vp(phi[1], p) < 1):
+        raise InconsistentError("phi must have the shape x^2 + z p x - y p with p-unit y")
+    u = [vp(F[i], p) for i in range(4)]
+    if not (u[0] == 2 and u[1] > 1 and u[2] >= 1 and u[3] >= 1):
+        raise InconsistentError(
+            "coefficient valuations must satisfy u0=2, u1>1, u2>=1, u3>=1"
         )
-    polygon = second_order_polygon(ctx)
-    Q = polygon.Q
-    nu = polygon.Y / 2 - 1
-    e2 = int(nu // 1)
-    e3 = int((nu + Fraction(1, 2)) // 1)
-    elements = (
-        BasisElement(IntPoly([1]), 0),
-        BasisElement(_X, 0),
-        BasisElement(Q, e2),
-        BasisElement(Q * _X, e3),
-    )
-    return Order2Basis(elements, polygon.Y, nu, Q, ctx.phi, polygon.ind_p)
+    expansion = phi_expand(F, phi)
+    if len(expansion.coefficients) != 3 or expansion.coefficients[2] != _ONE:
+        raise InconsistentError("development must be phi^2 + a1 phi + a0")
+    a0, a1 = expansion.coefficients[:2]
+    v0, v1 = v2p(a0, p), v2p(a1, p)
+    if not is_finite(v0):
+        raise InconsistentError("phi divides F")
+    two_Y = v0 + 4 if v0 <= 2 * v1 else 2 * v1 + 4
+    Q = expansion.quotients[0]
+    elements = (BasisElement(_ONE, 0), BasisElement(_X, 0),
+                BasisElement(Q, (two_Y - 4) // 4), BasisElement(Q * _X, (two_Y - 2) // 4))
+    return elements, two_Y
 
 
 # -- phi-choice tables -----------------------------------------------------------

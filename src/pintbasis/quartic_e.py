@@ -5,13 +5,14 @@ E1 (p | a, b, c) dispatches the reduced polynomial on the Table 2 rows, with
 the second-order rows expanded by Table 3 at p = 2.  E2 (p = 2 with a, b even
 and c odd) shifts x by an odd m so that the root is 0 mod 2, and dispatches
 the shifted polynomial on the Table 4 rows, with Table 5 expanding its
-second-order row; some rows rescale the root once or twice more.  Each
-shifted or rescaled quartic comes from quartic._transformed and each row ends
-in quartic._finish.  The dispatcher, the E1 normalization and the shared
-construction helpers are in quartic.
+second-order row; some rows rescale the root once or twice more.  Every
+second-order row (S51, S54 and the expansions by Tables 3 and 5) takes its
+elements and 2Y from order2.second_order_basis and cross-checks the tabled
+nu or Y against them in integers.  Each shifted or rescaled quartic comes
+from quartic._transformed and each row ends in quartic._finish.  The
+dispatcher, the E1 normalization and the shared construction helpers are in
+quartic.
 """
-
-from fractions import Fraction
 
 from .arith import inv_mod, is_finite, symmetric_rep, vp
 from .basis import BasisElement
@@ -31,25 +32,25 @@ from .tables import E1_ROWS, E2_DIRECT_DENOMS, E2_ROWS, bad_shift, match_rows, t
 from . import order2
 
 
-def _order2_family(meta, analysis, phi, tag, nu_table=None, rows=()):
-    """The second-order basis 1, theta, Q/p^[nu], theta*Q/p^[nu+1/2] of
-    analysis.f with Q the first quotient of the certified phi-development, with the
-    rows, tag, Y and order2 recorded in meta.  A tabled nu is only
-    cross-checked against the second-order index: its floors must reproduce
-    ind_p = floor(Y) - 2.  (The paper's rows also give simplified
-    numerators; those are display sugar and not always integral in the
-    theta*Q slot, so the tables keep only nu.)"""
-    o2 = order2.basis_order2(order2.SecondOrderContext(analysis.f, analysis.p, phi, tag))
-    if nu_table is not None:
-        e2 = int(nu_table // 1)
-        e3 = int((nu_table + Fraction(1, 2)) // 1)
-        if e2 + e3 != o2.ind_p:
-            raise InconsistentError(
-                f"table nu {nu_table} disagrees with the second-order index {o2.ind_p}"
-            )
+def _order2_family(meta, analysis, phi, tag, rows=(), two_nu=None, two_Y=None):
+    """The second-order elements of analysis.f at the phi a table chose, with
+    the rows, tag, Y and order2 recorded in meta.  A tabled nu or Y is only
+    cross-checked against the step: a tabled 2Y must be its 2Y, and a tabled
+    nu must satisfy floor(2 nu) = floor(Y) - 2 = ind_p, which by Hermite's
+    identity says that the exponents floor(nu) and floor(nu + 1/2) add up to
+    ind_p.  (The paper's rows also give simplified numerators; those are
+    display sugar and not always integral in the theta*Q slot, so the tables
+    keep only nu.)"""
+    elements, got = order2.second_order_basis(analysis.f, analysis.p, phi)
+    if two_Y is not None and got != two_Y:
+        raise InconsistentError(f"second-order 2Y = {got} differs from the tabled {two_Y}")
+    if two_nu is not None and two_nu // 1 != got // 2 - 2:
+        raise InconsistentError(
+            f"table 2nu = {two_nu} disagrees with the second-order index {got // 2 - 2}"
+        )
     meta["rows"] += [*rows, tag]
-    meta.update({"Y": str(o2.Y), "order2": 1})
-    return o2
+    meta.update({"Y": str(got // 2) if got % 2 == 0 else f"{got}/2", "order2": 1})
+    return elements
 
 
 def basis_case_E1(ctx):
@@ -83,15 +84,16 @@ def basis_case_E1(ctx):
             return _finish(ctx.analysis, None, meta, lifts=[_X])
         M = p ** (mprime // 2 + 2)
         s = symmetric_rep(a * inv_mod(2, M) % M, M)
-        nu = Fraction(min(vp(b, p), mprime), 2)
-        o2 = _order2_family(meta, ctx.analysis, IntPoly([s, 0, 1]), "S51", nu)
+        elements = _order2_family(meta, ctx.analysis, IntPoly([s, 0, 1]), "S51",
+                                  two_nu=min(vp(b, p), mprime))
         meta["s"] = s
-        return _finish(ctx.analysis, None, meta, elements=o2.elements)
+        return _finish(ctx.analysis, None, meta, elements=elements)
     if row.strategy == "table3":
         nu, rows = table3_q_nu(a, b, c)
         phi, tag = order2.choose_phi_e1_row6(a, b, c)
-        o2 = _order2_family(meta, ctx.analysis, phi, tag, nu, rows)
-        return _finish(ctx.analysis, None, meta, elements=o2.elements)
+        elements = _order2_family(meta, ctx.analysis, phi, tag, rows,
+                                  two_nu=None if nu is None else 2 * nu)
+        return _finish(ctx.analysis, None, meta, elements=elements)
     raise InconsistentError(f"unhandled strategy {row.strategy}")
 
 
@@ -133,8 +135,9 @@ def basis_case_E2(ctx):
     if row.strategy == "table5":
         nu, rows = table5_q_nu(A, B, C)
         phi, tag = order2.choose_phi_e2_row4(A, B, C)
-        o2 = _order2_family(meta, shifted, phi, tag, nu, rows)
-        return _finish(shifted, None, meta, elements=o2.elements, m=m)
+        elements = _order2_family(meta, shifted, phi, tag, rows,
+                                  two_nu=None if nu is None else 2 * nu)
+        return _finish(shifted, None, meta, elements=elements, m=m)
     if row.strategy == "scale4":
         scaled = _transformed(shifted, 2, 0)
         reg = iterate_to_regular(scaled, 0)
@@ -149,13 +152,9 @@ def basis_case_E2(ctx):
     scaled = _transformed(shifted, 1, 0)
     h = scaled.f
     if row.strategy == "order2-54":
-        o2 = _order2_family(meta, scaled, IntPoly([-2, 0, 1]), "S54")
-        expected_Y = Fraction(9, 2) if vp(h[1], 2) >= 3 else Fraction(5)
-        if o2.Y != expected_Y:
-            raise InconsistentError(
-                f"second-order ordinate {o2.Y} differs from the tabled {expected_Y}"
-            )
-        return _finish(scaled, None, meta, elements=o2.elements, k=1, m=m)
+        elements = _order2_family(meta, scaled, IntPoly([-2, 0, 1]), "S54",
+                                  two_Y=9 if vp(h[1], 2) >= 3 else 10)
+        return _finish(scaled, None, meta, elements=elements, k=1, m=m)
     if row.strategy == "table6":
         phi, tag = order2.choose_phi_e2_row10(h[2], h[1], h[0])
         meta["rows"].append(tag)

@@ -6,14 +6,17 @@ integer side data and a slope that exists only as text.  The references
 here recompute the same facts the textbook way, with Fraction ordinates
 interpolated between the vertices and the slope as a Fraction, and share
 no code with pintbasis.newton beyond the polygon records they read.  The
-guard's exact quartic test is checked against a search for linear and
-quadratic factors by division.
+second-order step is recomputed the same way, with the ordinate Y and nu as
+Fractions.  The guard's exact quartic test is checked against a search for
+linear and quadratic factors by division.
 """
 
 from fractions import Fraction
 
-from pintbasis.arith import INFINITY, check_prime, is_finite
+from pintbasis.arith import INFINITY, check_prime, is_finite, vp
+from pintbasis.basis import BasisElement
 from pintbasis.fq import FpArith, FqField
+from pintbasis.intpoly import IntPoly
 from pintbasis.newton import (
     is_p_regular,
     newton_polygon,
@@ -132,6 +135,32 @@ def check_polygon_geometry(f, phi, p):
         assert len(sd.residual) - 1 == sd.side.degree and sd.residual[-1]
         assert sd.residual[0]
     return polygon
+
+
+def fraction_second_order(F, p, phi):
+    """The second-order step the textbook way: the development
+    F = phi^2 + a1 phi + a0 by two long divisions, v2(m x + n) =
+    min(2 v(m) + 1, 2 v(n)), the ordinate Y at abscissa 1 of the lower hull
+    of (0, v2(a0)), (1, v2(a1) + 2), (2, 4) as a Fraction, nu = Y/2 - 1 and
+    the elements 1, theta, Q/p^floor(nu), theta Q/p^floor(nu + 1/2) with
+    Q = phi + a1.  Returns (elements, Y, ind_p) with ind_p = floor(Y) - 2."""
+    Q, a0 = divmod(F, phi)
+    one, a1 = divmod(Q, phi)
+    assert one == IntPoly([1]) and not a0.is_zero()
+
+    def v2(a):
+        vals = [2 * vp(a[0], p)] if a[0] else []
+        vals += [2 * vp(a[1], p) + 1] if a[1] else []
+        return min(vals) if vals else INFINITY
+
+    Y = Fraction(v2(a0) + 4, 2)
+    if is_finite(v2(a1)):
+        Y = min(Y, Fraction(v2(a1) + 2))
+    nu = Y / 2 - 1
+    x = IntPoly([0, 1])
+    elements = (BasisElement(IntPoly([1]), 0), BasisElement(x, 0),
+                BasisElement(Q, nu // 1), BasisElement(Q * x, (nu + Fraction(1, 2)) // 1))
+    return elements, Y, Y // 1 - 2
 
 
 def quartic_is_reducible(f):

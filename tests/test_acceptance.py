@@ -32,7 +32,7 @@ from pintbasis.oracle import (
 from pintbasis.basis import decomposition_type, p_integral_basis_regular
 from pintbasis.quartic import iterate_to_regular, quartic_p_integral_basis
 
-from reference import check_polygon_geometry, ind_p_lower_bound
+from reference import check_polygon_geometry, fraction_second_order, ind_p_lower_bound
 
 X = IntPoly([0, 1])
 PRIMES = (2, 3, 5, 7, 13)
@@ -260,13 +260,15 @@ def test_criterion_7_second_order_path():
         f = IntPoly.monic_quartic(a, b, c)
         oracle = saturate(f, p)
         assert basis.elements == oracle.elements, (a, b, c, p)
+        Y = Fraction(basis.meta["Y"])
+        assert str(Y) == basis.meta["Y"], (a, b, c, p)
         # floor(Y) - 2 is the index of the polynomial the second-order polygon
         # was computed for; on unscaled routes that is the oracle index itself
         # (a shift x -> x+m preserves the index)
         if unscaled & set(basis.meta["rows"]):
-            Y = Fraction(basis.meta["Y"])
             assert int(Y // 1) - 2 == oracle.index_valuation, (a, b, c, p)
-    # direct check of ind_p = floor(Y)-2 against the oracle on pure contexts
+    # direct check of ind_p = floor(Y)-2 against the oracle and of the
+    # integer step against its Fraction reference, at the tables' phi
     from pintbasis import order2
 
     rng = random.Random(910)
@@ -281,16 +283,18 @@ def test_criterion_7_second_order_path():
         if (a and vp(a, 2) < 2) or (b and vp(b, 2) < 2) or vp(c, 2) != 2:
             continue
         phi, tag = order2.choose_phi_e1_row6(a, b, c)
-        o2 = order2.basis_order2(order2.SecondOrderContext(f, 2, phi, tag))
+        elements, two_Y = order2.second_order_basis(f, 2, phi)
+        ref_elements, Y, ind_p = fraction_second_order(f, 2, phi)
+        assert (elements, Fraction(two_Y, 2)) == (ref_elements, Y), (a, b, c)
         oracle = saturate(f, 2)
-        assert o2.ind_p == oracle.index_valuation, (a, b, c)
+        assert two_Y // 2 - 2 == ind_p == oracle.index_valuation, (a, b, c)
         from pintbasis.basis import triangularize
 
-        assert triangularize(list(o2.elements), 2, 4).elements == oracle.elements
+        assert triangularize(list(elements), 2, 4).elements == oracle.elements
         direct += 1
     print(f"\nACCEPT-7 second-order path: PASS ({len(witnesses)} routed inputs "
-          f"match saturation; {direct} direct second-order bases with "
-          "ind_p = floor(Y)-2 = oracle index)")
+          f"match saturation; {direct} direct second-order bases equal to the "
+          "Fraction reference, with ind_p = floor(Y)-2 = oracle index)")
 
 
 def test_criterion_8_decomposition_sanity(corpus_results):

@@ -582,8 +582,8 @@ def test_quartic_route_analyses_each_lift_once(monkeypatch):
     once per command, and no (F, phi) pair is analysed twice.  The generic
     report, the shift iteration, the case constructions, their regularity
     checks and the decomposition type all read one LocalAnalysis, and a
-    transformed quartic carries disc f over.  basis_order2 develops F
-    once, through second_order_polygon."""
+    transformed quartic carries disc f over.  second_order_basis develops
+    F once."""
     from pathlib import Path
 
     import pintbasis
@@ -598,7 +598,7 @@ def test_quartic_route_analyses_each_lift_once(monkeypatch):
     assert len(rows) == 168
 
     analysed, factored, discs = Counter(), Counter(), Counter()
-    order2_expands = []  # phi_expand calls made inside each basis_order2 call
+    order2_expands = []  # phi_expand calls made inside each second_order_basis call
     inside = []
 
     def patch(owner, name, wrapper):
@@ -632,13 +632,13 @@ def test_quartic_route_analyses_each_lift_once(monkeypatch):
         discs[f] += 1
         return discriminant(f)
 
-    basis_order2 = order2.basis_order2
+    second_order_basis = order2.second_order_basis
 
-    def counted_basis_order2(ctx):
+    def counted_second_order_basis(F, p, phi):
         order2_expands.append(0)
-        inside.append(ctx)
+        inside.append(F)
         try:
-            return basis_order2(ctx)
+            return second_order_basis(F, p, phi)
         finally:
             inside.pop()
 
@@ -646,7 +646,7 @@ def test_quartic_route_analyses_each_lift_once(monkeypatch):
     patch(factor, "factor_mod_p", factoring)
     patch(newton, "phi_expand", expanding)
     monkeypatch.setattr(IntPoly, "discriminant", counted_discriminant)
-    monkeypatch.setattr(order2, "basis_order2", counted_basis_order2)
+    monkeypatch.setattr(order2, "second_order_basis", counted_second_order_basis)
     for a, b, c, p in rows:
         f = IntPoly.monic_quartic(a, b, c).render("x")
         for argv in (["basis", "-f", f, "-p", str(p), "--json"],
@@ -662,6 +662,56 @@ def test_quartic_route_analyses_each_lift_once(monkeypatch):
             assert not twice, (argv, twice)
             assert sum(discs.values()) <= 1, (argv, [F.render("x") for F in discs])
     assert order2_expands and set(order2_expands) == {1}, order2_expands
+
+
+def test_second_order_cross_checks_are_program_faults(monkeypatch):
+    """The runtime guarantee "second-order indices consistent with the
+    dispatch tables' denominators", made to fire.  A wrong tabled nu (T2r6
+    through Table 3, T4r4 through Table 5), a wrong 2Y on S51 and on S54
+    (T4r16), and a phi-choice that breaks the second-order hypotheses each
+    exit 3 with "internal error:"."""
+    from pintbasis import order2, quartic_e
+
+    witnesses = {"T2r6": (-4, -4, -4, 2), "T4r4": (14, -44, 49, 2),
+                 "S51": (3, 9, 9, 3), "S54": (10, -120, 45, 2)}
+
+    def basis(row):
+        a, b, c, p = witnesses[row]
+        return run(["basis", "-f", IntPoly.monic_quartic(a, b, c).render("x"), "-p", str(p),
+                    "--json"])
+
+    def faults(row):
+        code, out = basis(row)
+        return code == 3 and out.startswith("internal error:")
+
+    for row in witnesses:
+        code, out = basis(row)
+        assert code == 0 and row in json.loads(out)["meta"]["rows"], (row, out)
+
+    def wrong_nu(table):
+        def q_nu(*args):
+            nu, rows = table(*args)
+            return nu + 1, rows
+        return q_nu
+
+    with monkeypatch.context() as m:
+        m.setattr(quartic_e, "table3_q_nu", wrong_nu(quartic_e.table3_q_nu))
+        m.setattr(quartic_e, "table5_q_nu", wrong_nu(quartic_e.table5_q_nu))
+        assert faults("T2r6") and faults("T4r4")
+
+    second_order_basis = order2.second_order_basis
+
+    def wrong_Y(F, p, phi):
+        elements, two_Y = second_order_basis(F, p, phi)
+        return elements, two_Y + 2
+
+    with monkeypatch.context() as m:
+        m.setattr(order2, "second_order_basis", wrong_Y)
+        assert faults("S51") and faults("S54")
+
+    with monkeypatch.context() as m:
+        m.setattr(order2, "choose_phi_e1_row6", lambda a, b, c: (IntPoly([-4, 0, 1]), "T7r1"))
+        assert faults("T2r6")
 
 
 def _basis_json(f, p, *extra):

@@ -71,7 +71,7 @@ def test_one_development_per_phi():
     develop f in phi; every other route reads the development from the
     PhiRegularity record of its lift, so a hand-rolled development fails
     here."""
-    allowed = {("order2.py", "second_order_polygon"), ("cli.py", "cmd_polygon")}
+    allowed = {("order2.py", "second_order_basis"), ("cli.py", "cmd_polygon")}
     found = []
     for name, tree in _modules():
         if name in ("newton.py", "__init__.py"):
@@ -110,9 +110,10 @@ def test_fractions_stay_out_of_polygon_geometry():
     """Polygon geometry is integer geometry: floors, side heights and lengths
     and the slope as text.  fractions is imported only where the paper's
     data are rationals: the valuation helpers (arith), triangularize
-    (basis), the oracle, the second-order ordinate Y (order2) and the
-    tables' nu with its cross-check (tables, quartic_e)."""
-    allowed = {"arith.py", "basis.py", "oracle.py", "order2.py", "tables.py", "quartic_e.py"}
+    (basis), the oracle and the tables' literal nu (tables).  The
+    second-order step works on 2Y and cross-checks the tabled nu as
+    floor(2 nu), in integers."""
+    allowed = {"arith.py", "basis.py", "oracle.py", "tables.py"}
     found = []
     for name, tree in _modules():
         for node in ast.walk(tree):

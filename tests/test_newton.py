@@ -187,6 +187,24 @@ def test_residual_polynomials():
     assert data[0].separable and data[0].field.render(data[0].residual) == "y^2 + 1"
 
 
+def test_shared_vertex_is_reduced_once(monkeypatch):
+    """x^4+2x+4 at p = 2, phi = x: the sides (0,2)-(1,1) and (1,1)-(4,0)
+    read 3 distinct points, so the analysis reduces 3 coefficients, not one
+    per side and point."""
+    calls = []
+    elem = FqField.elem
+
+    def counted(self, *args):
+        calls.append(args)
+        return elem(self, *args)
+
+    monkeypatch.setattr(FqField, "elem", counted)
+    reg = is_phi_regular(X**4 + 2 * X + 4, X, 2)
+    assert [sd.side.start for sd in reg.sides] == [(0, 2), (1, 1)]
+    assert [sd.residual for sd in reg.sides] == [[1, 1], [1, 1]]
+    assert len(calls) == 3
+
+
 def test_regularity_examples():
     assert is_phi_regular(X**4 + 2 * X**2 + 4, X, 2).regular
     assert is_phi_regular(IntPoly.monic_quartic(1, 0, 50), X, 5).regular
