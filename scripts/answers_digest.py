@@ -8,7 +8,9 @@ order, it prints the operation count and one SHA-256 over every (argv, exit
 code, printed text).  One more line covers the second-order paths: `basis
 --method quartic --json` and `verify -f` on the quartic-irregular rows and
 on the quartics the second-order acceptance test (criterion 7) draws its
-witnesses from.  Run it on two trees and compare the lines.
+witnesses from.  A last line covers `oracle --json` (Round 2 from the
+power basis) on every `basis` input of the workloads.  Run it on two trees
+and compare the lines.
 """
 
 import argparse
@@ -64,15 +66,18 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
+    oracle = []
     for name, build in inputs.WORKLOADS.items():
         ops = inputs.round_order(build(args.seed), name, args.seed)
         print(f"{name}: {len(ops)} answers, sha256 {digest([argv for argv, _ in ops])}")
+        oracle += [["oracle", *argv[1:5], "--json"] for argv, _ in ops if argv[0] == "basis"]
     argvs = []
     for a, b, c, p in order2_quartics():
         f = inputs.render(inputs.quartic(a, b, c))
         argvs += [["basis", "-f", f, "-p", str(p), "--method", "quartic", "--json"],
                   ["verify", "-f", f, "-p", str(p)]]
     print(f"second-order paths: {len(argvs)} answers, sha256 {digest(argvs)}")
+    print(f"oracle on basis inputs: {len(oracle)} answers, sha256 {digest(oracle)}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,6 @@ primality test, modular square roots, Legendre symbols.  Valuations take
 values in the naturals extended by INFINITY.
 """
 
-from fractions import Fraction
 from math import isqrt
 
 
@@ -73,14 +72,6 @@ def vp(n, p):
         n //= p
         k += 1
     return k
-
-
-def vp_frac(q, p):
-    """p-adic valuation of a rational number (INFINITY for 0)."""
-    q = Fraction(q)
-    if q == 0:
-        return INFINITY
-    return vp(q.numerator, p) - vp(q.denominator, p)
 
 
 def is_prime(n):

@@ -9,7 +9,7 @@ entries above it, and minimal denominators; two modules are equal iff their
 triangularized forms are identical.
 """
 
-from fractions import Fraction
+from math import gcd
 
 from .arith import vp
 from .errors import InconsistentError, NotRegularError, RankDeficientError
@@ -88,19 +88,19 @@ def power_basis(p, n):
 
 def triangularize(elements, p, n, generators=None, meta=None):
     """Canonical triangular basis of the Z_(p)-module spanned by the given
-    elements.
+    elements, in integers (Cohen, GTM 138, 2.4).
 
     Denominators are cleared to a common power p^E, then one elimination
     over Z_(p) runs from the top degree down.  Each column takes as pivot a
-    remaining row whose entry has the least p-valuation v, divided by the
-    unit part of that entry so the pivot is exactly p^v; every other row
-    loses a p-integral multiple of it, which keeps the local span.  Entries
-    stay integers while those divisions are exact and are otherwise
-    Fractions with p-free denominators, bounded by minors of the input.
-    Walking downward, each row is then reduced modulo the pivots below it
-    into [0, p^v).  The Hermite form over Z_(p) is unique, so the result is
-    one element per degree with minimal denominator, and two families give
-    the same result iff they span the same module."""
+    remaining row whose entry u*p^v has the least p-valuation, negated so
+    that u > 0; every other row r becomes u*r - (r[col]/p^v)*pivot and is
+    divided by the p-free part of its content.  Both are scalings by
+    p-units, so the local span is kept.  Walking upward, each pivot row,
+    still u times its canonical row, has its entry c above a lower pivot p^w
+    reduced to u*(c*u^-1 mod p^w), and is then divided by u exactly.  Rows
+    with u = 1 skip the scalings.  The Hermite form over Z_(p) is unique, so
+    the result is one element per degree with minimal denominator, and two
+    families give the same result iff they span the same module."""
     elements = list(elements)
     E = max((e.denom_exp for e in elements), default=0)
     rows = []
@@ -110,47 +110,52 @@ def triangularize(elements, p, n, generators=None, meta=None):
         scale = p ** (E - e.denom_exp)
         rows.append([e.numerator[k] * scale for k in range(n)])
     pivots = [None] * n  # pivots[col] has length col + 1, as do the rows left
+    units = [1] * n  # the pivot entry of pivots[col] is units[col] * p^v
     for col in range(n - 1, -1, -1):
-        candidates = [(vp(r[col].numerator, p), i) for i, r in enumerate(rows) if r[col]]
+        candidates = [(vp(r[col], p), i) for i, r in enumerate(rows) if r[col]]
         if not candidates:
             raise RankDeficientError("elements do not span a rank-n module")
         v, i = min(candidates)
         piv, pv = rows.pop(i), p**v
-        if piv[col] != pv:
-            unit = Fraction(piv[col]) / pv
-            u = unit.numerator
-            if unit.denominator == 1 and all(type(c) is int and c % u == 0 for c in piv):
-                piv = [c // u for c in piv]
-            else:
-                piv = [c / unit for c in piv]
-        piv[col] = pv  # an int, even where the entry was a Fraction
+        if piv[col] < 0:
+            piv = [-a for a in piv]
+        u = units[col] = piv[col] // pv
         pivots[col] = piv
         for j, r in enumerate(rows):
-            if r[col]:
-                m = r[col] // pv if type(r[col]) is int else r[col] / pv
-                r = [a - m * b for a, b in zip(r, piv)]
-            rows[j] = r[:col]
+            m = r[col] // pv
+            if not m:
+                r = r[:col]
+            elif u == 1:
+                r = [a - m * b for a, b in zip(r[:col], piv)]
+            else:
+                r = [u * a - m * b for a, b in zip(r[:col], piv)]
+                g = gcd(*r)
+                if g > 1:
+                    g //= p ** vp(g, p)
+                    if g > 1:
+                        r = [a // g for a in r]
+            rows[j] = r
     # reduce the entries of each row into [0, pivot), walking the reference
     # pivots downward so a subtraction never disturbs a column that was
     # already reduced (pivot rows vanish above their own column)
     for col2 in range(n):
-        row = pivots[col2]
+        row, u = pivots[col2], units[col2]
+        if u != 1:
+            inv = pow(u, -1, max((pivots[col][col] for col in range(col2)), default=1))
         for col in range(col2 - 1, -1, -1):
             piv = pivots[col]
-            pv, c = piv[col], row[col]
-            if type(c) is int:
-                q = c // pv
-            else:
-                q = (c - c.numerator * pow(c.denominator, -1, pv) % pv) / pv
+            pw, c = piv[col], row[col]
+            q = c // pw if u == 1 else (c - u * (c * inv % pw)) // pw
             if q:
                 row = [a - q * b for a, b in zip(row, piv)] + row[col + 1 :]
+        if u != 1:
+            if any(a % u for a in row):
+                raise InconsistentError("triangular row is not p-integral after reduction")
+            row = [a // u for a in row]
         pivots[col2] = row
     out = []
     index_valuation = 0
     for k, row in enumerate(pivots):
-        if any(c.denominator != 1 for c in row):
-            raise InconsistentError("triangular row is not p-integral after reduction")
-        row = [int(c) for c in row]
         piv_v = vp(row[k], p)
         if p**piv_v != row[k]:
             raise InconsistentError("pivot is not a power of p after elimination")

@@ -21,10 +21,9 @@ is_ring_closed, for verify and for the order Round 2 returns.  This module
 is the ground truth the constructive modules are tested against.
 """
 
-from fractions import Fraction
 from itertools import product
 
-from .arith import vp, vp_frac
+from .arith import vp
 from .errors import InconsistentError, NotIrreducibleError
 from .intpoly import IntPoly
 from .basis import BasisElement, PIntegralBasis, power_basis, triangularize
@@ -110,11 +109,15 @@ def _numerator_traces(f, basis):
 
 
 def gram_matrix(f, basis):
-    """Tr(w_i w_j) as exact Fractions (integers whenever all w_i are
-    algebraic integers)."""
+    """The trace form Tr(w_i w_j) of a basis of algebraic integers, as
+    integers: the numerators' traces over p^(e_i + e_j).  Every caller
+    passes an order, so a non-integral entry is a broken invariant."""
     p, els = basis.p, basis.elements
-    return [[Fraction(t, p ** (els[i].denom_exp + els[j].denom_exp)) for j, t in enumerate(row)]
-            for i, row in enumerate(_numerator_traces(f, basis))]
+    gram = [[divmod(t, p ** (ei.denom_exp + ej.denom_exp)) for ej, t in zip(els, row)]
+            for ei, row in zip(els, _numerator_traces(f, basis))]
+    if any(r for row in gram for _, r in row):
+        raise InconsistentError("non-integral trace: the basis spans no order")
+    return [[q for q, _ in row] for row in gram]
 
 
 def _det_bareiss(m):
@@ -139,13 +142,6 @@ def _det_bareiss(m):
     return sign * m[-1][-1] if n else 1
 
 
-def basis_discriminant(f, basis):
-    """disc of the basis, the determinant of its trace-form Gram matrix:
-    the integer determinant of the numerators' traces over p^(2 sum e_i)."""
-    e = sum(el.denom_exp for el in basis.elements)
-    return Fraction(_det_bareiss(_numerator_traces(f, basis)), basis.p ** (2 * e))
-
-
 def disc_identity_check(f, p, basis):
     """v_p(disc f) = 2 * index_valuation + v_p(disc basis), both sides exact
     and computed without shared code paths."""
@@ -153,11 +149,13 @@ def disc_identity_check(f, p, basis):
 
 
 def _disc_identity(f, p, basis, d_f):
-    """disc_identity_check with disc f in hand."""
-    d_b = basis_discriminant(f, basis)
-    if d_b == 0 or d_f == 0:
+    """disc_identity_check with disc f in hand.  disc of the basis is the
+    integer determinant of the numerators' traces over p^(2 sum e_i)."""
+    det = _det_bareiss(_numerator_traces(f, basis))
+    if det == 0 or d_f == 0:
         raise InconsistentError("vanishing discriminant (f not separable?)")
-    return vp(d_f, p) == 2 * basis.index_valuation + vp_frac(d_b, p)
+    e = sum(el.denom_exp for el in basis.elements)
+    return vp(d_f, p) == 2 * basis.index_valuation + vp(det, p) - 2 * e
 
 
 def _numerators(elements, n):
@@ -256,7 +254,7 @@ def _kernel_mod_p(rows, p):
     echelon reduction of [rows | I] leaves, beside the rows that reduce to
     0, the combinations that give them."""
     m, width = len(rows), len(rows[0])
-    aug = [[int(x) % p for x in row] + [int(i == j) for j in range(m)]
+    aug = [[x % p for x in row] + [int(i == j) for j in range(m)]
            for i, row in enumerate(rows)]
     r = 0
     for c in range(width):
@@ -310,12 +308,7 @@ def saturate(f, p):
         raise NotIrreducibleError(f"{f.render()} has a repeated factor")
     max_rounds = vp(disc, p) // 2 + 2
     for _ in range(max_rounds + 1):
-        gram = gram_matrix(f, basis)
-        for row in gram:
-            for x in row:
-                if x.denominator != 1:
-                    raise InconsistentError("non-integral trace in saturation")
-        kernel = _kernel_mod_p(gram, p)
+        kernel = _kernel_mod_p(gram_matrix(f, basis), p)
         found = None
         for combo in _projective_tuples(len(kernel), p):
             c = [sum(k[i] * t for k, t in zip(kernel, combo)) % p for i in range(n)]
@@ -402,8 +395,6 @@ def _radical(f, order, p, table):
     n, els = order.n, order.elements
     if table is None:
         rows = gram_matrix(f, order)
-        if any(x.denominator != 1 for row in rows for x in row):
-            raise InconsistentError("non-integral trace in Round 2")
     else:
         frob = []  # row i: the coordinates of w_i^p
         for i in range(n):

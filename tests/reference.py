@@ -9,12 +9,19 @@ no code with pintbasis.newton beyond the polygon records they read.  The
 second-order step is recomputed the same way, with the ordinate Y and nu as
 Fractions.  The guard's exact quartic test is checked against a search for
 linear and quadratic factors by division.
+
+The library's local linear algebra runs on integers too.  The Hermite form
+over Z_(p) is recomputed by elimination over Fractions with p-free
+denominators (fraction_triangularize), and the trace form of any family,
+order or not, as a matrix of Fractions with its determinant, the
+discriminant of the family (fraction_gram_matrix, basis_discriminant).
 """
 
 from fractions import Fraction
 
 from pintbasis.arith import INFINITY, check_prime, is_finite, vp
-from pintbasis.basis import BasisElement
+from pintbasis.basis import BasisElement, PIntegralBasis
+from pintbasis.errors import InconsistentError, RankDeficientError
 from pintbasis.fq import FpArith, FqField
 from pintbasis.intpoly import IntPoly
 from pintbasis.newton import (
@@ -26,6 +33,7 @@ from pintbasis.newton import (
     phi_polygon_data,
     principal_part,
 )
+from pintbasis.oracle import _det_bareiss, _numerator_traces
 
 
 def ord_mod_p(f, phi, p):
@@ -185,3 +193,108 @@ def quartic_is_reducible(f):
             if r[0] == r[1] == 0:
                 return True
     return False
+
+
+def fraction_triangularize(elements, p, n, generators=None, meta=None):
+    """The Hermite form over Z_(p) the textbook way, with Fractions: the
+    canonical triangular basis of the Z_(p)-module spanned by the given
+    elements.
+
+    Denominators are cleared to a common power p^E, then one elimination
+    over Z_(p) runs from the top degree down.  Each column takes as pivot a
+    remaining row whose entry has the least p-valuation v, divided by the
+    unit part of that entry so the pivot is exactly p^v; every other row
+    loses a p-integral multiple of it, which keeps the local span.  Entries
+    stay integers while those divisions are exact and are otherwise
+    Fractions with p-free denominators, bounded by minors of the input.
+    Walking downward, each row is then reduced modulo the pivots below it
+    into [0, p^v).  The Hermite form over Z_(p) is unique, so the result is
+    one element per degree with minimal denominator, and two families give
+    the same result iff they span the same module."""
+    elements = list(elements)
+    E = max((e.denom_exp for e in elements), default=0)
+    rows = []
+    for e in elements:
+        if e.numerator.degree >= n:
+            raise ValueError("numerator degree exceeds ambient rank")
+        scale = p ** (E - e.denom_exp)
+        rows.append([e.numerator[k] * scale for k in range(n)])
+    pivots = [None] * n  # pivots[col] has length col + 1, as do the rows left
+    for col in range(n - 1, -1, -1):
+        candidates = [(vp(r[col].numerator, p), i) for i, r in enumerate(rows) if r[col]]
+        if not candidates:
+            raise RankDeficientError("elements do not span a rank-n module")
+        v, i = min(candidates)
+        piv, pv = rows.pop(i), p**v
+        if piv[col] != pv:
+            unit = Fraction(piv[col]) / pv
+            u = unit.numerator
+            if unit.denominator == 1 and all(type(c) is int and c % u == 0 for c in piv):
+                piv = [c // u for c in piv]
+            else:
+                piv = [c / unit for c in piv]
+        piv[col] = pv  # an int, even where the entry was a Fraction
+        pivots[col] = piv
+        for j, r in enumerate(rows):
+            if r[col]:
+                m = r[col] // pv if type(r[col]) is int else r[col] / pv
+                r = [a - m * b for a, b in zip(r, piv)]
+            rows[j] = r[:col]
+    # reduce the entries of each row into [0, pivot), walking the reference
+    # pivots downward so a subtraction never disturbs a column that was
+    # already reduced (pivot rows vanish above their own column)
+    for col2 in range(n):
+        row = pivots[col2]
+        for col in range(col2 - 1, -1, -1):
+            piv = pivots[col]
+            pv, c = piv[col], row[col]
+            if type(c) is int:
+                q = c // pv
+            else:
+                q = (c - c.numerator * pow(c.denominator, -1, pv) % pv) / pv
+            if q:
+                row = [a - q * b for a, b in zip(row, piv)] + row[col + 1 :]
+        pivots[col2] = row
+    out = []
+    index_valuation = 0
+    for k, row in enumerate(pivots):
+        if any(c.denominator != 1 for c in row):
+            raise InconsistentError("triangular row is not p-integral after reduction")
+        row = [int(c) for c in row]
+        piv_v = vp(row[k], p)
+        if p**piv_v != row[k]:
+            raise InconsistentError("pivot is not a power of p after elimination")
+        index_valuation += E - piv_v
+        strip = min([E] + [vp(c, p) for c in row if c])
+        num = IntPoly([c // p**strip for c in row])
+        out.append(BasisElement(num, E - strip))
+    return PIntegralBasis(
+        p,
+        tuple(out),
+        index_valuation,
+        tuple(generators if generators is not None else elements),
+        dict(meta or {}),
+    )
+
+
+def vp_frac(q, p):
+    """p-adic valuation of a rational number (INFINITY for 0)."""
+    q = Fraction(q)
+    if q == 0:
+        return INFINITY
+    return vp(q.numerator, p) - vp(q.denominator, p)
+
+
+def fraction_gram_matrix(f, basis):
+    """Tr(w_i w_j) as exact Fractions, for any family of elements: the
+    numerators' traces over p^(e_i + e_j)."""
+    p, els = basis.p, basis.elements
+    return [[Fraction(t, p ** (els[i].denom_exp + els[j].denom_exp)) for j, t in enumerate(row)]
+            for i, row in enumerate(_numerator_traces(f, basis))]
+
+
+def basis_discriminant(f, basis):
+    """disc of the family, the determinant of its trace-form Gram matrix:
+    the integer determinant of the numerators' traces over p^(2 sum e_i)."""
+    e = sum(el.denom_exp for el in basis.elements)
+    return Fraction(_det_bareiss(_numerator_traces(f, basis)), basis.p ** (2 * e))

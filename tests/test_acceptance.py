@@ -12,7 +12,7 @@ from math import gcd
 
 import pytest
 
-from pintbasis.arith import vp, vp_frac
+from pintbasis.arith import vp
 from pintbasis.errors import NotRegularError
 from pintbasis.factor import (
     factor_mod_p,
@@ -22,17 +22,17 @@ from pintbasis.factor import (
 )
 from pintbasis.intpoly import IntPoly
 from pintbasis.newton import LocalAnalysis
-from pintbasis.oracle import (
-    basis_discriminant,
-    disc_identity_check,
-    is_integral,
-    round2,
-    saturate,
-)
+from pintbasis.oracle import disc_identity_check, is_integral, round2, saturate
 from pintbasis.basis import decomposition_type, p_integral_basis_regular
 from pintbasis.quartic import iterate_to_regular, quartic_p_integral_basis
 
-from reference import check_polygon_geometry, fraction_second_order, ind_p_lower_bound
+from reference import (
+    basis_discriminant,
+    check_polygon_geometry,
+    fraction_second_order,
+    ind_p_lower_bound,
+    vp_frac,
+)
 
 X = IntPoly([0, 1])
 PRIMES = (2, 3, 5, 7, 13)

@@ -1,9 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from pintbasis.arith import vp_frac
 from pintbasis.errors import InconsistentError, NotRegularError, RankDeficientError
 from pintbasis.intpoly import IntPoly
 from pintbasis.newton import LocalAnalysis
@@ -16,7 +16,7 @@ from pintbasis.basis import (
     triangularize,
 )
 
-from reference import ind_p_lower_bound
+from reference import fraction_triangularize, ind_p_lower_bound, vp_frac
 from test_oracle import _det_fraction
 
 X = IntPoly([0, 1])
@@ -153,6 +153,56 @@ def test_triangularize_against_independent_arithmetic():
     assert full > 100 and deficient > 30
 
 
+def _p_unit(rng, p):
+    """A p-unit of either sign: 1, a small one, or one of up to 40 bits."""
+    u = rng.choice([1, 1, rng.randint(2, 3 * p), rng.getrandbits(40)])
+    return rng.choice([1, -1]) * (u if u % p else u + 1)
+
+
+def test_triangularize_matches_the_fraction_reference():
+    """The integer Hermite form equals the Fraction reference element for
+    element, with the same index and generators, on seeded families at
+    p in {2, 3, 5, 101, 10007, 10^6+3} and n = 2..17: one element per
+    degree with leading coefficient u*p^k for p-units u of either sign and
+    up to 40 bits, half of them mixed by unimodular Z_(p) row operations;
+    the modules spanned by (p^k theta)^j / p^e_j with e_j < kj for j > 0,
+    such as Z[p theta], which do not contain Z[theta]; and n - 1 elements
+    with two combinations of them, which span rank n - 1 and are rejected
+    by both."""
+    rng = random.Random(24)
+    primes = (2, 3, 5, 101, 10007, 10**6 + 3)
+    kinds = Counter()
+    for trial in range(420):
+        p, n = primes[trial % len(primes)], rng.randint(2, 17)
+        kind = ("triangular", "scaled", "deficient")[trial // len(primes) % 3]
+        if kind == "scaled":
+            k = rng.randint(1, 2)
+            es = [0] + [rng.randint(0, k * j - 1) for j in range(1, n)]
+            els = [BasisElement(IntPoly.x(j) * p ** (k * j), es[j]) for j in range(n)]
+        else:
+            els = [BasisElement(IntPoly([rng.randint(-p**3, p**3) for _ in range(d)]
+                                        + [_p_unit(rng, p) * p ** rng.randint(0, 2)]),
+                                rng.randint(0, 3)) for d in range(n)]
+        if kind == "deficient":
+            del els[rng.randrange(n)]
+            els += [_combination(rng, els, p, n) for _ in range(2)]
+        if rng.random() < 0.5:
+            els = _mixed(rng, els, p, n)
+            kind += " mixed"
+        kinds[kind] += 1
+        if kind.startswith("deficient"):
+            for tri in (fraction_triangularize, triangularize):
+                with pytest.raises(RankDeficientError):
+                    tri(els, p, n)
+            continue
+        got, ref = triangularize(els, p, n), fraction_triangularize(els, p, n)
+        assert got.elements == ref.elements, (p, n, kind)
+        assert (got.index_valuation, got.generators) == (ref.index_valuation, ref.generators)
+        if kind.startswith("scaled"):
+            assert got.index_valuation == sum(e - k * j for j, e in enumerate(es)) < 0
+    assert len(kinds) == 6 and min(kinds.values()) >= 50, kinds
+
+
 def test_basis_regular_examples():
     b = p_integral_basis_regular(X**4 - 2, 2)
     assert b.render("t") == "1, t, t², t³"
@@ -229,9 +279,6 @@ def test_generic_degree_6():
 def test_constructed_module_contains_power_basis():
     """The module spanned by the construction contains Z_(p)[theta]: every
     power of theta has p-integral coordinates in the triangular basis."""
-    from fractions import Fraction
-    from pintbasis.arith import vp_frac
-
     rng = random.Random(16)
     n_done = 0
     while n_done < 30:

@@ -714,6 +714,27 @@ def test_second_order_cross_checks_are_program_faults(monkeypatch):
         assert faults("T2r6")
 
 
+def test_deep_second_order_rows_match_round2():
+    """The rows T3r6s2-T3r6s9 and T5r9s6, where the tables give no nu and
+    the second-order step is cross-checked by nothing at run time, pinned
+    by one witness each at p = 2: basis --json fires the row and equals
+    Round 2 (oracle --json), element for element."""
+    witnesses = {"T3r6s2": (964, -352, 116), "T3r6s3": (492, 384, -300),
+                 "T3r6s4": (1196, 800, -332), "T3r6s5": (-172, 256, -988),
+                 "T3r6s6": (-468, 704, 964), "T3r6s7": (-148, 0, -1084),
+                 "T3r6s8": (-300, -1088, 196), "T3r6s9": (12, 896, -828),
+                 "T5r9s6": (-1080, -256, 528)}
+    for row, (a, b, c) in witnesses.items():
+        f = IntPoly.monic_quartic(a, b, c)
+        code, payload = _basis_json(f, 2)
+        assert code == 0 and row in payload["meta"]["rows"], (row, payload)
+        code, out = run(["oracle", "-f", f.render("x"), "-p", "2", "--json"])
+        oracle = json.loads(out)
+        assert code == 0 and payload["path"] == "quartic+order2", (row, payload)
+        for key in ("p", "index_valuation", "elements"):
+            assert payload[key] == oracle[key], (row, key)
+
+
 def _basis_json(f, p, *extra):
     code, out = run(["basis", "-f", f.render("x"), "-p", str(p), "--json", *extra])
     return code, json.loads(out) if code == 0 else out

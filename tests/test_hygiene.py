@@ -108,12 +108,11 @@ def test_one_factorization_per_analysis():
 
 def test_fractions_stay_out_of_polygon_geometry():
     """Polygon geometry is integer geometry: floors, side heights and lengths
-    and the slope as text.  fractions is imported only where the paper's
-    data are rationals: the valuation helpers (arith), triangularize
-    (basis), the oracle and the tables' literal nu (tables).  The
-    second-order step works on 2Y and cross-checks the tabled nu as
-    floor(2 nu), in integers."""
-    allowed = {"arith.py", "basis.py", "oracle.py", "tables.py"}
+    and the slope as text.  The local linear algebra is integer too: the
+    Hermite form over Z_(p), the trace form and its determinant.  fractions
+    is imported in src/ only by tables, for the paper's literal nu; the
+    second-order step cross-checks it as floor(2 nu), in integers."""
+    allowed = {"tables.py"}
     found = []
     for name, tree in _modules():
         for node in ast.walk(tree):

@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from pintbasis.arith import vp
-from pintbasis.errors import NotIrreducibleError
+from pintbasis.errors import InconsistentError, NotIrreducibleError
 from pintbasis.factor import is_irreducible
 from pintbasis.intpoly import IntPoly, parse_poly
 from pintbasis.oracle import (
-    basis_discriminant,
     char_poly_of_numerator,
     disc_identity_check,
     gram_matrix,
@@ -20,6 +19,8 @@ from pintbasis.oracle import (
     saturate,
 )
 from pintbasis.basis import BasisElement, PIntegralBasis, p_integral_basis_regular, power_basis
+
+from reference import basis_discriminant, fraction_gram_matrix
 
 X = IntPoly([0, 1])
 
@@ -144,9 +145,11 @@ def test_basis_discriminant_matches_fraction_determinant():
     """The integer determinant of the numerators' traces over p^(2 sum e_i)
     equals the Fraction determinant of the Gram matrix: on random families
     of n elements with denominators (some of rank < n), on the power basis
-    and on the oracle's basis."""
+    and on the oracle's basis.  The library's integer trace form equals the
+    Fraction one wherever that is integral, and raises InconsistentError
+    exactly where it is not."""
     rng = random.Random(31)
-    zero = 0
+    zero = integral = fractional = 0
     for _ in range(200):
         n = rng.randint(1, 7)
         p = rng.choice([2, 3, 5, 101])
@@ -159,18 +162,26 @@ def test_basis_discriminant_matches_fraction_determinant():
         if f.discriminant():
             families.append(round2(f, p))
         for basis in families:
+            gram = fraction_gram_matrix(f, basis)
             d = basis_discriminant(f, basis)
-            assert d == _det_fraction(gram_matrix(f, basis)), (f.render(), p, basis)
+            assert d == _det_fraction(gram), (f.render(), p, basis)
             zero += d == 0
-    assert zero >= 20
+            if all(x.denominator == 1 for row in gram for x in row):
+                assert gram_matrix(f, basis) == gram, (f.render(), p, basis)
+                integral += 1
+            else:
+                with pytest.raises(InconsistentError):
+                    gram_matrix(f, basis)
+                fractional += 1
+    assert zero >= 20 and integral >= 200 and fractional >= 100, (zero, integral, fractional)
 
 
 def test_gram_is_integral_on_orders():
     f = X**4 + 2 * X**2 + 4
     for basis in (power_basis(2, 4), saturate(f, 2)):
-        for row in gram_matrix(f, basis):
-            for entry in row:
-                assert Fraction(entry).denominator == 1
+        gram = gram_matrix(f, basis)
+        assert all(type(entry) is int for row in gram for entry in row)
+        assert gram == fraction_gram_matrix(f, basis)
 
 
 def test_ring_closed():
