@@ -181,10 +181,9 @@ def symmetric_rep(a, m):
 
 
 def legendre(a, p):
-    """Legendre symbol (a/p) for an odd prime p."""
+    """Legendre symbol (a/p) for an odd prime p the caller has checked."""
     if p == 2:
         raise ValueError("Legendre symbol requires an odd prime")
-    check_prime(p)
     a %= p
     if a == 0:
         return 0

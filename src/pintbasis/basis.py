@@ -14,7 +14,6 @@ from math import gcd
 from .arith import vp
 from .errors import InconsistentError, NotRegularError, RankDeficientError
 from .factor import sanity_check_irreducible
-from .fq import factor_fqpoly
 from .intpoly import IntPoly
 from .newton import is_p_regular, ordinates, phi_index, phi_polygon_data
 from .record import Record
@@ -208,7 +207,7 @@ def decomposition_type(f, p):
 def _decomposition(report):
     """decomposition_type for an f already checked by the irreducibility
     guard, read from the p-regularity report of its lifts (is_p_regular),
-    which holds the residual polynomial of every principal side."""
+    which holds the residual factorization of every principal side."""
     f, p = report.analysis.f, report.analysis.p
     entries = []
     complete = True
@@ -220,8 +219,7 @@ def _decomposition(report):
         if not reg.sides:  # an empty principal polygon
             raise InconsistentError(f"lift {phi.render()} does not divide f mod {p}")
         for sd in reg.sides:
-            _, factors = factor_fqpoly(sd.field, sd.residual)
-            for g, m in factors:
+            for g, m in sd.factors:
                 if m == 1:
                     entries.append(
                         PrimeEntry(

@@ -30,7 +30,7 @@ import sys
 
 from .arith import check_prime
 from .errors import InconsistentError, NotRegularError, PintbasisError
-from .factor import factor_mod_p, is_irreducible_quartic, sanity_check_irreducible
+from .factor import is_irreducible_quartic, sanity_check_irreducible
 from .intpoly import IntPoly, parse_poly
 from .newton import (
     LocalAnalysis,
@@ -72,7 +72,7 @@ def cmd_polygon(args, out):
     if args.phi:
         phis = [parse_poly(args.phi)]
     else:
-        phis = [phi for phi, _ in factor_mod_p(f, args.p)]
+        phis = [phi for phi, _ in LocalAnalysis(f, args.p).factors]
     payload = []
     for i, phi in enumerate(phis):
         polygon = newton_polygon(phi_expand(f, phi), args.p)
@@ -129,11 +129,7 @@ def cmd_basis(args, out):
     f = _parse_f(args)
     basis, path, analysis = _compute_basis(f, args.p, args.method, sanity_check_irreducible(f))
     if args.json:
-        try:
-            dec = _decomposition(analysis.report())
-        except PintbasisError:
-            dec = None
-        payload = basis.to_json(dec)
+        payload = basis.to_json(_decomposition(analysis.report()))
         payload["path"] = path
         out(json.dumps(payload, indent=2))
     else:

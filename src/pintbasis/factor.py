@@ -7,7 +7,7 @@ coefficients of phi-adic developments stay small.
 
 from math import isqrt
 
-from .arith import check_prime, symmetric_rep
+from .arith import symmetric_rep
 from .errors import NotIrreducibleError
 from .fq import FpArith
 from .intpoly import IntPoly
@@ -16,12 +16,12 @@ _X = IntPoly([0, 1])
 
 
 def factor_mod_p(f, p):
-    """Complete factorization of f mod p.
+    """Complete factorization of f mod p, for a prime p the caller has
+    checked (newton.LocalAnalysis does).
 
     Returns a list of (lift, multiplicity) pairs where each lift is a monic
     IntPoly with symmetric coefficients reducing to an irreducible factor of
     f mod p.  The list is deterministically ordered."""
-    check_prime(p)
     fp = FpArith(p)
     fbar = fp.reduce(f.coeffs)
     if not fbar:
@@ -31,8 +31,8 @@ def factor_mod_p(f, p):
 
 
 def is_irreducible_mod_p(phi, p):
-    """True iff phi mod p is irreducible of degree >= 1 over F_p."""
-    check_prime(p)
+    """True iff phi mod p is irreducible of degree >= 1 over F_p, for a
+    prime p the caller has checked."""
     fp = FpArith(p)
     return fp.is_irreducible(fp.reduce(phi.coeffs))
 

@@ -19,7 +19,6 @@ polynomials into coefficients and renders polynomials as text.
 
 import random
 
-from .arith import check_prime
 from .intpoly import IntPoly
 
 DEFAULT_SEED = 20259
@@ -374,13 +373,13 @@ class FqArith(_Arith):
 
 
 class FqField:
-    """F_p[t]/(modulus) for a monic modulus irreducible mod p, given as an
-    IntPoly or as integer coefficients: the residue field F_p[x]/(p, phi) of
-    a lift phi.  Its elements and polynomials are values of the kernel arith,
-    FpArith when deg(modulus) = 1 and FqArith otherwise."""
+    """F_p[t]/(modulus) for a prime p the caller has checked and a monic
+    modulus irreducible mod p, given as an IntPoly or as integer
+    coefficients: the residue field F_p[x]/(p, phi) of a lift phi.  Its
+    elements and polynomials are values of the kernel arith, FpArith when
+    deg(modulus) = 1 and FqArith otherwise."""
 
     def __init__(self, p, modulus):
-        check_prime(p)
         if isinstance(modulus, IntPoly):
             modulus = modulus.coeffs
         self.p = p
@@ -421,7 +420,8 @@ def factor_fqpoly(field, r):
     """(unit, [(monic irreducible, multiplicity)]) for a nonzero polynomial r
     over field, the factors sorted by degree and then coefficients.
 
-    Every residual polynomial is factored through this one function, so a
-    count of its calls is a count of residual factorizations; the benchmark
-    tracer (perfbench/tracer.py) wraps it by this name."""
+    Every residual polynomial is factored through this one function, called
+    only by newton.SideData.factors, so a count of its calls is a count of
+    residual factorizations; the benchmark tracer (perfbench/tracer.py)
+    wraps it by this name."""
     return field.arith.factor(r)

@@ -14,7 +14,7 @@ residual coefficients.
 from functools import cached_property
 from math import gcd
 
-from .arith import INFINITY, is_finite
+from .arith import INFINITY, check_prime, is_finite
 from .errors import InconsistentError, NotIrreducibleError
 from .factor import factor_mod_p, is_irreducible_mod_p
 from .fq import FqField, factor_fqpoly
@@ -205,10 +205,16 @@ class SideData(Record):
     residual: list  # kernel polynomial over field
     field: FqField
 
+    @cached_property
+    def factors(self):
+        """[(monic irreducible, multiplicity)] of the residual polynomial,
+        factored on first use: the regularity verdict, its witnesses and the
+        decomposition type all read this one list."""
+        return factor_fqpoly(self.field, self.residual)[1]
+
     @property
     def separable(self):
-        arith = self.field.arith
-        return len(arith.gcd(self.residual, arith.deriv(self.residual))) == 1
+        return all(m == 1 for _, m in self.factors)
 
 
 class PhiRegularity(Record):
@@ -254,15 +260,12 @@ def is_phi_regular(f, phi, p):
     """phi-regularity: every principal side carries a separable residual
     polynomial.  On failure the witnesses name each offending side together
     with its multiple irreducible residual factor, read from the
-    factorization of its residual polynomial."""
+    factorization of its residual polynomial.  p is a prime the caller has
+    checked."""
     if not is_irreducible_mod_p(phi, p):
         raise ValueError(f"{phi.render()} is not irreducible mod {p}")
     expansion, principal, data = phi_polygon_data(f, phi, p)
-    witnesses = []
-    for sd in data:
-        if not sd.separable:
-            _, factors = factor_fqpoly(sd.field, sd.residual)
-            witnesses += [(sd.side, g, m) for g, m in factors if m > 1]
+    witnesses = [(sd.side, g, m) for sd in data for g, m in sd.factors if m > 1]
     field = data[0].field if data else FqField(p, phi)
     return PhiRegularity(phi, field, not witnesses, tuple(data), tuple(witnesses),
                          expansion, principal)
@@ -296,10 +299,11 @@ class LocalAnalysis:
     """The first-order analysis of one f at one p: disc f (or the caller's),
     the factorization of f mod p and the PhiRegularity of each lift, each
     computed on first use and shared by every route and check.  Each
-    computation starts its own, so no analysis outlives it."""
+    computation starts its own, so no analysis outlives it.  p is checked
+    prime here, once; the kernels below take it as checked."""
 
     def __init__(self, f, p, disc=None):
-        self.f, self.p = f, p
+        self.f, self.p = f, check_prime(p)
         if disc is not None:
             self.disc = disc
         self._by_phi = {}

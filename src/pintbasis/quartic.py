@@ -18,7 +18,7 @@ back to theta and keeps the row's display family as the generators.
 
 from enum import Enum
 
-from .arith import INFINITY, check_prime, inv_mod, is_finite, legendre, sqrt_mod_pk, symmetric_rep, vp
+from .arith import INFINITY, inv_mod, is_finite, legendre, sqrt_mod_pk, symmetric_rep, vp
 from .errors import InconsistentError, IterationPreconditionError
 from .factor import sanity_check_irreducible
 from .intpoly import IntPoly
@@ -82,7 +82,6 @@ def make_context(analysis):
 def classify(a, b, c, p):
     """The factorization shape of x^4+ax^2+bx+c mod p, assuming f irreducible
     over Q.  Exactly one case applies; Inconsistent would indicate a bug."""
-    check_prime(p)
     return make_context(LocalAnalysis(IntPoly.monic_quartic(a, b, c), p)).case
 
 
@@ -601,7 +600,6 @@ def reduce_E1(a, b, c, p):
 def quartic_p_integral_basis(a, b, c, p):
     """p-integral basis of Q[x]/(x^4+ax^2+bx+c) by the quartic fast path.
     The result records the case and every table row used in meta."""
-    check_prime(p)
     f = IntPoly.monic_quartic(a, b, c)
     sanity_check_irreducible(f)
     return _quartic_basis(make_context(LocalAnalysis(f, p)))

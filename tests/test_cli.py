@@ -167,14 +167,28 @@ def test_error_paths():
 
 def test_composite_p_is_rejected():
     """Strong pseudoprimes to the bases 2..37 and 2..41 among them, exit 2
-    from every command that takes p; Mersenne primes of 127 and 521 bits
-    are accepted."""
+    from every command that takes p, and raise ValueError from every library
+    route, each of which builds a LocalAnalysis, the one place p is checked
+    outside cli.main; Mersenne primes of 127 and 521 bits are accepted."""
+    import pytest
     from test_arith import STRONG_PSEUDOPRIMES
 
+    from pintbasis.basis import decomposition_type, p_integral_basis_regular
+    from pintbasis.newton import LocalAnalysis, is_p_regular
+    from pintbasis.quartic import classify, quartic_p_integral_basis
+
+    f = parse_poly("x^4+x^2+50")
+    routes = (LocalAnalysis, is_p_regular, p_integral_basis_regular, decomposition_type)
     for n in STRONG_PSEUDOPRIMES:
-        for command in ("basis", "factor", "verify", "oracle"):
+        for command in ("classify", "polygon", "basis", "factor", "verify", "oracle"):
             assert run([command, "-f", "x^2+1", "-p", str(n)]) == (
                 2, f"error: {n} is not prime\n"), (command, n)
+        for route in routes:
+            with pytest.raises(ValueError, match=f"^{n} is not prime$"):
+                route(f, n)
+        for route in (classify, quartic_p_integral_basis):
+            with pytest.raises(ValueError, match=f"^{n} is not prime$"):
+                route(1, 0, 50, n)
     for p in (2**127 - 1, 2**521 - 1):
         assert run(["basis", "-f", "x^2+1", "-p", str(p)]) == (
             0, "1, θ\nindex valuation: 0   (path: generic)\n")
@@ -441,6 +455,47 @@ def test_program_faults_exit_3(monkeypatch):
             code, out = run([command, "-f", "x^4+x^2+50", "-p", "5"])
             assert code == 3, (command, fault, out)
             assert out == f"internal error: {fault}\n"
+
+
+def test_basis_json_reports_a_failed_decomposition(monkeypatch):
+    """basis --json does not hide a program fault in the decomposition type:
+    an InconsistentError from it exits 3 instead of an answer without the
+    decomposition."""
+    from pintbasis import cli
+    from pintbasis.errors import InconsistentError
+
+    def broken(report):
+        raise InconsistentError("sum of e*f = 3 differs from deg f = 4")
+
+    monkeypatch.setattr(cli, "_decomposition", broken)
+    assert run(["basis", "-f", "x^4+x^2+50", "-p", "5", "--json"]) == (
+        3, "internal error: sum of e*f = 3 differs from deg f = 4\n")
+
+
+def test_each_residual_is_factored_once(monkeypatch):
+    """basis --json and factor on x^4+6x^2-27x+9 at p = 3, whose lift x
+    carries the inseparable residual (y+1)^2: the regularity verdict, its
+    witness and the decomposition type read one factorization of each
+    residual polynomial."""
+    import pintbasis
+    from pintbasis import fq
+
+    factored = Counter()
+    original = fq.factor_fqpoly
+
+    def counted(field, r):
+        factored[(field.p, field.modulus, tuple(r))] += 1
+        return original(field, r)
+
+    for mod in [m for m in vars(pintbasis).values() if type(m) is type(pintbasis)]:
+        if getattr(mod, "factor_fqpoly", None) is original:
+            monkeypatch.setattr(mod, "factor_fqpoly", counted)
+    for command in (["basis", "--json"], ["factor"]):
+        factored.clear()
+        code, out = run([*command, "-f", "x^4+6x^2-27x+9", "-p", "3"])
+        assert code == 0, (command, out)
+        assert (3, (0, 1), (1, 2, 1)) in factored, (command, factored)
+        assert set(factored.values()) == {1}, (command, factored)
 
 
 def test_oracle_scales_past_degree_8():

@@ -87,22 +87,44 @@ def test_one_development_per_phi():
     assert not found, found
 
 
-def test_one_factorization_per_analysis():
-    """Only the analysis of (f, p) in newton (LocalAnalysis) and the polygon
-    command factor f mod p; every route and check reads the lifts and their
-    multiplicities from the analysis, so a second factorization fails
-    here."""
-    allowed = {("newton.py", "LocalAnalysis"), ("cli.py", "cmd_polygon")}
+def _calls(callee):
+    """(module file, dotted path of the enclosing defs and classes, line)
+    for every call of a function or method named callee in src/."""
     found = []
+
+    def visit(node, name, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "id", getattr(child.func, "attr", None)) == callee):
+                found.append((name, scope, child.lineno))
+            visit(child, name, inner)
+
     for name, tree in _modules():
-        for top in tree.body:
-            if (name, getattr(top, "name", None)) in allowed:
-                continue
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Call)
-                        and getattr(node.func, "id", getattr(node.func, "attr", None))
-                        == "factor_mod_p"):
-                    found.append(f"{name}:{node.lineno}")
+        visit(tree, name, "")
+    return found
+
+
+def test_one_factorization_per_analysis():
+    """Only the analysis of (f, p) in newton (LocalAnalysis) factors f mod p;
+    every route, check and command reads the lifts and their multiplicities
+    from the analysis, so a second factorization fails here."""
+    found = [c for c in _calls("factor_mod_p")
+             if c[0] != "newton.py" or not c[1].startswith("LocalAnalysis.")]
+    assert not found, found
+
+
+def test_one_prime_check_and_one_residual_factorization():
+    """p is checked prime where cli.main parses it and where a LocalAnalysis
+    is built, which every library route does; the kernels take it as
+    checked.  Each residual polynomial is factored by its SideData, on first
+    use, and its separability is read off that factorization (no gcd)."""
+    allowed = {("cli.py", "main"), ("newton.py", "LocalAnalysis.__init__")}
+    found = [c for c in _calls("check_prime") if c[:2] not in allowed]
+    found += [c for c in _calls("factor_fqpoly") if c[:2] != ("newton.py", "SideData.factors")]
+    found += [c for c in _calls("gcd") if c[:2] == ("newton.py", "SideData.separable")]
     assert not found, found
 
 
