@@ -7,11 +7,10 @@ Residual polynomials are plain coefficient lists of the finite-field kernel
 in fq, lowest degree first; FqField is their residue field, which reduces
 coefficients into it and renders the lists as text."""
 
-from .arith import INFINITY, legendre, sqrt_mod_pk, vp
+from .arith import INFINITY, legendre, vp
 from .errors import (
     InconsistentError,
     IterationPreconditionError,
-    NoRowError,
     NotIrreducibleError,
     NotRegularError,
     ParseError,
@@ -37,7 +36,8 @@ from .newton import (
 )
 from .oracle import disc_identity_check, is_integral, is_ring_closed, round2, saturate
 from .order2 import v2p
-from .quartic import QuarticCase, classify, iterate_to_regular, quartic_p_integral_basis, reduce_E1
+from .quartic import (QuarticCase, classify, iterate_to_regular, quartic_p_integral_basis,
+                      reduce_E1, sqrt_mod_pk)
 from .basis import (
     BasisElement,
     DecompositionType,

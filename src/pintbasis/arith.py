@@ -1,6 +1,6 @@
 """Exact integer arithmetic helpers: p-adic valuations, the Baillie-PSW
-primality test, modular square roots, Legendre symbols.  Valuations take
-values in the naturals extended by INFINITY.
+primality test, Legendre symbols.  Valuations take values in the naturals
+extended by INFINITY.
 """
 
 from math import isqrt
@@ -189,56 +189,3 @@ def legendre(a, p):
         return 0
     s = pow(a, (p - 1) // 2, p)
     return -1 if s == p - 1 else 1
-
-
-def sqrt_mod_p(a, p):
-    """Square root of a modulo an odd prime p (Tonelli-Shanks), or None if a
-    is a quadratic non-residue."""
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def sqrt_mod_pk(a, p, k):
-    """Smallest s in [0, p^k) with s^2 = a (mod p^k), for odd p with p not
-    dividing a.  Returns None when a is a non-residue mod p.  The root mod p
-    is lifted Hensel-style, doubling the precision each step."""
-    if p == 2:
-        raise ValueError("p must be odd")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if a % p == 0:
-        raise ValueError("p must not divide a (strip p-parts first)")
-    s = sqrt_mod_p(a, p)
-    if s is None:
-        return None
-    prec = 1
-    while prec < k:
-        prec = min(2 * prec, k)
-        m = p**prec
-        # Newton step: s <- (s + a/s) / 2 mod p^prec
-        s = (s + a % m * inv_mod(s, m)) % m * inv_mod(2, m) % m
-    s %= p**k
-    return min(s, p**k - s)

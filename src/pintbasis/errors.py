@@ -45,10 +45,7 @@ class InconsistentError(PintbasisError):
     such as a hypothesis of the second-order step on a phi a table chose."""
 
 
-class IterationPreconditionError(PintbasisError):
-    """Starting integer matches none of the admissible valuation patterns."""
-
-
-class NoRowError(PintbasisError):
-    """No dispatch-table row matches the given parameters; surfaced as a
-    coverage diagnostic rather than guessed around."""
+class IterationPreconditionError(InconsistentError):
+    """Starting integer matches none of the admissible valuation patterns.
+    The quartic route starts the iteration only from an s its case chose,
+    so there this is a program fault."""

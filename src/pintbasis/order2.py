@@ -12,7 +12,7 @@ by the phi-choice tables, never guessed: only their phi reach
 second_order_basis, so a violated hypothesis there is a program fault."""
 
 from .arith import INFINITY, is_finite, vp
-from .errors import InconsistentError, NoRowError
+from .errors import InconsistentError
 from .intpoly import IntPoly
 from .newton import phi_expand
 from .basis import BasisElement
@@ -109,14 +109,14 @@ def choose_phi_e1_row6(a, b, c):
             return _quad(2**w, a // 2), "T7r10"
         if d == (-a // 4) % 4:
             return _quad(2**w, a // 2 + 2 ** (w + 1)), "T7r11"
-        raise NoRowError(f"no phi-choice row for (a,b,c)=({a},{b},{c})")
+        raise InconsistentError(f"no phi-choice row for (a,b,c)=({a},{b},{c})")
     if va >= 3 and vb >= 4:
         if vacm == 3:
             return _quad(0, -2), "T7r12"
         if vacm == 4:
             return _quad(-2, -2), "T7r13"
         return _quad(-2, 2), "T7r14"
-    raise NoRowError(f"no phi-choice row for (a,b,c)=({a},{b},{c})")
+    raise InconsistentError(f"no phi-choice row for (a,b,c)=({a},{b},{c})")
 
 
 def choose_phi_e2_row4(A, B, C):
@@ -139,7 +139,7 @@ def choose_phi_e2_row4(A, B, C):
         return _quad(2, -2), "T8r6"
     if vA >= 3 and vB8 >= 4 and vac == 3:
         if B + 8 - 2 * A == 0 and C == (A - 4) ** 2 // 4:
-            raise NoRowError("shifted quartic is a perfect square (reducible input)")
+            raise InconsistentError("shifted quartic is a perfect square (reducible input)")
         u = vp(B + 8 - 2 * A, 2) if B + 8 - 2 * A else INFINITY
         v = vp(C - (A - 4) ** 2 // 4, 2) if C != (A - 4) ** 2 // 4 else INFINITY
         if u < v:
@@ -153,7 +153,7 @@ def choose_phi_e2_row4(A, B, C):
                 return _quad(2 + 2**w, -2 + A // 2 + 2 ** (w + 1)), "T8r9"
             if d == (-1 + A // 4) % 4:
                 return _quad(2 + 2**w, -2 + A // 2), "T8r10"
-            raise NoRowError(f"no phi-choice row for (A,B,C)=({A},{B},{C})")
+            raise InconsistentError(f"no phi-choice row for (A,B,C)=({A},{B},{C})")
         if v % 2 == 0:
             if d == 3:
                 return _quad(2, -2 + A // 2 + 2**w), "T8r11"
@@ -161,7 +161,7 @@ def choose_phi_e2_row4(A, B, C):
         return _quad(2 + 2**w, -2 + A // 2), "T8r13"
     if vA >= 3 and vB8 >= 4 and vac >= 4:
         return _quad(0, -2), "T8r14"
-    raise NoRowError(f"no phi-choice row for (A,B,C)=({A},{B},{C})")
+    raise InconsistentError(f"no phi-choice row for (A,B,C)=({A},{B},{C})")
 
 
 def choose_phi_e2_row10(Ap, Bp, Cp):
@@ -184,5 +184,5 @@ def choose_phi_e2_row10(Ap, Bp, Cp):
     if is_finite(v):
         w = v // 2
         return _quad(1, half + 2**w), "T6phi-r5"
-    raise NoRowError(f"no phi-choice row for (A',B',C')=({Ap},{Bp},{Cp})")
+    raise InconsistentError(f"no phi-choice row for (A',B',C')=({Ap},{Bp},{Cp})")
 

@@ -18,9 +18,10 @@ back to theta and keeps the row's display family as the generators.
 
 from enum import Enum
 
-from .arith import INFINITY, inv_mod, is_finite, legendre, sqrt_mod_pk, symmetric_rep, vp
+from .arith import INFINITY, inv_mod, is_finite, legendre, symmetric_rep, vp
 from .errors import InconsistentError, IterationPreconditionError
 from .factor import sanity_check_irreducible
+from .fq import FpArith
 from .intpoly import IntPoly
 from .newton import LocalAnalysis
 from .basis import BasisElement, PIntegralBasis, _regular_basis, triangularize
@@ -127,6 +128,39 @@ def _case(a, b, c, p, disc):
     raise InconsistentError(f"no factorization case matches ({a},{b},{c}) at p={p}")
 
 
+# -- p-adic roots ----------------------------------------------------------------
+
+
+def _hensel_root(g, s, p, k):
+    """The root of g mod p^k in [0, p^k) congruent to s, a simple root of g
+    mod p, by Newton steps that double the precision."""
+    dg = g.derivative()
+    s, prec = s % p, 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        m = p**prec
+        s = (s - g(s) * inv_mod(dg(s), m)) % m
+    return s
+
+
+def sqrt_mod_pk(a, p, k):
+    """Smallest s in [0, p^k) with s^2 = a (mod p^k), for odd p with p not
+    dividing a.  Returns None when a is a non-residue mod p.  The root mod p
+    comes from the F_p kernel's factorization of y^2 - a, and _hensel_root
+    lifts it."""
+    if p == 2:
+        raise ValueError("p must be odd")
+    if k < 1:
+        raise ValueError("k must be positive")
+    if a % p == 0:
+        raise ValueError("p must not divide a (strip p-parts first)")
+    first = FpArith(p).factor([-a % p, 0, 1])[1][0][0]
+    if len(first) != 2:
+        return None
+    s = _hensel_root(IntPoly([-a, 0, 1]), -first[0], p, k)
+    return min(s, p**k - s)
+
+
 # -- valuation profiles and the shift iteration ---------------------------------
 
 
@@ -148,16 +182,17 @@ class ValuationProfile(Record):
         return (self.u0, self.u1, self.u2, self.u3)
 
 
-def valuation_profile(F, s, p):
-    if F.degree != 4 or not F.monic:
+def valuation_profile(reg, p):
+    """The profile of F at s, read from reg, the record of the lift x - s:
+    the digits a_i of the (x - s)-adic development F = sum a_i (x - s)^i
+    are the Taylor coefficients F^(i)(s)/i!."""
+    digits = reg.expansion.coefficients
+    if len(digits) != 5 or digits[4] != _ONE:
         raise ValueError("monic quartic required")
-    d1 = F.derivative()
-    d2 = d1.derivative()
-    d3 = d2.derivative()
-    vals = [F(s), d1(s), d2(s) // 2, d3(s) // 6]
+    vals = [a[0] for a in digits[:4]]
     us = [vp(v, p) for v in vals]
-    sigmas = [v // p**u if is_finite(u) and v else 0 for v, u in zip(vals, us)]
-    return ValuationProfile(s, *us, *sigmas)
+    sigmas = [v // p**u if v else 0 for v, u in zip(vals, us)]
+    return ValuationProfile(-reg.phi[0], *us, *sigmas)
 
 
 def check_initial_conditions(profile, reg):
@@ -203,9 +238,9 @@ def iterate_to_regular(analysis, s0, record=None):
 
     The phi-index strictly increases across irregular steps (asserted), so
     the loop ends within v_p(disc F)/2 + 1 steps."""
-    F, p = analysis.f, analysis.p
-    profile = valuation_profile(F, s0, p)
+    p = analysis.p
     reg = _lift_at(analysis, s0)
+    profile = valuation_profile(reg, p)
     cond = check_initial_conditions(profile, reg)
     if cond is None:
         raise IterationPreconditionError(
@@ -258,7 +293,7 @@ def iterate_to_regular(analysis, s0, record=None):
                 raise InconsistentError(
                     f"phi-index did not grow across the iteration ({prev_ind} -> {reg.index})"
                 )
-            profile = valuation_profile(F, s, p)
+            profile = valuation_profile(reg, p)
             cond = check_initial_conditions(profile, reg)
     if record is not None:
         record.extend(steps)
@@ -389,30 +424,14 @@ def basis_case_A(ctx):
 # -- case B: one double root -----------------------------------------------------
 
 
-def _hensel_root_of_derivative(f, s0, p, K):
-    """Lift the simple root s0 of f' mod p to s with v_p(f'(s)) >= K; f''(s0)
-    is a p-unit, so Newton steps converge quadratically."""
-    g = f.derivative()
-    g2 = g.derivative()
-    m = p**K
-    s = s0 % m
-    for _ in range(K + 2):
-        gs = g(s) % m
-        if gs == 0:
-            break
-        s = (s - gs * inv_mod(g2(s) % m, m)) % m
-    if g(s) % m:
-        raise InconsistentError("Hensel lifting of the derivative root failed")
-    return symmetric_rep(s, m)
-
-
 def basis_case_B(ctx):
     f, p = ctx.f, ctx.p
     doubles = [phi for phi, mult in ctx.analysis.factors if mult == 2 and phi.degree == 1]
     if len(doubles) != 1:
         raise InconsistentError("case B expects exactly one double linear factor")
-    s0 = -doubles[0][0]
-    s = _hensel_root_of_derivative(f, s0, p, ctx.Delta // 2 + 1)
+    # the double root of f mod p is a simple root of f': f'' is a p-unit there
+    K = ctx.Delta // 2 + 1
+    s = symmetric_rep(_hensel_root(f.derivative(), -doubles[0][0], p, K), p**K)
     reg = _lift_at(ctx.analysis, s)
     nu = ctx.Delta // 2
     display = [
@@ -511,63 +530,57 @@ def _deep_derivative_root(f, p, K, congruent_to):
 
 
 def basis_case_D(ctx):
-    a, b, c, p, f = ctx.a, ctx.b, ctx.c, ctx.p, ctx.f
+    """A triple root mod p, lifted to s0: at p > 3 and in L43 the square root
+    of -a/6 mod p^k with b = 8 s0^3 mod p (at p = 3, a = 3a' makes -a/6 =
+    -a'/2, and b = 8 s0^3 says s0 = -b mod 3); in L44, s0 = -b.  The profile
+    of f at s0 decides the row."""
+    a, b, p = ctx.a, ctx.b, ctx.p
     rows = []
     meta = {"case": ctx.case.value}
-    if p > 3:
+    if p > 3 or a % 9 == 3:
         k = ctx.Delta // 6 + 1
         M = p**k
-        s0 = sqrt_mod_pk(-a * inv_mod(6, M) % M, p, k)
+        num, den = (a, 6) if p > 3 else (a // 3, 2)
+        s0 = sqrt_mod_pk(-num * inv_mod(den, M) % M, p, k)
         if s0 is None:
-            raise InconsistentError("-a/6 must be a square mod p in case D1")
+            raise InconsistentError("-a/6 must be a square mod p in case D")
         if (b - 8 * s0**3) % p:
             s0 = -s0
         if (b - 8 * s0**3) % p:
             raise InconsistentError("neither square root matches b = 8 s^3 mod p")
-        pr = valuation_profile(f, s0, p)
+    else:
+        s0 = -b
+    reg = _lift_at(ctx.analysis, s0)
+    pr = valuation_profile(reg, p)
+    if p > 3:
         irregular = (
             is_finite(pr.u1) and 2 * pr.u0 == 3 * pr.u1
             and (pr.sigma1**3 + 27 * s0 * pr.sigma0**2) % p == 0
         )
         rows.append("L42-irregular" if irregular else
                     ("L42-one-side" if 2 * pr.u0 < 3 * pr.u1 else "L42-two-sides"))
-        reg = iterate_to_regular(ctx.analysis, s0) if irregular else _lift_at(ctx.analysis, s0)
-    else:
-        if a % 9 == 3:
-            k = ctx.Delta // 6 + 1
-            M = 3**k
-            aprime = a // 3
-            s0 = sqrt_mod_pk(-aprime * inv_mod(2, M) % M, 3, k)
-            if s0 is None:
-                raise InconsistentError("-a'/2 must be a square mod 3")
-            if (s0 + b) % 3:
-                s0 = -s0
-            if (s0 + b) % 3:
-                raise InconsistentError("no square root is congruent to -b mod 3")
-            pr = valuation_profile(f, s0, 3)
-            irregular = 2 * pr.u0 < 3 * pr.u1 and is_finite(pr.u0) and pr.u0 % 3 == 0
-            if not irregular:
-                reg = _lift_at(ctx.analysis, s0)
-                rows.append("L43-regular")
-            else:
-                y = 1 if (pr.sigma0 - b) % 3 == 0 else -1
-                reg = _lift_at(ctx.analysis, s0 + y * 3 ** (pr.u0 // 3))
-                if reg.regular:
-                    rows.append("L43-s1")
-                else:
-                    reg = iterate_to_regular(ctx.analysis, -reg.phi[0])
-                    rows.append("L43-beyond-s1")
-                    meta["beyond_s1"] = 1
+        if irregular:
+            reg = iterate_to_regular(ctx.analysis, s0)
+    elif a % 9 == 3:
+        if not (2 * pr.u0 < 3 * pr.u1 and is_finite(pr.u0) and pr.u0 % 3 == 0):
+            rows.append("L43-regular")
         else:
-            s = -b
-            if not (vp(f(s), 3) <= 2 or vp(f.derivative()(s), 3) == 1):
-                s = _deep_derivative_root(f, 3, ctx.Delta // 2 + 1, -b)
-                rows.append("L44-deep")
+            y = 1 if (pr.sigma0 - b) % 3 == 0 else -1
+            reg = _lift_at(ctx.analysis, s0 + y * 3 ** (pr.u0 // 3))
+            if reg.regular:
+                rows.append("L43-s1")
             else:
-                rows.append("L44-direct")
-            reg = _lift_at(ctx.analysis, s)
-            if not reg.regular:
-                raise InconsistentError("deep derivative root is irregular")
+                reg = iterate_to_regular(ctx.analysis, -reg.phi[0])
+                rows.append("L43-beyond-s1")
+                meta["beyond_s1"] = 1
+    else:
+        if pr.u0 <= 2 or pr.u1 == 1:
+            rows.append("L44-direct")
+        else:
+            reg = _lift_at(ctx.analysis, _deep_derivative_root(ctx.f, 3, ctx.Delta // 2 + 1, -b))
+            rows.append("L44-deep")
+        if not reg.regular:
+            raise InconsistentError("deep derivative root is irregular")
     display = [BasisElement(_ONE, 0), BasisElement(_X, 0),
                _quotient_element(reg, 2), _quotient_element(reg, 1)]
     meta.update({"rows": rows, "s": -reg.phi[0]})

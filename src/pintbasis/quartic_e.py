@@ -8,14 +8,15 @@ the shifted polynomial on the Table 4 rows, with Table 5 expanding its
 second-order row; some rows rescale the root once or twice more.  Every
 second-order row (S51, S54 and the expansions by Tables 3 and 5) takes its
 elements and 2Y from order2.second_order_basis and cross-checks the tabled
-nu or Y against them in integers.  Each shifted or rescaled quartic comes
+nu or Y against them in integers; a deep row that tables neither is checked
+by one Round 2 step instead.  Each shifted or rescaled quartic comes
 from quartic._transformed and each row ends in quartic._finish.  The
 dispatcher, the E1 normalization and the shared construction helpers are in
 quartic.
 """
 
 from .arith import inv_mod, is_finite, symmetric_rep, vp
-from .basis import BasisElement
+from .basis import BasisElement, PIntegralBasis
 from .errors import InconsistentError
 from .intpoly import IntPoly
 from .quartic import (
@@ -29,25 +30,37 @@ from .quartic import (
     iterate_to_regular,
 )
 from .tables import E1_ROWS, E2_DIRECT_DENOMS, E2_ROWS, bad_shift, match_rows, table3_q_nu, table5_q_nu
-from . import order2
+from . import oracle, order2
 
 
-def _order2_family(meta, analysis, phi, tag, rows=(), two_nu=None, two_Y=None):
+def _order2_family(meta, analysis, phi, tag, rows=(), nu=None, two_Y=None):
     """The second-order elements of analysis.f at the phi a table chose, with
-    the rows, tag, Y and order2 recorded in meta.  A tabled nu or Y is only
-    cross-checked against the step: a tabled 2Y must be its 2Y, and a tabled
-    nu must satisfy floor(2 nu) = floor(Y) - 2 = ind_p, which by Hermite's
-    identity says that the exponents floor(nu) and floor(nu + 1/2) add up to
-    ind_p.  (The paper's rows also give simplified numerators; those are
-    display sugar and not always integral in the theta*Q slot, so the tables
-    keep only nu.)"""
-    elements, got = order2.second_order_basis(analysis.f, analysis.p, phi)
+    the rows, tag, Y and order2 recorded in meta.  A tabled nu = num/den,
+    given as the pair (num, den), or a tabled Y is only cross-checked
+    against the step: a tabled 2Y must be its 2Y, and a tabled nu must
+    satisfy floor(2 nu) = 2 num // den = floor(Y) - 2 = ind_p, which by
+    Hermite's identity says that the exponents floor(nu) and floor(nu + 1/2)
+    add up to ind_p.  (The paper's rows also give simplified numerators;
+    those are display sugar and not always integral in the theta*Q slot, so
+    the tables keep only nu.)  The deep rows table neither, so their family
+    is checked as verify checks a basis: it must span a ring, and one Round 2
+    step started from it must add nothing.  The family is already triangular,
+    its numerators monic of degrees 0 to 3."""
+    f, p = analysis.f, analysis.p
+    elements, got = order2.second_order_basis(f, p, phi)
     if two_Y is not None and got != two_Y:
         raise InconsistentError(f"second-order 2Y = {got} differs from the tabled {two_Y}")
-    if two_nu is not None and two_nu // 1 != got // 2 - 2:
+    if nu is not None and 2 * nu[0] // nu[1] != got // 2 - 2:
         raise InconsistentError(
-            f"table 2nu = {two_nu} disagrees with the second-order index {got // 2 - 2}"
+            f"table nu = {nu[0]}/{nu[1]} disagrees with the second-order index {got // 2 - 2}"
         )
+    if nu is None and two_Y is None:
+        order = PIntegralBasis(p, elements, sum(e.denom_exp for e in elements))
+        table = oracle._table(f, order, p)
+        if table is None:
+            raise InconsistentError(f"the second-order family of {tag} spans no ring")
+        if oracle._round2(f, p, analysis.disc, (order, table)).elements != elements:
+            raise InconsistentError(f"one Round 2 step enlarges the second-order order of {tag}")
     meta["rows"] += [*rows, tag]
     meta.update({"Y": str(got // 2) if got % 2 == 0 else f"{got}/2", "order2": 1})
     return elements
@@ -85,14 +98,13 @@ def basis_case_E1(ctx):
         M = p ** (mprime // 2 + 2)
         s = symmetric_rep(a * inv_mod(2, M) % M, M)
         elements = _order2_family(meta, ctx.analysis, IntPoly([s, 0, 1]), "S51",
-                                  two_nu=min(vp(b, p), mprime))
+                                  nu=(min(vp(b, p), mprime), 2))
         meta["s"] = s
         return _finish(ctx.analysis, None, meta, elements=elements)
     if row.strategy == "table3":
         nu, rows = table3_q_nu(a, b, c)
         phi, tag = order2.choose_phi_e1_row6(a, b, c)
-        elements = _order2_family(meta, ctx.analysis, phi, tag, rows,
-                                  two_nu=None if nu is None else 2 * nu)
+        elements = _order2_family(meta, ctx.analysis, phi, tag, rows, nu=nu)
         return _finish(ctx.analysis, None, meta, elements=elements)
     raise InconsistentError(f"unhandled strategy {row.strategy}")
 
@@ -135,8 +147,7 @@ def basis_case_E2(ctx):
     if row.strategy == "table5":
         nu, rows = table5_q_nu(A, B, C)
         phi, tag = order2.choose_phi_e2_row4(A, B, C)
-        elements = _order2_family(meta, shifted, phi, tag, rows,
-                                  two_nu=None if nu is None else 2 * nu)
+        elements = _order2_family(meta, shifted, phi, tag, rows, nu=nu)
         return _finish(shifted, None, meta, elements=elements, m=m)
     if row.strategy == "scale4":
         scaled = _transformed(shifted, 2, 0)

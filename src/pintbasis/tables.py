@@ -5,14 +5,14 @@ Table 1 drives the shift iteration; the Table 2 rows dispatch the reduced
 the Table 4 rows dispatch the shifted polynomial of case E2 and Table 5
 expands its second-order row.  Each row is a literal guard with a row id,
 so rows are unit-testable and the rows that fire are recorded in the
-result metadata.  The case constructions that act on the rows are in
+result metadata.  A guarded input reaches a table only under that table's
+preconditions, so a table that matches no row is a program fault
+(InconsistentError).  The case constructions that act on the rows are in
 quartic and quartic_e.
 """
 
-from fractions import Fraction
-
 from .arith import is_finite, vp
-from .errors import InconsistentError, NoRowError
+from .errors import InconsistentError
 from .record import Record
 
 
@@ -134,9 +134,7 @@ E1_ROWS = (
 def match_rows(rows, *args):
     hits = [r for r in rows if r.guard(*args)]
     if len(hits) != 1:
-        raise (NoRowError if not hits else InconsistentError)(
-            f"{len(hits)} rows match {args}"
-        )
+        raise InconsistentError(f"{len(hits)} rows match {args}")
     return hits[0]
 
 
@@ -163,7 +161,8 @@ TABLE3_ROWS = (
 
 def table3_q_nu(a, b, c):
     """(nu, row ids) for the second-order subcase of the reduced 4-tuple-root
-    table at p = 2.  The row's numerator Q is not returned: the
+    table at p = 2, with the paper's nu as a literal (num, den) pair, or None
+    where the table gives none.  The row's numerator Q is not returned: the
     construction takes Q from the certified development."""
     va, vb = vp(a, 2), vp(b, 2)
     g4 = vp(2 * a + c - 4, 2)
@@ -171,23 +170,24 @@ def table3_q_nu(a, b, c):
     row = match_rows(TABLE3_ROWS, va, vb, g4, gb)
     rid = row.rid
     if rid == "T3r1":
-        return Fraction(5, 4), [rid]
+        return (5, 4), [rid]
     if rid in ("T3r2", "T3r4", "T3r5"):
-        return Fraction(7, 4), [rid]
+        return (7, 4), [rid]
     if rid in ("T3r3", "T3r7"):
-        return Fraction(2), [rid]
+        return (2, 1), [rid]
     if rid in ("T3r8", "T3r10"):
-        return Fraction(9, 4), [rid]
+        return (9, 4), [rid]
     if rid in ("T3r9", "T3r11"):
-        return Fraction(5, 2), [rid]
+        return (5, 2), [rid]
     # T3r6: keyed by u = v(b), v = v(c - a^2/4), d.  No closed nu form is
     # pinned for these deep cells (simple candidates fail against the
-    # saturation oracle), so only the row is identified here and the
-    # denominators are read off the certified second-order polygon.
+    # saturation oracle), so only the row is identified here; the
+    # denominators are read off the second-order polygon and the family is
+    # checked by one Round 2 step (quartic_e._order2_family).
     u = vb
     v = vp(c - a * a // 4, 2)
     if u <= v:
-        return Fraction(2 * u + 1, 4), [rid, "T3r6s1"]
+        return (2 * u + 1, 4), [rid, "T3r6s1"]
     d = ((c - a * a // 4) >> v) % 4
     if v % 2 == 0:
         sub = {(True, 3): "T3r6s2", (False, 3): "T3r6s3",
@@ -195,7 +195,7 @@ def table3_q_nu(a, b, c):
         return None, [rid, sub]
     plus = d == (a // 4) % 4
     if not plus and d != (-a // 4) % 4:
-        raise NoRowError(f"no (Q, nu) subrow for (a,b,c)=({a},{b},{c})")
+        raise InconsistentError(f"no (Q, nu) subrow for (a,b,c)=({a},{b},{c})")
     sub = {(True, True): "T3r6s6", (False, True): "T3r6s7",
            (True, False): "T3r6s8", (False, False): "T3r6s9"}[(u - 1 == v, plus)]
     return None, [rid, sub]
@@ -255,48 +255,49 @@ def bad_shift(vC, vB, vA):
 
 def table5_q_nu(A, B, C):
     """(nu, rows) expanding the vC=2, vB>1, vA>1 row of the shifted table;
-    as in table3_q_nu, the row's numerator Q is not returned."""
+    as in table3_q_nu, nu is a literal (num, den) pair or None, and the row's
+    numerator Q is not returned."""
     vA, vB8 = vp(A, 2), vp(B + 8, 2)
     vac = vp(2 * A + C + 4, 2)
     if vB8 == 2:
-        return Fraction(5, 4), ["T5r1"]
+        return (5, 4), ["T5r1"]
     if vB8 == 3 and vac >= 4:
-        return Fraction(7, 4), ["T5r2"]
+        return (7, 4), ["T5r2"]
     if vA == 2:
         if vB8 == 3 and vac == 3:
-            return Fraction(2), ["T5r3"]
+            return (2, 1), ["T5r3"]
         if vB8 >= 4 and vac == 3:
-            return Fraction(7, 4), ["T5r4"]
+            return (7, 4), ["T5r4"]
         # oracle-pinned: nu = 5/2 exactly when v(B+8) = 4 iff v(2A+C+4) = 4
         # (the two diagonal cells share 5/2, the two off-diagonal ones 9/4)
         if vB8 == 4 and vac >= 5:
-            return Fraction(9, 4), ["T5r5"]
+            return (9, 4), ["T5r5"]
         if vB8 == 4 and vac == 4:
-            return Fraction(5, 2), ["T5r5d"]
+            return (5, 2), ["T5r5d"]
         if vB8 >= 5 and vac >= 5:
-            return Fraction(5, 2), ["T5r6"]
+            return (5, 2), ["T5r6"]
         if vB8 >= 5 and vac == 4:
-            return Fraction(9, 4), ["T5r7"]
+            return (9, 4), ["T5r7"]
     if vA >= 3:
         if vB8 == 3 and vac == 3:
-            return Fraction(7, 4), ["T5r8"]
+            return (7, 4), ["T5r8"]
         if vB8 >= 4 and vac >= 4:
-            return Fraction(2), ["T5r10"]
+            return (2, 1), ["T5r10"]
         if vB8 >= 4 and vac == 3:
             # sub-table keyed by u, v, d, e.  As with the reduced-case
             # expansion, no closed nu form is pinned for deep cells, so rows
-            # are identified for coverage and the denominators come from the
-            # certified second-order polygon.
+            # are identified for coverage, the denominators come from the
+            # second-order polygon and one Round 2 step checks the family.
             u = vp(B + 8 - 2 * A, 2)
             v = vp(C - (A - 4) ** 2 // 4, 2)
             if u < v or (u == v and is_finite(v) and v % 2 == 0):
-                return Fraction(2 * u + 1, 4), ["T5r9", "T5r9s1"]
+                return (2 * u + 1, 4), ["T5r9", "T5r9s1"]
             d = ((C - (A - 4) ** 2 // 4) >> v) % 4
             if u == v:
                 e = ((B + 8 - 2 * A) >> u) % 4
                 plus = d == (1 + A // 4) % 4
                 if not plus and d != (-1 + A // 4) % 4:
-                    raise NoRowError(f"no subrow for (A,B,C)=({A},{B},{C})")
+                    raise InconsistentError(f"no subrow for (A,B,C)=({A},{B},{C})")
                 sub = {(True, 1): "T5r9s2", (True, 3): "T5r9s3",
                        (False, 3): "T5r9s4", (False, 1): "T5r9s5"}[(plus, e)]
                 return None, ["T5r9", sub]
@@ -307,4 +308,4 @@ def table5_q_nu(A, B, C):
                     return None, ["T5r9", "T5r9s7"]
                 return None, ["T5r9", "T5r9s8"]
             return None, ["T5r9", "T5r9s9"]
-    raise NoRowError(f"no (Q, nu) row for (A,B,C)=({A},{B},{C})")
+    raise InconsistentError(f"no (Q, nu) row for (A,B,C)=({A},{B},{C})")

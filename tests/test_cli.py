@@ -745,8 +745,8 @@ def test_second_order_cross_checks_are_program_faults(monkeypatch):
 
     def wrong_nu(table):
         def q_nu(*args):
-            nu, rows = table(*args)
-            return nu + 1, rows
+            (num, den), rows = table(*args)
+            return (num + den, den), rows
         return q_nu
 
     with monkeypatch.context() as m:
@@ -769,16 +769,69 @@ def test_second_order_cross_checks_are_program_faults(monkeypatch):
         assert faults("T2r6")
 
 
+def test_deep_second_order_rows_are_checked_at_run_time(monkeypatch):
+    """The deep rows give neither nu nor 2Y, so their second-order family is
+    checked as verify checks a basis: it must span a ring, and one Round 2
+    step started from it must add nothing.  On the T3r6s2 witness, a
+    second-order step whose fourth element has its denominator exponent
+    moved by -1 (an order that is not p-maximal) or by +1 (a lattice that
+    is no ring) exits 3 with "internal error:"."""
+    from pintbasis import order2
+    from pintbasis.basis import BasisElement
+
+    second_order_basis = order2.second_order_basis
+    f = IntPoly.monic_quartic(964, -352, 116)
+    code, payload = _basis_json(f, 2)
+    assert code == 0 and "T3r6s2" in payload["meta"]["rows"], payload
+    for shift in (-1, 1):
+        def moved(F, p, phi):
+            elements, two_Y = second_order_basis(F, p, phi)
+            last = elements[3]
+            return (*elements[:3], BasisElement(last.numerator, last.denom_exp + shift)), two_Y
+
+        with monkeypatch.context() as m:
+            m.setattr(order2, "second_order_basis", moved)
+            code, out = _basis_json(f, 2)
+        assert code == 3 and out.startswith("internal error:"), (shift, out)
+
+
+def test_table_gaps_are_program_faults(monkeypatch):
+    """A guarded input reaches a table only under that table's
+    preconditions, and the quartic route starts the shift iteration only
+    from an s its case chose, so a table that matches no row and a start
+    that matches no pattern are broken invariants: exit 3 with "internal
+    error:".  T2r1's golden input with no Table 2 rows, and T2r7's, which
+    iterates from s = 0, with every starting pattern refused."""
+    from pintbasis import quartic, quartic_e
+
+    def quartic_basis(a, b, c, p):
+        return run(["basis", "-f", IntPoly.monic_quartic(a, b, c).render("x"), "-p", str(p),
+                    "--method", "quartic"])
+
+    for row, a, b, c, p in (("T2r1", -4, -4, -6, 2), ("T2r7", 6, 27, -27, 3)):
+        code, out = quartic_basis(a, b, c, p)
+        assert code == 0 and f"rows: {row}" in out, (row, out)
+    with monkeypatch.context() as m:
+        m.setattr(quartic_e, "E1_ROWS", ())
+        code, out = quartic_basis(-4, -4, -6, 2)
+    assert code == 3 and out.startswith("internal error:"), out
+    with monkeypatch.context() as m:
+        m.setattr(quartic, "check_initial_conditions", lambda profile, reg: None)
+        code, out = quartic_basis(6, 27, -27, 3)
+    assert code == 3 and out.startswith("internal error:"), out
+
+
 def test_deep_second_order_rows_match_round2():
-    """The rows T3r6s2-T3r6s9 and T5r9s6, where the tables give no nu and
-    the second-order step is cross-checked by nothing at run time, pinned
-    by one witness each at p = 2: basis --json fires the row and equals
-    Round 2 (oracle --json), element for element."""
+    """The rows T3r6s2-T3r6s9, T5r9s2, T5r9s6 and T5r9s9, where the tables
+    give neither nu nor 2Y, pinned by one witness each at p = 2: basis
+    --json fires the row and equals Round 2 (oracle --json), element for
+    element."""
     witnesses = {"T3r6s2": (964, -352, 116), "T3r6s3": (492, 384, -300),
                  "T3r6s4": (1196, 800, -332), "T3r6s5": (-172, 256, -988),
                  "T3r6s6": (-468, 704, 964), "T3r6s7": (-148, 0, -1084),
                  "T3r6s8": (-300, -1088, 196), "T3r6s9": (12, 896, -828),
-                 "T5r9s6": (-1080, -256, 528)}
+                 "T5r9s2": (136, 256, -496), "T5r9s6": (-1080, -256, 528),
+                 "T5r9s9": (1448, 0, 400)}
     for row, (a, b, c) in witnesses.items():
         f = IntPoly.monic_quartic(a, b, c)
         code, payload = _basis_json(f, 2)

@@ -131,10 +131,10 @@ def test_one_prime_check_and_one_residual_factorization():
 def test_fractions_stay_out_of_polygon_geometry():
     """Polygon geometry is integer geometry: floors, side heights and lengths
     and the slope as text.  The local linear algebra is integer too: the
-    Hermite form over Z_(p), the trace form and its determinant.  fractions
-    is imported in src/ only by tables, for the paper's literal nu; the
-    second-order step cross-checks it as floor(2 nu), in integers."""
-    allowed = {"tables.py"}
+    Hermite form over Z_(p), the trace form and its determinant.  The
+    tables give the paper's literal nu as a (num, den) pair, which the
+    second-order step cross-checks as floor(2 nu), in integers.  No module
+    in src/ imports fractions."""
     found = []
     for name, tree in _modules():
         for node in ast.walk(tree):
@@ -144,7 +144,7 @@ def test_fractions_stay_out_of_polygon_geometry():
                 modules = [alias.name for alias in node.names]
             else:
                 continue
-            if "fractions" in modules and name not in allowed:
+            if "fractions" in modules:
                 found.append(f"{name}:{node.lineno}")
     assert not found, found
 
@@ -430,3 +430,16 @@ def test_every_top_level_name_is_reachable():
             todo += refs.get(key, ())
     dead = sorted(f"{module}.{name}" for module, name in defined - seen)
     assert not dead, dead
+
+
+def test_every_export_is_in_the_readme():
+    """The README's Library API table has one line per name the package
+    exports, and names nothing else, so an export comes with its line."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    readme = (SRC.parent.parent / "README.md").read_text()
+    section = readme.partition("\n## Library API\n")[2].partition("\n## ")[0]
+    listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert sorted(listed) == sorted(exported), (sorted(set(listed) - exported),
+                                                sorted(exported - set(listed)))

@@ -48,27 +48,32 @@ def test_classify_exhaustive_random():
         classify(a, b, c, p)  # must never raise Inconsistent
 
 
+def _profile(F, s, p):
+    """The profile of F at s, read from the record of the lift x - s."""
+    return valuation_profile(is_phi_regular(F, X - s, p), p)
+
+
 def test_valuation_profile():
     F = X**4 - 2
-    pr = valuation_profile(F, 0, 2)
+    pr = _profile(F, 0, 2)
     assert pr.us() == (1, INFINITY, INFINITY, INFINITY)
 
     F = X**4 + 2 * X**3 + 3 * X**2 + 4 * X + 4
-    pr = valuation_profile(F, 0, 2)
+    pr = _profile(F, 0, 2)
     assert pr.us() == (2, 2, 0, 1)
-    pr = valuation_profile(F, 2, 2)
+    pr = _profile(F, 2, 2)
     assert (pr.u0, pr.u1, pr.u2) == (3, 3, 0)
     assert F(2) == 56 and F.derivative()(2) == 72 and F.derivative().derivative()(2) // 2 == 39
 
 
 def test_initial_conditions():
     F = X**4 + 2 * X**3 + 3 * X**2 + 4 * X + 4
-    assert check_initial_conditions(valuation_profile(F, 0, 2), is_phi_regular(F, X, 2)) == "I"
+    assert check_initial_conditions(_profile(F, 0, 2), is_phi_regular(F, X, 2)) == "I"
     F2 = X**4 + X**3 + 3 * X**2 + 3 * X + 3  # u3 = v3(1) = 0, rest positive
-    pr = valuation_profile(F2, 0, 3)
+    pr = _profile(F2, 0, 3)
     assert check_initial_conditions(pr, is_phi_regular(F2, X, 3)) == "II"
     F3 = IntPoly.monic_quartic(0, 0, 3)
-    pr = valuation_profile(F3, 0, 3)  # u0 = 1, u1 = inf, u2 = inf, u3 = inf
+    pr = _profile(F3, 0, 3)  # u0 = 1, u1 = inf, u2 = inf, u3 = inf
     assert check_initial_conditions(pr, is_phi_regular(F3, X, 3)) is None
 
 
