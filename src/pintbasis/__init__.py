@@ -28,7 +28,6 @@ from .newton import (
     newton_polygon,
     ordinates,
     phi_expand,
-    phi_index,
     polygon_to_json,
     polygon_to_svg,
     principal_part,

@@ -15,7 +15,7 @@ from .arith import vp
 from .errors import InconsistentError, NotRegularError, RankDeficientError
 from .factor import sanity_check_irreducible
 from .intpoly import IntPoly
-from .newton import is_p_regular, ordinates, phi_index, phi_polygon_data
+from .newton import is_p_regular, ordinates, phi_polygon_data
 from .record import Record
 
 
@@ -290,10 +290,10 @@ def p_integral_basis_regular(f, p):
 def _regular_basis(report):
     """p_integral_basis_regular for an f already checked by the
     irreducibility guard, with the p-regularity report of its lifts in
-    hand."""
+    hand.  The phi-indices are read from the records of the report."""
     f, p = report.analysis.f, report.analysis.p
     gens = regular_basis_generators(report)
-    expected = sum(phi_index(f, reg.phi, p) for reg in report.by_phi)
+    expected = sum(reg.index for reg in report.by_phi)
     basis = triangularize(gens, p, f.degree, generators=gens)
     if basis.index_valuation != expected:
         raise InconsistentError(

@@ -24,6 +24,17 @@ class IntPoly:
                 raise TypeError(f"integer coefficients required, got {c!r}")
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @classmethod
+    def _of_list(cls, cs):
+        """The polynomial of a list of ints that the caller built and gives
+        up: its trailing zeros are popped in place and the per-coefficient
+        type check of IntPoly(...) is skipped."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", tuple(cs))
+        return poly
+
     def __setattr__(self, *args):
         raise AttributeError("IntPoly is immutable")
 
@@ -140,7 +151,7 @@ class IntPoly:
             if q:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= q * b
-        return IntPoly(quot), IntPoly(rem)
+        return IntPoly._of_list(quot), IntPoly._of_list(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

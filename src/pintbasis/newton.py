@@ -32,19 +32,27 @@ class PhiExpansion(Record):
 
 
 def phi_expand(f, phi):
-    """Compute the phi-adic development by repeated exact division: one
-    division by phi per coefficient, each quotient feeding the next."""
+    """Compute the phi-adic development by schoolbook division on coefficient
+    lists: one division by the monic phi per coefficient, each quotient list
+    feeding the next.  Only the digits and quotients returned become
+    IntPolys."""
     if phi.degree < 1 or not phi.monic:
         raise ValueError("phi must be monic of degree >= 1")
+    d, low = phi.degree, phi.coeffs[:-1]  # phi = x^d + low
     coeffs = []
     quotients = []
-    q = f
-    while True:
-        q, a = divmod(q, phi)
-        coeffs.append(a)
-        if q.is_zero():
-            break
-        quotients.append(q)
+    q = list(f.coeffs)
+    while len(q) > d:
+        # in place: the top entries turn into the quotient, the low d into
+        # the remainder
+        for k in range(len(q) - 1, d - 1, -1):
+            c = q[k]
+            if c:
+                q[k - d:k] = [a - c * b for a, b in zip(q[k - d:k], low)]
+        coeffs.append(IntPoly._of_list(q[:d]))
+        q = q[d:]
+        quotients.append(IntPoly._of_list(list(q)))
+    coeffs.append(IntPoly._of_list(q))
     return PhiExpansion(tuple(coeffs), tuple(quotients))
 
 
@@ -164,16 +172,6 @@ def ordinates(principal):
     return ys
 
 
-def phi_index(f, phi, p):
-    """ind_phi(f): deg(phi) times the lattice points under the principal
-    polygon, strictly right of the vertical axis and above the horizontal
-    one, that is deg(phi) times the sum of floor(y_j) for 0 < j < ell."""
-    principal = principal_part(newton_polygon(phi_expand(f, phi), p))
-    if principal.length < 1:
-        return 0
-    return phi.degree * sum(ordinates(principal)[1:-1])
-
-
 def residual_polynomial(side, principal, expansion, field, reduced=None):
     """R(y) = c_0 + c_1 y + ... + c_d y^d for a principal side from (x0, y0)
     of degree d and ramification e, as a kernel polynomial (lowest degree
@@ -219,15 +217,25 @@ class SideData(Record):
 
 class PhiRegularity(Record):
     """The first-order analysis of f at one lift phi: its development,
-    principal polygon and residual data, and the regularity verdict."""
+    principal polygon and residual data, and the regularity verdict, which
+    factors the residual polynomials on first use, so a record read only
+    for its development factors none."""
 
     phi: IntPoly
     field: FqField  # the residue field of phi
-    regular: bool
     sides: tuple  # SideData for every principal side
-    witnesses: tuple  # (side, multiple irreducible factor, multiplicity)
     expansion: PhiExpansion
     principal: NewtonPolygon
+
+    @cached_property
+    def witnesses(self):
+        """(side, multiple irreducible factor, multiplicity) for every
+        multiple factor of a residual polynomial."""
+        return tuple((sd.side, g, m) for sd in self.sides for g, m in sd.factors if m > 1)
+
+    @cached_property
+    def regular(self):
+        return not self.witnesses
 
     @cached_property
     def ordinates(self):
@@ -237,7 +245,10 @@ class PhiRegularity(Record):
 
     @cached_property
     def index(self):
-        """ind_phi(f), as phi_index computes it."""
+        """ind_phi(f): deg(phi) times the lattice points under the principal
+        polygon, strictly right of the vertical axis and above the
+        horizontal one, that is deg(phi) times the sum of floor(y_j) for
+        0 < j < ell."""
         if self.principal.length < 1:
             return 0
         return self.phi.degree * sum(self.ordinates[1:-1])
@@ -260,15 +271,13 @@ def is_phi_regular(f, phi, p):
     """phi-regularity: every principal side carries a separable residual
     polynomial.  On failure the witnesses name each offending side together
     with its multiple irreducible residual factor, read from the
-    factorization of its residual polynomial.  p is a prime the caller has
-    checked."""
+    factorization of its residual polynomial when the verdict is first
+    asked for.  p is a prime the caller has checked."""
     if not is_irreducible_mod_p(phi, p):
         raise ValueError(f"{phi.render()} is not irreducible mod {p}")
     expansion, principal, data = phi_polygon_data(f, phi, p)
-    witnesses = [(sd.side, g, m) for sd in data for g, m in sd.factors if m > 1]
     field = data[0].field if data else FqField(p, phi)
-    return PhiRegularity(phi, field, not witnesses, tuple(data), tuple(witnesses),
-                         expansion, principal)
+    return PhiRegularity(phi, field, tuple(data), expansion, principal)
 
 
 class PRegularity(Record):

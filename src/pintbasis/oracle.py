@@ -362,12 +362,9 @@ def _round2(f, p, disc, start=None):
     v = vp(disc, p) - 2 * sum(e.denom_exp - vp(e.numerator[k], p)
                               for k, e in enumerate(order.elements))
     for _ in range(v // 2 + 2):
-        # the Frobenius radical reads the table; the trace form needs none
-        if table is None and p <= n:
-            table = _ring_table(f, order, p)
         grow = []
         if v >= 2:
-            grow = _multipliers(f, *_radical(f, order, p, table if p <= n else None), p)
+            grow = _multipliers(f, *_radical(f, order, p, table), p)
         if not grow:
             if table is None:
                 _ring_table(f, order, p)
@@ -387,21 +384,16 @@ def _ring_table(f, order, p):
 
 def _radical(f, order, p, table):
     """The p-radical I of the order O: the lifts of a basis of I/pO, and
-    the triangular basis of I.  I/pO is a kernel mod p.  With no table
-    (p > n) it is the kernel of the trace form Tr(w_i w_j) (Cohen, GTM 138,
-    6.1.6), integral on an order.  Otherwise it is the kernel of x -> x^q on O/pO,
+    the triangular basis of I.  I/pO is a kernel mod p.  When p > n it is
+    the kernel of the trace form Tr(w_i w_j) (Cohen, GTM 138, 6.1.6),
+    integral on an order.  Otherwise it is the kernel of x -> x^q on O/pO,
     q = p^j >= n: x -> x^p is F_p-linear, so its matrix comes from the
-    powers w_i^p in the table, and x -> x^q is its j-th power."""
+    powers w_i^p (_frobenius), and x -> x^q is its j-th power."""
     n, els = order.n, order.elements
-    if table is None:
+    if p > n:
         rows = gram_matrix(f, order)
     else:
-        frob = []  # row i: the coordinates of w_i^p
-        for i in range(n):
-            x = table[i][i]
-            for _ in range(p - 2):  # x -> x w_i
-                x = _combination(x, table[i], p)
-            frob.append(x)
+        frob = _frobenius(f, order, p, table)
         rows, q = frob, p
         while q < n:  # rows of the power of the Frobenius matrix
             rows = [_combination(row, frob, p) for row in rows]
@@ -409,6 +401,34 @@ def _radical(f, order, p, table):
     lifts = [_lift(c, els, p) for c in _kernel_mod_p(rows, p)]
     return lifts, triangularize([BasisElement(e.numerator * p, e.denom_exp) for e in els]
                                 + lifts, p, n)
+
+
+def _frobenius(f, order, p, table):
+    """Row i: the coordinates mod p of w_i^p.  With the order's table in
+    hand they are read from it: w_i^2 from the diagonal, then p - 2 steps
+    x -> x w_i along row i.  Otherwise the numerator of w_i^p comes from
+    square-and-multiply with _mulmod and is read through _coordinates, so
+    no full table is built; a power with a coordinate that is not
+    p-integral shows that the order is no ring."""
+    if table is not None:
+        frob = []
+        for i, row in enumerate(table):
+            x = row[i]
+            for _ in range(p - 2):  # x -> x w_i
+                x = _combination(x, row, p)
+            frob.append(x)
+        return frob
+    coordinates, frob = _coordinates(order, p), []
+    for e, g in zip(order.elements, _numerators(order.elements, order.n)):
+        x = g
+        for bit in bin(p)[3:]:  # g^p mod f, from the second-highest bit of p down
+            x = _mulmod(x, x, f.coeffs)
+            if bit == "1":
+                x = _mulmod(x, g, f.coeffs)
+        frob.append(coordinates(x, p * e.denom_exp))
+    if None in frob:
+        raise InconsistentError("Round 2 order is not a ring")
+    return frob
 
 
 def _combination(c, rows, p):

@@ -29,7 +29,6 @@ from pintbasis.newton import (
     newton_polygon,
     ordinates,
     phi_expand,
-    phi_index,
     phi_polygon_data,
     principal_part,
 )
@@ -49,6 +48,16 @@ def ord_mod_p(f, phi, p):
             return a
         a += 1
         fbar = q
+
+
+def phi_index(f, phi, p):
+    """ind_phi(f) from a development of its own: deg(phi) times the sum of
+    floor(y_j) for 0 < j < ell over the principal polygon, which the
+    PhiRegularity record of phi must give as its index."""
+    principal = principal_part(newton_polygon(phi_expand(f, phi), p))
+    if principal.length < 1:
+        return 0
+    return phi.degree * sum(ordinates(principal)[1:-1])
 
 
 def ind_p_lower_bound(f, p):

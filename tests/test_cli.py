@@ -384,11 +384,11 @@ def test_verify_mismatch_reports_the_construction(monkeypatch):
         assert out.endswith("  oracle:      1, θ, θ², θ³\n"), out
 
 
-def test_verify_develops_each_lift_three_times(monkeypatch):
+def test_verify_develops_each_lift_twice(monkeypatch):
     """On agreeing bases verify runs one p-regularity report per (f, p),
-    which serves the generic route and the decomposition type: three
-    developments per lift (the report, the generators and the phi-index;
-    a separate decomposition made four).  Round 2 starts from the
+    which serves the generic route and the decomposition type: two
+    developments per lift (the report and the generators; the index check
+    reads the report's records).  Round 2 starts from the
     construction and reuses its multiplication table, so it never builds
     the power basis, and no is_ring_closed call runs.  disc f is computed once:
     by verify for the quartic x^4+ax^2+bx+c, which the guard decides
@@ -410,7 +410,7 @@ def test_verify_develops_each_lift_three_times(monkeypatch):
         calls.clear()
         code, out = run(["verify", "-f", f, "-p", p])
         assert code == 0 and ": ok (path generic" in out, out
-        assert calls["phi_expand"] == 3 * lifts, (f, calls)
+        assert calls["phi_expand"] == 2 * lifts, (f, calls)
         assert calls["is_p_regular"] == calls["factor_mod_p"] == 1, (f, calls)
         assert calls["is_ring_closed"] == calls["power_basis"] == 0, (f, calls)
         assert calls["_table"] == 1, (f, calls)

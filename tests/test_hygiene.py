@@ -107,6 +107,12 @@ def _calls(callee):
     return found
 
 
+def test_no_phi_index_in_the_library():
+    """Ore's index check reads ind_phi(f) from the PhiRegularity record of
+    each lift; no module in src/ develops f again to compute it."""
+    assert not _calls("phi_index"), _calls("phi_index")
+
+
 def test_one_factorization_per_analysis():
     """Only the analysis of (f, p) in newton (LocalAnalysis) factors f mod p;
     every route, check and command reads the lifts and their multiplicities

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings, strategies as st
+
 from pintbasis.factor import is_irreducible_mod_p
 from pintbasis.fq import FqField
 from pintbasis.intpoly import IntPoly
@@ -10,7 +12,6 @@ from pintbasis.newton import (
     newton_polygon,
     ordinates,
     phi_expand,
-    phi_index,
     phi_polygon_data,
     polygon_to_json,
     polygon_to_svg,
@@ -24,6 +25,7 @@ from reference import (
     exact_ordinates,
     fraction_residual,
     fraction_slope,
+    phi_index,
 )
 
 X = IntPoly([0, 1])
@@ -68,20 +70,23 @@ def test_phi_expand_invariants_random():
 
 
 def test_phi_expand_divides_once_per_coefficient(monkeypatch):
-    """The development is one division by phi per coefficient and nothing
-    else: no products of polynomials (no partial sums or powers of phi)."""
-    counts = {"__divmod__": 0, "__mul__": 0, "__add__": 0}
+    """The development is one schoolbook division by phi per coefficient on
+    plain integer lists: no IntPoly arithmetic at all (no division, product
+    or sum of IntPolys), and an IntPoly is built only for each digit and
+    quotient returned, through the trusted constructor."""
+    counts = {"__divmod__": 0, "__mul__": 0, "__add__": 0, "__init__": 0, "_of_list": 0}
 
     def counting(name):
         method = getattr(IntPoly, name)
 
-        def wrapper(self, other):
+        def wrapper(*args):
             counts[name] += 1
-            return method(self, other)
+            return method(*args)
         return wrapper
 
-    for name in counts:
+    for name in ("__divmod__", "__mul__", "__add__", "__init__"):
         monkeypatch.setattr(IntPoly, name, counting(name))
+    monkeypatch.setattr(IntPoly, "_of_list", staticmethod(counting("_of_list")))
     monkeypatch.setattr(IntPoly, "__rmul__", IntPoly.__mul__)
     monkeypatch.setattr(IntPoly, "__radd__", IntPoly.__add__)
     f = IntPoly([7, -3, 12, 5, -9, 2, 4, -1, 6, 3, 1])
@@ -89,8 +94,42 @@ def test_phi_expand_divides_once_per_coefficient(monkeypatch):
         for name in counts:
             counts[name] = 0
         e = phi_expand(f, phi)
-        assert counts == {"__divmod__": len(e.coefficients), "__mul__": 0, "__add__": 0}
+        built = len(e.coefficients) + len(e.quotients)
+        assert counts == {"__divmod__": 0, "__mul__": 0, "__add__": 0, "__init__": 0,
+                          "_of_list": built}
         assert len(e.coefficients) == f.degree // phi.degree + 1
+
+
+def _divmod_development(f, phi):
+    """The development by repeated IntPoly division: (digits, quotients)."""
+    digits, quotients, q = [], [], f
+    while True:
+        q, a = divmod(q, phi)
+        digits.append(a)
+        if q.is_zero():
+            return digits, quotients
+        quotients.append(q)
+
+
+_BIG = st.integers(min_value=-10**40, max_value=10**40)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(_BIG, max_size=21), st.lists(_BIG, min_size=1, max_size=4),
+       st.lists(_BIG, max_size=18), st.booleans())
+@example([5, 1], [0, 0, 1], [], False)  # deg f < deg phi
+@example([], [3, 0, 1], [1, 2, 3], True)  # phi | f
+def test_phi_expand_is_repeated_division(fs, low, gs, divisible):
+    """phi_expand gives the digits and the quotients of repeated division by
+    phi: deg f <= 20 with coefficients up to 10^40, monic phi of degree
+    1-4, and f = g phi when divisible."""
+    phi = IntPoly(low + [1])
+    f = IntPoly(gs) * phi if divisible else IntPoly(fs)
+    e = phi_expand(f, phi)
+    digits, quotients = _divmod_development(f, phi)
+    assert list(e.coefficients) == digits and list(e.quotients) == quotients
+    assert all(a.coeffs[-1:] != (0,) for a in digits + quotients)
+    assert len(digits) == max(f.degree, 0) // phi.degree + 1
 
 
 def test_newton_polygon_examples():
