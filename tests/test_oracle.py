@@ -372,11 +372,27 @@ def test_mulmod_matches_intpoly():
         assert _mulmod(a, b, f.coeffs) == [expected[k] for k in range(n)], (f, a, b)
 
 
+def _frobenius_radical(f, order, p, table):
+    """The p-radical of the order, as _radical returns it, from the kernel
+    of x -> x^p on O/pO with the rows _frobenius gives; for p >= n that
+    map is x -> x^q itself."""
+    from pintbasis.basis import triangularize
+    from pintbasis.oracle import _frobenius, _kernel_mod_p, _lift
+
+    assert p >= order.n
+    els = order.elements
+    lifts = [_lift(c, els, p) for c in _kernel_mod_p(_frobenius(f, order, p, table), p)]
+    return lifts, triangularize([BasisElement(e.numerator * p, e.denom_exp) for e in els]
+                                + lifts, p, order.n)
+
+
 def test_trace_form_radical_equals_frobenius_radical():
     """For p > n the p-radical is the kernel of the trace form mod p and
-    also the kernel of x -> x^q, q = p^j >= n.  Both routes give the same
-    radical, and the same multipliers, on the power basis and on the
-    p-maximal order of seeded inputs, most of them with a nonzero index."""
+    also the kernel of x -> x^q, q = p^j >= n.  The trace form route that
+    _radical takes gives the same radical, and the same multipliers, as the
+    Frobenius kernel built from the order's table and from the powers
+    w_i^p, on the power basis and on the p-maximal order of seeded inputs,
+    most of them with a nonzero index."""
     from pintbasis.oracle import _multipliers, _radical, _table
 
     rng = random.Random(43)
@@ -394,11 +410,12 @@ def test_trace_form_radical_equals_frobenius_radical():
         nontrivial += maximal.index_valuation > 0
         for order in (power_basis(p, n), maximal):
             trace = _radical(f, order, p, None)
-            frobenius = _radical(f, order, p, _table(f, order, p))
-            assert trace[1].elements == frobenius[1].elements, (f.render(), p)
-            grow = [_multipliers(f, *rad, p) for rad in (trace, frobenius)]
-            assert (order.elements == maximal.elements) == (grow[0] == []), (f.render(), p)
-            assert bool(grow[0]) == bool(grow[1])
+            grow = _multipliers(f, *trace, p)
+            assert (order.elements == maximal.elements) == (grow == []), (f.render(), p)
+            for table in (_table(f, order, p), None):
+                frobenius = _frobenius_radical(f, order, p, table)
+                assert trace[1].elements == frobenius[1].elements, (f.render(), p)
+                assert bool(grow) == bool(_multipliers(f, *frobenius, p))
     assert nontrivial >= 10, nontrivial
 
 
