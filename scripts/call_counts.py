@@ -27,7 +27,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import inputs  # noqa: E402
 from pintbasis import cli  # noqa: E402
 
-KERNELS = ("check_prime", "factor_mod_p", "factor_fqpoly", "phi_expand", "triangularize")
+KERNELS = ("check_prime", "factor_mod_p", "factor_fqpoly", "phi_expand", "triangularize",
+           "discriminant")
 
 
 def run(argvs):

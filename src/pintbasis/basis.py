@@ -15,7 +15,7 @@ from .arith import vp
 from .errors import InconsistentError, NotRegularError, RankDeficientError
 from .factor import sanity_check_irreducible
 from .intpoly import IntPoly
-from .newton import is_p_regular, ordinates, phi_polygon_data
+from .newton import is_p_regular
 from .record import Record
 
 
@@ -248,24 +248,23 @@ def _decomposition(report):
 def regular_basis_generators(report):
     """The n elements q_{i,j}(theta) theta^k / p^{floor(y_{i,j})} of the
     regular-case basis construction: quotients of the phi-adic developments
-    over the floored polygon ordinates, for the lifts of the p-regularity
-    report (is_p_regular).  Raises NotRegularError when the report names an
-    inseparable residual polynomial."""
+    over the floored polygon ordinates, read from the record of each lift
+    in the p-regularity report (is_p_regular).  Raises NotRegularError when
+    the report names an inseparable residual polynomial."""
     if not report.regular:
         raise NotRegularError(*report.first_witness())
     f, p = report.analysis.f, report.analysis.p
     n = f.degree
     gens = []
     total_m = 0
-    for phi in (reg.phi for reg in report.by_phi):
-        expansion, principal, _ = phi_polygon_data(f, phi, p)
-        ell = principal.length
+    for reg in report.by_phi:
+        phi, ell = reg.phi, reg.principal.length
         if ell == 0:
             raise InconsistentError(f"lift {phi.render()} does not divide f mod {p}")
-        ys = ordinates(principal)
+        ys = reg.ordinates
         total_m += ell * phi.degree
         for j in range(1, ell + 1):
-            q = expansion.quotients[j - 1]
+            q = reg.expansion.quotients[j - 1]
             for k in range(phi.degree):
                 num = q * IntPoly.x(k)
                 if num.degree >= n:

@@ -127,18 +127,32 @@ def is_irreducible(f):
     return None
 
 
+def _squarefree_witness(f):
+    """The first q in _WITNESS_PRIMES with f mod q squarefree, gcd(f, f') = 1
+    over F_q, or None.  For a monic f, disc f mod q is the discriminant of
+    f mod q, so a witness q proves disc f != 0."""
+    for q in _WITNESS_PRIMES:
+        fq = FpArith(q)
+        fbar = fq.reduce(f.coeffs)
+        if len(fq.gcd(fbar, fq.deriv(fbar))) == 1:
+            return q
+    return None
+
+
 def sanity_check_irreducible(f):
     """Raise NotIrreducibleError when a rational root, a repeated factor or
     (for a quartic) a quadratic factor is detected.  A quartic
     x^4+ax^2+bx+c with a repeated factor has a quadratic one, so for that
-    shape the 2+2 test alone covers it.  Returns disc f when the
-    repeated-factor test computed it, None otherwise."""
+    shape the 2+2 test alone covers it.  For the other shapes a witness
+    prime (_squarefree_witness) rules out a repeated factor; only when none
+    witnesses is disc f computed exactly, and then it is returned.  Returns
+    None otherwise."""
     if f.degree < 2 or not f.monic:
         return None
     if f[0] == 0 or integer_roots(f):
         raise NotIrreducibleError(f"{f.render()} has a rational root")
     disc = None
-    if f.degree != 4 or f[3]:
+    if (f.degree != 4 or f[3]) and _squarefree_witness(f) is None:
         disc = f.discriminant()
         if disc == 0:
             raise NotIrreducibleError(f"{f.render()} has a repeated factor")

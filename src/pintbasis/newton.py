@@ -254,30 +254,23 @@ class PhiRegularity(Record):
         return self.phi.degree * sum(self.ordinates[1:-1])
 
 
-def phi_polygon_data(f, phi, p):
-    """Expansion, principal polygon and residual data for one phi."""
-    expansion = phi_expand(f, phi)
-    principal = principal_part(newton_polygon(expansion, p))
-    if principal.length < 1:
-        return expansion, principal, []
-    field = FqField(p, phi)
-    reduced = {}
-    data = [SideData(s, residual_polynomial(s, principal, expansion, field, reduced), field)
-            for s in principal.sides]
-    return expansion, principal, data
-
-
 def is_phi_regular(f, phi, p):
-    """phi-regularity: every principal side carries a separable residual
-    polynomial.  On failure the witnesses name each offending side together
-    with its multiple irreducible residual factor, read from the
-    factorization of its residual polynomial when the verdict is first
-    asked for.  p is a prime the caller has checked."""
+    """The PhiRegularity record of f at phi: the development, its principal
+    polygon and the residual polynomial of every principal side.  The
+    record decides phi-regularity (every principal side carries a separable
+    residual polynomial) when the verdict is first asked for; its witnesses
+    name each offending side together with its multiple irreducible
+    residual factor.  p is a prime the caller has checked."""
     if not is_irreducible_mod_p(phi, p):
         raise ValueError(f"{phi.render()} is not irreducible mod {p}")
-    expansion, principal, data = phi_polygon_data(f, phi, p)
-    field = data[0].field if data else FqField(p, phi)
-    return PhiRegularity(phi, field, tuple(data), expansion, principal)
+    expansion = phi_expand(f, phi)
+    principal = principal_part(newton_polygon(expansion, p))
+    field = FqField(p, phi)
+    reduced = {}
+    data = tuple(
+        SideData(s, residual_polynomial(s, principal, expansion, field, reduced), field)
+        for s in principal.sides)
+    return PhiRegularity(phi, field, data, expansion, principal)
 
 
 class PRegularity(Record):

@@ -7,7 +7,8 @@ here recompute the same facts the textbook way, with Fraction ordinates
 interpolated between the vertices and the slope as a Fraction, and share
 no code with pintbasis.newton beyond the polygon records they read.  The
 second-order step is recomputed the same way, with the ordinate Y and nu as
-Fractions.  The guard's exact quartic test is checked against a search for
+Fractions.  Ore's generators are rebuilt from a development of each lift of
+their own (regular_generators).  The guard's exact quartic test is checked against a search for
 linear and quadratic factors by division.
 
 The library's local linear algebra runs on integers too.  The Hermite form
@@ -26,10 +27,10 @@ from pintbasis.fq import FpArith, FqField
 from pintbasis.intpoly import IntPoly
 from pintbasis.newton import (
     is_p_regular,
+    is_phi_regular,
     newton_polygon,
     ordinates,
     phi_expand,
-    phi_polygon_data,
     principal_part,
 )
 from pintbasis.oracle import _det_bareiss, _numerator_traces
@@ -58,6 +59,22 @@ def phi_index(f, phi, p):
     if principal.length < 1:
         return 0
     return phi.degree * sum(ordinates(principal)[1:-1])
+
+
+def regular_generators(f, p, lifts):
+    """Ore's generators q_j(theta) theta^k / p^floor(y_j), 1 <= j <= ell and
+    0 <= k < deg(phi), from a development of f in each lift of its own, its
+    principal polygon and that polygon's ordinates: the family
+    regular_basis_generators must read from the records of the lifts."""
+    gens = []
+    for phi in lifts:
+        expansion = phi_expand(f, phi)
+        principal = principal_part(newton_polygon(expansion, p))
+        ys = ordinates(principal)
+        for j in range(1, principal.length + 1):
+            gens += [BasisElement(expansion.quotients[j - 1] * IntPoly.x(k), ys[j])
+                     for k in range(phi.degree)]
+    return gens
 
 
 def ind_p_lower_bound(f, p):
@@ -145,7 +162,7 @@ def check_polygon_geometry(f, phi, p):
         assert ordinates(pp) == [y // 1 if is_finite(y) else y for y in exact]
         assert phi_index(f, phi, p) == phi.degree * lattice_point_count(pp)
     field = FqField(p, phi)
-    data = phi_polygon_data(f, phi, p)[2]
+    data = is_phi_regular(f, phi, p).sides
     assert [sd.side for sd in data] == list(pp.sides)
     for sd in data:
         assert sd.residual == fraction_residual(pp, sd.side, expansion, field)

@@ -1,22 +1,27 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from pintbasis.arith import symmetric_rep
 from pintbasis.errors import InconsistentError, NotRegularError, RankDeficientError
 from pintbasis.intpoly import IntPoly
-from pintbasis.newton import LocalAnalysis
+from pintbasis.factor import is_irreducible_mod_p
+from pintbasis.newton import LocalAnalysis, is_p_regular
 from pintbasis.basis import (
     BasisElement,
     _decomposition,
     decomposition_type,
     p_integral_basis_regular,
     power_basis,
+    regular_basis_generators,
     triangularize,
 )
 
-from reference import fraction_triangularize, ind_p_lower_bound, vp_frac
+from reference import fraction_triangularize, ind_p_lower_bound, regular_generators, vp_frac
 from test_oracle import _det_fraction
 
 X = IntPoly([0, 1])
@@ -321,3 +326,49 @@ def test_basis_records_are_immutable_values():
         a.p = 3
     with pytest.raises(TypeError):
         BasisElement(X)
+
+
+@st.composite
+def _lift(draw, p, degree):
+    """A monic lift of the given degree with symmetric coefficients,
+    irreducible mod p: a lift that factor_mod_p returns for its reduction."""
+    low = draw(st.lists(st.integers(0, p - 1), min_size=degree, max_size=degree))
+    phi = IntPoly([symmetric_rep(c, p) for c in low] + [1])
+    assume(is_irreducible_mod_p(phi, p))
+    return phi
+
+
+@st.composite
+def _regular_inputs(draw):
+    """(f, p): an Ore family prod phi_i^m_i + c p^k with distinct linear and
+    quadratic phi_i, gcd(m_i, k) = 1 and p not dividing c, whose phi-polygons
+    are single sides with linear residual polynomials; or, one time in four,
+    an f irreducible mod p that is its own lift."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 101)))
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_lift(p, draw(st.integers(2, 4)))), p
+    k = draw(st.integers(1, 3))
+    f, seen = IntPoly([1]), set()
+    for _ in range(draw(st.integers(1, 3))):
+        phi = draw(_lift(p, draw(st.integers(1, 2))))
+        assume(phi not in seen)
+        seen.add(phi)
+        m = draw(st.sampled_from([m for m in range(1, 5) if gcd(m, k) == 1]))
+        f = f * phi**m
+    c = draw(st.integers(1, 3 * p).filter(lambda c: c % p))
+    return f + draw(st.sampled_from((-1, 1))) * c * p**k, p
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_regular_inputs())
+@example((X**2 + 1, 3))  # its own lift
+@example(((X + 1)**3 * (X**2 + X + 1)**2 + 2, 2))  # two lifts, slopes -1/3 and -1/2
+def test_generators_read_from_the_records(fp):
+    """regular_basis_generators reads the quotients, principal lengths and
+    ordinates of each lift from its record in the report; they equal a
+    rebuild from a development of each lift of its own."""
+    f, p = fp
+    report = is_p_regular(f, p)
+    assert report.regular
+    lifts = [reg.phi for reg in report.by_phi]
+    assert regular_basis_generators(report) == regular_generators(f, p, lifts)

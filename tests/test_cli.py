@@ -384,17 +384,17 @@ def test_verify_mismatch_reports_the_construction(monkeypatch):
         assert out.endswith("  oracle:      1, θ, θ², θ³\n"), out
 
 
-def test_verify_develops_each_lift_twice(monkeypatch):
+def test_verify_develops_each_lift_once(monkeypatch):
     """On agreeing bases verify runs one p-regularity report per (f, p),
-    which serves the generic route and the decomposition type: two
-    developments per lift (the report and the generators; the index check
-    reads the report's records).  Round 2 starts from the
-    construction and reuses its multiplication table, so it never builds
-    the power basis, and no is_ring_closed call runs.  disc f is computed once:
-    by verify for the quartic x^4+ax^2+bx+c, which the guard decides
-    exactly, and by the guard's repeated-factor check for the other shapes,
-    among them a degree-8 f whose degree patterns mod small primes leave
-    is_irreducible undecided."""
+    which serves the generic route and the decomposition type: one
+    development per lift, which the generators and the index check read
+    from the report's records.  Round 2 starts from the construction and
+    reuses its multiplication table, so it never builds the power basis,
+    and no is_ring_closed call runs.  disc f is computed once, by verify's
+    analysis, for every shape: the guard decides the quartic
+    x^4+ax^2+bx+c exactly, and for the other shapes, among them a degree-8
+    f whose degree patterns mod small primes leave is_irreducible
+    undecided, a witness prime rules out a repeated factor."""
     from pintbasis import factor, newton, oracle
 
     inputs = [(f, p, len(factor.factor_mod_p(parse_poly(f), int(p))))
@@ -410,10 +410,33 @@ def test_verify_develops_each_lift_twice(monkeypatch):
         calls.clear()
         code, out = run(["verify", "-f", f, "-p", p])
         assert code == 0 and ": ok (path generic" in out, out
-        assert calls["phi_expand"] == 2 * lifts, (f, calls)
+        assert calls["phi_expand"] == lifts, (f, calls)
         assert calls["is_p_regular"] == calls["factor_mod_p"] == 1, (f, calls)
         assert calls["is_ring_closed"] == calls["power_basis"] == 0, (f, calls)
         assert calls["_table"] == 1, (f, calls)
+        assert calls["discriminant"] == 1, (f, calls)
+
+
+def test_generic_basis_computes_no_discriminant(monkeypatch):
+    """basis --json on the generic route reads no disc f: for f not of the
+    shape x^4+ax^2+bx+c a witness prime q, with f mod q squarefree, rules
+    out a repeated factor, and the analysis computes disc f only where it
+    is read.  verify reads it for the disc identity and Round 2, once.  For
+    x^2 - 6469693230, 6469693230 the product of the primes up to 29, every
+    witness prime divides disc f, so the guard computes it exactly, and
+    both commands still answer."""
+    # x^6+3x^4+3x^2-8 = (x^2+1)^3 - 9 at p = 3 is a generic-ladder rung
+    inputs = (("x^5+2x+2", "2", 0), ("x^6+3x^4+3x^2-8", "3", 0),
+              ("x^2-6469693230", "2", 1))
+    calls = _count_calls(monkeypatch, [(IntPoly, "discriminant")])
+    for f, p, discs in inputs:
+        calls.clear()
+        code, out = run(["basis", "-f", f, "-p", p, "--json"])
+        assert code == 0 and json.loads(out)["path"] == "generic", out
+        assert calls["discriminant"] == discs, (f, calls)
+        calls.clear()
+        code, out = run(["verify", "-f", f, "-p", p])
+        assert code == 0 and ": ok (path generic" in out, out
         assert calls["discriminant"] == 1, (f, calls)
 
 

@@ -2,8 +2,11 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pintbasis.factor import (
+    _WITNESS_PRIMES,
+    _squarefree_witness,
     factor_mod_p,
     integer_roots,
     is_irreducible,
@@ -354,3 +357,27 @@ def test_is_irreducible_generic():
     # degree patterns cannot certify reducibility, only rule factors out
     assert is_irreducible((X**2 + 1) * (X**3 + X + 1)) in (False, None)
     assert is_irreducible(X**6 + X + 1) in (True, None)
+
+
+_COEFFS = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_COEFFS, _COEFFS, st.booleans())
+@example([-6469693230, 0], [], False)  # x^2 - 6469693230: every q divides disc
+@example([1, 1], [1], True)  # (x^2+x+1)^2 (x+1): a repeated factor
+def test_squarefree_witness_agrees_with_the_discriminant(gs, hs, square):
+    """A witness q exists, f mod q squarefree, exactly when some q in
+    _WITNESS_PRIMES does not divide disc f, so a witness proves disc f != 0
+    and a repeated factor never has one.  f is monic of degree 2-12, drawn
+    as g h or, with a repeated factor, as g^2 h."""
+    g, h = IntPoly(gs + [1]), IntPoly(hs + [1])
+    f = g * g * h if square else g * h
+    assume(f.degree <= 12)
+    disc = f.discriminant()
+    witness = _squarefree_witness(f)
+    assert (witness is not None) == any(disc % q for q in _WITNESS_PRIMES), f.render()
+    if witness is not None:
+        assert disc % witness
+    if square:
+        assert witness is None and disc == 0

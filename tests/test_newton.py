@@ -12,7 +12,6 @@ from pintbasis.newton import (
     newton_polygon,
     ordinates,
     phi_expand,
-    phi_polygon_data,
     polygon_to_json,
     polygon_to_svg,
     principal_part,
@@ -205,7 +204,8 @@ def test_phi_index_examples():
 
 def test_residual_polynomials():
     f = IntPoly.monic_quartic(1, 0, 50)
-    e, pp, data = phi_polygon_data(f, X, 5)
+    reg = is_phi_regular(f, X, 5)
+    e, pp, data = reg.expansion, reg.principal, reg.sides
     assert residual_polynomial(pp.sides[0], pp, e, FqField(5, X)) == [2, 0, 1]
     assert fraction_residual(pp, pp.sides[0], e, FqField(5, X)) == [2, 0, 1]
     assert len(data) == 1
@@ -214,14 +214,16 @@ def test_residual_polynomials():
     assert data[0].separable
 
     f = X**4 + 2 * X**2 + 4
-    e, pp, data = phi_polygon_data(f, X, 2)
+    reg = is_phi_regular(f, X, 2)
+    e, pp, data = reg.expansion, reg.principal, reg.sides
     r = data[0].residual
     assert r == [1, 1, 1]  # y^2+y+1
     assert data[0].separable
 
     # over F_9 = F_3[t]/(t^2+1): y^2+1 = (y+t)(y+2t), coefficients as tuples
     f = IntPoly.monic_quartic(2, 0, 10)  # (x^2+1)^2 + 9
-    e, pp, data = phi_polygon_data(f, X**2 + 1, 3)
+    reg = is_phi_regular(f, X**2 + 1, 3)
+    e, pp, data = reg.expansion, reg.principal, reg.sides
     assert [sd.residual for sd in data] == [[(1,), (), (1,)]]
     assert data[0].separable and data[0].field.render(data[0].residual) == "y^2 + 1"
 
